@@ -254,7 +254,12 @@ def analytic_rate(cfg: SchemeConfig) -> float:
     bound used as the scheme's rate. When the rephasing cap limits an AFC
     budget the closed form no longer applies and the exact
     K * p_single / t_round is returned instead.
+
+    Raises ParameterError at L = 0: the closed forms divide by t_link, so
+    they are defined for L > 0 only (exact_rate and round_time are not).
     """
+    if cfg.link.L == 0.0:
+        raise ParameterError("analytic_rate needs L > 0 km: the closed forms divide by t_link")
     d = cfg.derived()
     tl = t_link(cfg.link)
     if cfg.kind is SchemeKind.MM:

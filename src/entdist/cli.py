@@ -106,7 +106,7 @@ def _cmd_swap(args: argparse.Namespace) -> int:
         "chain_factor": chain_factor(params),
         "links": params.i,
     }
-    text = json.dumps(payload, indent=2) + "\n"
+    text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
     if args.out is None or args.out == "-":
         sys.stdout.write(text)
     else:

@@ -442,7 +442,11 @@ def rows_to_csv(rows: Sequence[ResultRow]) -> str:
 
 
 def rows_to_json(rows: Sequence[ResultRow]) -> str:
-    """JSON array of objects with the same keys as the CSV columns."""
+    """JSON array of objects with the same keys as the CSV columns.
+
+    A non-finite value raises ValueError rather than emitting NaN/Infinity,
+    which are not JSON.
+    """
     payload = [
         {
             "scheme": row.scheme,
@@ -458,7 +462,7 @@ def rows_to_json(rows: Sequence[ResultRow]) -> str:
         }
         for row in rows
     ]
-    return json.dumps(payload, indent=2) + "\n"
+    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 
 def emit(rows: Sequence[ResultRow], fmt: str = "csv", destination: str | None = None) -> None:

@@ -1,4 +1,4 @@
-"""Round-by-round stochastic simulation of each scheme.
+"""Seeded stochastic simulation of each scheme's rounds.
 
 Rounds are the atomic time unit: one round performs the scheme's trial budget
 K, counts latched pairs (never more than the memory capacity), and advances
@@ -55,7 +55,7 @@ DEFAULT_SEED = 42
 GRANULARITIES = ("binomial", "per-trial")
 
 # Per-trial mode materializes a rounds x K boolean block; chunk it so memory
-# stays bounded regardless of K.
+# stays bounded. A round wider than the block is refused.
 _PER_TRIAL_CHUNK_CELLS = 4_000_000
 
 
@@ -67,9 +67,11 @@ class FeasibilityError(RuntimeError):
 class McControls:
     """Simulation controls: round count, RNG seed and sampling granularity.
 
-    trial_granularity "binomial" draws one Binomial(K, p) per round (the hot
-    default); "per-trial" draws every trial individually for auditability.
-    Both sample the same distribution.
+    Both granularities produce the histogram of latched pairs per round.
+    "binomial" (the default) draws it in one multinomial step from the law
+    of min(Binomial(K, p), capacity), at a cost set by the capacity and not
+    by n_rounds; "per-trial" draws every trial individually for
+    auditability. Both sample the same distribution.
     """
 
     n_rounds: int
@@ -143,52 +145,102 @@ def _check_afc_feasible(cfg: SchemeConfig) -> None:
             )
 
 
+def _capped_binomial_law(k: int, p: float, cap: int) -> np.ndarray:
+    """Law of min(Binomial(k, p), cap) over 0..min(k, cap), summing to 1.
+
+    Only the window mean +- (40 sd + 40) is evaluated: by Bernstein's
+    inequality the mass outside it is below 2e-26 for any k and p, which is
+    under double-precision resolution, so the work is O(min(k, cap)) even for
+    k in the tens of billions or k * p far above cap.
+    """
+    top = min(k, cap)
+    q = np.zeros(top + 1)
+    if p == 0.0 or p == 1.0:
+        q[0 if p == 0.0 else top] = 1.0
+        return q
+    mean = k * p
+    spread = 40.0 * math.sqrt(mean * (1.0 - p)) + 40.0
+    lo = max(0, math.floor(mean - spread))
+    hi = min(k, math.ceil(mean + spread))
+    if lo >= top:
+        q[top] = 1.0
+        return q
+    # log of pmf(j) / pmf(lo) by the ratio recursion; the constant log pmf(lo)
+    # cancels when the window is normalised.
+    j = np.arange(lo + 1, hi + 1, dtype=float)
+    steps = np.log((k - j + 1.0) / j) + (math.log(p) - math.log1p(-p))
+    log_w = np.concatenate(([0.0], np.cumsum(steps)))
+    w = np.exp(log_w - log_w.max())
+    w /= w.sum()
+    below = min(hi + 1, top) - lo
+    q[lo:lo + below] = w[:below]
+    q[top] = w[below:].sum()
+    return q
+
+
 def simulate_rounds(
     cfg: SchemeConfig,
     rng: np.random.Generator,
     n_rounds: int,
     granularity: str = "binomial",
 ) -> np.ndarray:
-    """Per-round success counts for n_rounds independent rounds (int64 array)."""
+    """Histogram of latched pairs over n_rounds independent rounds.
+
+    Cell j of the returned int64 array counts the rounds that latched j
+    pairs; it has min(K, capacity) + 1 cells and sums to n_rounds.
+    "binomial" draws the whole histogram at once as Multinomial(n_rounds, q)
+    with q the law of min(Binomial(K, p), capacity), in O(capacity) work
+    whatever K and n_rounds are. "per-trial" draws every trial of every round
+    and tallies the capped counts: the literal audit oracle, limited to
+    K <= _PER_TRIAL_CHUNK_CELLS trials per round.
+    """
     k = trials_per_round(cfg)
     p = single_trial_success(cfg)
     cap = capacity(cfg)
     if granularity == "binomial":
-        counts = rng.binomial(k, p, size=n_rounds).astype(np.int64, copy=False)
-    elif granularity == "per-trial":
-        counts = np.empty(n_rounds, dtype=np.int64)
-        chunk = max(1, _PER_TRIAL_CHUNK_CELLS // max(k, 1))
-        for start in range(0, n_rounds, chunk):
-            stop = min(start + chunk, n_rounds)
-            trials = rng.random((stop - start, k)) < p
-            counts[start:stop] = trials.sum(axis=1)
-    else:
+        return rng.multinomial(n_rounds, _capped_binomial_law(k, p, cap)).astype(np.int64, copy=False)
+    if granularity != "per-trial":
         raise ParameterError(f"trial_granularity must be one of {GRANULARITIES}, got {granularity!r}")
-    np.minimum(counts, cap, out=counts)
-    return counts
+    if k > _PER_TRIAL_CHUNK_CELLS:
+        raise ParameterError(
+            f"per-trial sampling holds at most {_PER_TRIAL_CHUNK_CELLS} trials per round, "
+            f"got K = {k}; use trial_granularity 'binomial'"
+        )
+    top = min(k, cap)
+    hist = np.zeros(top + 1, dtype=np.int64)
+    chunk = _PER_TRIAL_CHUNK_CELLS // max(k, 1)
+    for start in range(0, n_rounds, chunk):
+        trials = rng.random((min(chunk, n_rounds - start), k)) < p
+        hist += np.bincount(np.minimum(trials.sum(axis=1), cap), minlength=top + 1)
+    return hist
 
 
 def simulate_round(cfg: SchemeConfig, rng: np.random.Generator,
                    granularity: str = "binomial") -> int:
     """Latched-pair count of a single round."""
     _check_afc_feasible(cfg)
-    return int(simulate_rounds(cfg, rng, 1, granularity)[0])
+    return int(np.argmax(simulate_rounds(cfg, rng, 1, granularity)))
 
 
 def estimate_rate(cfg: SchemeConfig, mc: McControls) -> RateEstimate:
     """Simulate mc.n_rounds rounds and estimate the distribution rate.
 
     Raises FeasibilityError before simulating when an AFC round cannot fit the
-    spin coherence time. stderr is 0 for a single round.
+    spin coherence time. stderr is the ddof=1 standard deviation of the
+    per-round counts (read off the histogram) over sqrt(n_rounds), per
+    t_round; it is 0 for a single round.
     """
     _check_afc_feasible(cfg)
     rng = rng_for_seed(mc.seed)
-    counts = simulate_rounds(cfg, rng, mc.n_rounds, mc.trial_granularity)
+    hist = simulate_rounds(cfg, rng, mc.n_rounds, mc.trial_granularity)
+    latched = np.arange(len(hist))
     tr = round_time(cfg)
     elapsed = mc.n_rounds * tr
-    successes = int(counts.sum())
+    successes = int(hist @ latched)
     if mc.n_rounds > 1:
-        stderr = float(counts.std(ddof=1)) / math.sqrt(mc.n_rounds) / tr
+        mean = successes / mc.n_rounds
+        variance = float(hist @ (latched - mean) ** 2) / (mc.n_rounds - 1)
+        stderr = math.sqrt(variance / mc.n_rounds) / tr
     else:
         stderr = 0.0
     return RateEstimate(

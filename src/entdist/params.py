@@ -63,8 +63,9 @@ def _require_positive(field: str, value: float) -> None:
 class LinkParams:
     """Fiber link between two adjacent repeater nodes.
 
-    L may be zero (co-located nodes) for degenerate boundary cases; all other
-    parameters must be strictly physical.
+    L may be zero (co-located nodes) for degenerate boundary cases, where the
+    closed-form analytic_rate raises ParameterError; all other parameters
+    must be strictly physical.
     """
 
     L: float                                    # node separation, km

@@ -401,7 +401,8 @@ def test_criterion_6d_capacity_never_exceeded():
     ]
     for index, cfg in enumerate(cases):
         counts = simulate_rounds(cfg, rng_for_seed(subseed(ACCEPTANCE_SEED, 2000 + index)), 30_000)
-        assert counts.max() <= capacity(cfg), cfg
+        assert len(counts) <= capacity(cfg) + 1, cfg
+        assert counts.sum() == 30_000, cfg
     _report(6, "per-round successes never exceed the memory/mode capacity")
 
 
@@ -423,7 +424,7 @@ def test_criterion_6f_sampling_modes_agree():
     n = 20_000
     binomial = simulate_rounds(cfg, rng_for_seed(31), n, "binomial")
     per_trial = simulate_rounds(cfg, rng_for_seed(32), n, "per-trial")
-    table = np.array([np.bincount(binomial, minlength=4), np.bincount(per_trial, minlength=4)])
+    table = np.array([binomial, per_trial])
     occupied = table.sum(axis=0) > 0
     result = stats.chi2_contingency(table[:, occupied])
     assert result.pvalue > 0.01, result

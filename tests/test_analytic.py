@@ -22,6 +22,7 @@ from entdist.analytic import (
     single_trial_success,
     trials_per_round,
 )
+from entdist.montecarlo import McControls, estimate_rate
 from entdist.params import (
     AFC_OPTIMISTIC,
     AFC_REALISTIC,
@@ -201,6 +202,16 @@ class TestRates:
         cfg = ms()
         expected = trials_per_round(cfg) * single_trial_success(cfg) / round_time(cfg)
         assert exact_rate(cfg) == expected
+
+    @pytest.mark.parametrize("build", [mm, sr, ms, afc_mm, afc_ms])
+    def test_closed_form_needs_positive_length(self, build):
+        cfg = build(link=default_link(0.0))
+        with pytest.raises(ParameterError, match="L > 0"):
+            analytic_rate(cfg)
+        assert math.isfinite(round_time(cfg)) and round_time(cfg) > 0.0
+        assert math.isfinite(exact_rate(cfg)) and exact_rate(cfg) >= 0.0
+        estimate = estimate_rate(cfg, McControls(n_rounds=100, seed=1))
+        assert math.isfinite(estimate.rate) and estimate.rate >= 0.0
 
     def test_summary_bundles_the_quantities(self):
         cfg = afc_ms()

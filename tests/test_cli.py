@@ -68,6 +68,11 @@ def test_invalid_parameter_value(capsys):
     assert "p_d" in capsys.readouterr().err
 
 
+def test_zero_length_link_is_config_error(capsys):
+    assert main(["run", "custom", "--set", "scheme=mm", "--set", "L_km=0", "--rounds", "10"]) == 1
+    assert "L > 0" in capsys.readouterr().err
+
+
 def test_unwritable_destination_is_runtime_error(tmp_path, capsys):
     missing_dir = tmp_path / "not" / "here" / "rows.csv"
     code = main(["run", "fig2c", "--rounds", "10", "--out", str(missing_dir)])

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -236,6 +237,11 @@ class TestEmission:
         emit(rows, "csv", str(first))
         emit(rows, "csv", str(second))
         assert first.read_bytes() == second.read_bytes()
+
+    def test_json_refuses_non_finite_values(self, rows):
+        broken = [dataclasses.replace(rows[0], mc_rate=float("nan"))]
+        with pytest.raises(ValueError):
+            rows_to_json(broken)
 
     def test_emit_rejects_empty_rows_and_bad_format(self, rows):
         with pytest.raises(ValueError, match="at least one row"):

@@ -20,6 +20,7 @@ from entdist.analytic import (
 from entdist.montecarlo import (
     FeasibilityError,
     McControls,
+    _capped_binomial_law,
     estimate_rate,
     rng_for_seed,
     simulate_latches,
@@ -29,6 +30,7 @@ from entdist.montecarlo import (
     sweep,
 )
 from entdist.params import (
+    AFC_OPTIMISTIC,
     AFC_REALISTIC,
     AfcSpec,
     ParameterError,
@@ -44,6 +46,15 @@ AFC_MS = SchemeConfig(SchemeKind.AFC_MS, LINK10, AFC_REALISTIC, p_m=0.5)
 
 # Frozen closed-form reference for the MM quantum-dot point at L = 10 km.
 MM_QD_RATE = 2466.209960041923
+
+
+def histogram_mean_and_stderr(hist):
+    """Mean per-round count and its standard error, read off a histogram."""
+    latched = np.arange(len(hist))
+    n = hist.sum()
+    mean = (hist @ latched) / n
+    variance = (hist @ (latched - mean) ** 2) / (n - 1)
+    return mean, math.sqrt(variance / n)
 
 
 def brute_force_mean_successes(n_trials, p):
@@ -84,9 +95,9 @@ class TestDeterminism:
 
     def test_subseed_streams_are_uncorrelated(self):
         n = 20000
-        counts_a = simulate_rounds(MM_QD, rng_for_seed(subseed(5, 0)), n)
-        counts_b = simulate_rounds(MM_QD, rng_for_seed(subseed(5, 1)), n)
-        r = np.corrcoef(counts_a, counts_b)[0, 1]
+        draws_a = rng_for_seed(subseed(5, 0)).random(n)
+        draws_b = rng_for_seed(subseed(5, 1)).random(n)
+        r = np.corrcoef(draws_a, draws_b)[0, 1]
         assert abs(r) < 4.0 / math.sqrt(n)
 
 
@@ -94,7 +105,8 @@ class TestRoundOutcomes:
     def test_impossible_success_yields_zero(self):
         cfg = replace(MM_QD, link=replace(LINK10, p_d=0.0))
         counts = simulate_rounds(cfg, rng_for_seed(0), 1000)
-        assert counts.sum() == 0
+        assert counts[0] == 1000
+        assert not counts[1:].any()
 
     def test_certain_success_fills_capacity_every_round(self):
         perfect = AfcSpec(N_AFC=3, t_rephase=51e-6, t_spin_coherence=1e-3,
@@ -102,7 +114,7 @@ class TestRoundOutcomes:
         cfg = SchemeConfig(SchemeKind.AFC_MS, default_link(0.0), perfect, p_m=1.0)
         assert single_trial_success(cfg) == 1.0
         counts = simulate_rounds(cfg, rng_for_seed(0), 500)
-        assert np.all(counts == 3)
+        assert counts.tolist() == [0, 0, 0, 500]
 
     def test_mean_matches_brute_force_enumeration(self):
         # Independent oracle: enumerate the 2^3 outcome space of an MM round.
@@ -110,18 +122,19 @@ class TestRoundOutcomes:
         expected = brute_force_mean_successes(3, p)
         assert expected == pytest.approx(3 * p, rel=1e-12)
         counts = simulate_rounds(MM_QD, rng_for_seed(17), 200_000)
-        stderr = counts.std(ddof=1) / math.sqrt(len(counts))
-        assert abs(counts.mean() - expected) <= 3.0 * stderr
+        mean, stderr = histogram_mean_and_stderr(counts)
+        assert abs(mean - expected) <= 3.0 * stderr
 
     def test_counts_never_exceed_capacity(self):
         tight = SchemeConfig(SchemeKind.MS, default_link(5.0),
                              replace(QUANTUM_DOT, N=1), p_m=1.0)
         counts = simulate_rounds(tight, rng_for_seed(23), 50_000)
-        assert counts.max() <= capacity(tight) == 1
+        assert len(counts) - 1 <= capacity(tight) == 1
+        assert counts.sum() == 50_000
         # The cap must actually bind somewhere for this config.
         k, p = trials_per_round(tight), single_trial_success(tight)
         uncapped_mean = k * p
-        assert counts.mean() < uncapped_mean
+        assert histogram_mean_and_stderr(counts)[0] < uncapped_mean
 
     def test_simulate_round_returns_plain_int(self):
         value = simulate_round(MM_QD, rng_for_seed(1))
@@ -136,11 +149,8 @@ class TestGranularities:
         per_trial = simulate_rounds(MM_QD, rng_for_seed(32), n, "per-trial")
         # Flaky-tolerant statistical check, pinned by the fixed seeds above:
         # a contingency test across the success-count histogram at p > 0.01.
-        support = np.arange(5)
-        table = np.array([
-            np.bincount(binomial, minlength=5),
-            np.bincount(per_trial, minlength=5),
-        ])
+        support = np.arange(4)
+        table = np.array([binomial, per_trial])
         occupied = table.sum(axis=0) > 0
         result = stats.chi2_contingency(table[:, occupied])
         assert result.pvalue > 0.01
@@ -155,16 +165,93 @@ class TestGranularities:
 
     def test_per_trial_chunking_handles_large_budgets(self):
         counts = simulate_rounds(AFC_MS, rng_for_seed(41), 9000, "per-trial")
-        assert len(counts) == 9000
+        assert counts.sum() == 9000
         k, p = trials_per_round(AFC_MS), single_trial_success(AFC_MS)
-        stderr = counts.std(ddof=1) / math.sqrt(len(counts))
-        assert abs(counts.mean() - k * p) <= 4.0 * stderr
+        mean, stderr = histogram_mean_and_stderr(counts)
+        assert abs(mean - k * p) <= 4.0 * stderr
 
     def test_unknown_granularity_rejected(self):
         with pytest.raises(ParameterError, match="trial_granularity"):
             simulate_rounds(MM_QD, rng_for_seed(0), 10, "per-photon")
         with pytest.raises(ParameterError, match="trial_granularity"):
             McControls(n_rounds=10, trial_granularity="per-photon")
+
+
+def capped_binomial_pmf(k, p, cap):
+    """scipy reference for the law of min(Binomial(k, p), cap)."""
+    top = min(k, cap)
+    return np.append(stats.binom.pmf(np.arange(top), k, p), stats.binom.sf(top - 1, k, p))
+
+
+class TestHistogramSampler:
+    @pytest.mark.parametrize("granularity", ["binomial", "per-trial"])
+    @pytest.mark.parametrize("p_m, cell", [(0.0, 0), (1.0, 3)])
+    def test_certain_outcomes_give_one_hot_histograms(self, granularity, p_m, cell):
+        perfect = AfcSpec(N_AFC=3, t_rephase=51e-6, t_spin_coherence=1e-3,
+                          p_AFC=1.0, p_pass=1.0, t_clock_prime=1e-8)
+        cfg = SchemeConfig(SchemeKind.AFC_MS, default_link(0.0), perfect, p_m=p_m)
+        assert single_trial_success(cfg) == p_m
+        counts = simulate_rounds(cfg, rng_for_seed(0), 700, granularity)
+        expected = np.zeros(capacity(cfg) + 1, dtype=np.int64)
+        expected[cell] = 700
+        assert np.array_equal(counts, expected)
+
+    @pytest.mark.parametrize("kind, L", [
+        (SchemeKind.AFC_MM, 5.0),     # fig6a: K == capacity == 1060
+        (SchemeKind.AFC_MS, 50.0),    # fig6b: K > capacity
+    ])
+    def test_optimistic_comb_points_match_exact_expectation(self, kind, L):
+        cfg = SchemeConfig(kind, default_link(L), AFC_OPTIMISTIC, p_m=1.0)
+        k, cap = trials_per_round(cfg), capacity(cfg)
+        assert k >= cap == 1060
+        counts = simulate_rounds(cfg, rng_for_seed(71), 500_000)
+        assert len(counts) == cap + 1
+        assert counts.sum() == 500_000
+        mean, stderr = histogram_mean_and_stderr(counts)
+        assert abs(mean - k * single_trial_success(cfg)) <= 4.0 * stderr
+
+    def test_cap_binding_point_fits_scipy_law(self):
+        # Flaky-tolerant goodness of fit at p > 0.01, pinned by the seed.
+        tight = SchemeConfig(SchemeKind.MS, default_link(5.0),
+                             replace(QUANTUM_DOT, N=1), p_m=1.0)
+        k, p, cap = trials_per_round(tight), single_trial_success(tight), capacity(tight)
+        assert k > cap
+        n = 50_000
+        counts = simulate_rounds(tight, rng_for_seed(73), n)
+        expected = capped_binomial_pmf(k, p, cap) * n
+        assert stats.binom.sf(cap - 1, k, p) > 0.1   # the cap cell folds a real tail
+        assert stats.chisquare(counts, expected).pvalue > 0.01
+
+    @pytest.mark.parametrize("k, p, cap", [
+        (1060, 0.73, 1060),           # K == capacity
+        (2640, 0.5, 1060),            # capacity 10 sd below the mean
+        (5000, 0.2, 1000),            # capacity at the mean
+        (10**9, 0.5, 100),            # K p far above capacity
+        (64_904_561_380, 1e-10, 3),   # K of the MS budget at p_m = 1e-9
+    ])
+    def test_capped_law_matches_scipy(self, k, p, cap):
+        q = _capped_binomial_law(k, p, cap)
+        assert len(q) == min(k, cap) + 1
+        assert q.sum() == pytest.approx(1.0, abs=1e-12)
+        assert np.allclose(q, capped_binomial_pmf(k, p, cap), rtol=0, atol=1e-12)
+
+    def test_huge_budget_stays_capacity_sized(self):
+        # MS at p_m = 1e-9 needs K ~ 6.5e10 trials per round; any sampler that
+        # touched K cells would exhaust memory here.
+        cfg = SchemeConfig(SchemeKind.MS, default_link(50.0), QUANTUM_DOT, p_m=1e-9)
+        assert trials_per_round(cfg) > 6e10
+        counts = simulate_rounds(cfg, rng_for_seed(79), 500_000)
+        assert len(counts) <= capacity(cfg) + 1
+        assert counts.sum() == 500_000
+        estimate = estimate_rate(cfg, McControls(n_rounds=500_000, seed=79))
+        assert abs(estimate.rate - exact_rate(cfg)) <= 4.0 * estimate.stderr
+
+    def test_per_trial_refuses_budgets_beyond_its_block(self):
+        cfg = SchemeConfig(SchemeKind.MS, default_link(50.0), QUANTUM_DOT, p_m=1e-9)
+        with pytest.raises(ParameterError, match="per-trial"):
+            simulate_rounds(cfg, rng_for_seed(0), 10, "per-trial")
+        with pytest.raises(ParameterError, match="per-trial"):
+            estimate_rate(cfg, McControls(n_rounds=10, trial_granularity="per-trial"))
 
 
 class TestLatchDiagnostics:
