@@ -5,14 +5,15 @@ degradation model for five arrangements: MM, SR, MS, AFC-MM and AFC-MS.
 """
 
 from .analytic import (
-    AnalyticRates,
     FeasibilityReport,
     NotApplicableError,
+    PointSummary,
     SchemeConfig,
     SchemeKind,
     analytic_rate,
     capacity,
     closed_form_ratio,
+    evaluate,
     exact_rate,
     feasibility_check,
     is_rephasing_capped,
@@ -20,7 +21,6 @@ from .analytic import (
     rate_ratio,
     rephasing_cap_trials,
     round_time,
-    scheme_summary,
     single_trial_success,
     trials_per_round,
 )
@@ -40,14 +40,12 @@ from .montecarlo import (
     LatchCounts,
     McControls,
     RateEstimate,
-    SweepRow,
     estimate_rate,
     rng_for_seed,
     simulate_latches,
-    simulate_round,
     simulate_rounds,
     subseed,
-    sweep,
+    subseeds,
 )
 from .params import (
     AFC_OPTIMISTIC,

@@ -34,8 +34,8 @@ from .params import (
 __all__ = [
     "SchemeKind",
     "SchemeConfig",
-    "AnalyticRates",
     "FeasibilityReport",
+    "PointSummary",
     "NotApplicableError",
     "single_trial_success",
     "latch_probability",
@@ -46,7 +46,7 @@ __all__ = [
     "round_time",
     "analytic_rate",
     "exact_rate",
-    "scheme_summary",
+    "evaluate",
     "rate_ratio",
     "closed_form_ratio",
     "feasibility_check",
@@ -127,22 +127,80 @@ class SchemeConfig:
 
 
 @dataclass(frozen=True, slots=True)
-class AnalyticRates:
-    """Bundle of the per-scheme analytic quantities for one config."""
-
-    p_single: float   # success probability of one trial
-    t_round: float    # full synchronization window, s
-    K: int            # trials per round
-    rate: float       # closed-form distribution rate, 1/s
-
-
-@dataclass(frozen=True, slots=True)
 class FeasibilityReport:
     """Round-time budget of an AFC config against its spin coherence time."""
 
     ok: bool
     used_s: float    # t_rephase + t_link
     limit_s: float   # t_spin_coherence
+
+
+@dataclass(frozen=True, slots=True)
+class PointSummary:
+    """Every analytic quantity of one sweep point, built by evaluate().
+
+    The Monte Carlo sampler reads it too, so a point is evaluated once.
+    rate and exact_rate are computed on access and raise ParameterError
+    rather than return a value that is not finite.
+    """
+
+    cfg: SchemeConfig
+    probs: DerivedProbs   # the point's probability chain
+    p_single: float       # success probability of one trial
+    K: int                # trials per round
+    capacity: int         # pairs one round can latch at most
+    t_round: float        # full synchronization window, s
+    capped: bool          # AFC budget limited by the rephasing period
+    feasible: bool        # the round fits the spin coherence time
+
+    @property
+    def exact_rate(self) -> float:
+        """K * p_single / t_round, what a per-round tally converges to.
+
+        No approximation, before the capacity cap (negligible whenever
+        K * p_single is well below the memory count).
+        """
+        return _finite(self.K * self.p_single / self.t_round)
+
+    @property
+    def rate(self) -> float:
+        """Closed-form entanglement distribution rate in pairs per second.
+
+        The closed forms assume the trial window is short against the photon
+        flight time (K t_clock << t_link). For SR the value is the standard
+        upper bound used as the scheme's rate. When the rephasing cap limits
+        an AFC budget the closed form no longer applies and exact_rate is
+        returned instead.
+
+        Raises ParameterError when t_link is 0 (L = 0): the closed forms
+        divide by it. exact_rate, t_round and Monte Carlo work there.
+        """
+        cfg, d, mem = self.cfg, self.probs, self.cfg.memory
+        tl = t_link(cfg.link)
+        if tl == 0.0:
+            raise ParameterError("analytic_rate needs L > 0 km: the closed forms divide by t_link")
+        if self.capped:
+            return self.exact_rate
+        if cfg.kind is SchemeKind.MM:
+            rate = mem.N * d.p_BSA * d.p_optical**2 / tl
+        elif cfg.kind is SchemeKind.SR:
+            rate = cfg.N_A * d.p_BSA * d.p_optical**2 / (2.0 * tl)
+        elif cfg.kind is SchemeKind.MS:
+            rate = mem.N * d.p_BSA * d.p_optical / (cfg.ms_sync_factor * tl)
+        elif cfg.kind is SchemeKind.AFC_MM:
+            rate = (mem.N_AFC * d.p_BSA * cfg.p_m * mem.p_AFC
+                    * math.exp(-cfg.link.L / cfg.link.L_att) / tl)
+        else:
+            rate = (mem.N_AFC * mem.p_pass * mem.p_AFC
+                    * fiber_transmission(cfg.link.L, cfg.link.L_att)
+                    / (cfg.ms_sync_factor * tl))
+        return _finite(rate)
+
+
+def _finite(rate: float) -> float:
+    if not math.isfinite(rate):
+        raise ParameterError(f"rate is {rate!r}: the inputs exceed double precision")
+    return rate
 
 
 def capacity(cfg: SchemeConfig) -> int:
@@ -154,17 +212,88 @@ def capacity(cfg: SchemeConfig) -> int:
     return cfg.memory.N
 
 
-def single_trial_success(cfg: SchemeConfig) -> float:
-    """Probability that a single trial shares one entangled pair."""
-    d = cfg.derived()
+def _single_trial_success(cfg: SchemeConfig, d: DerivedProbs) -> float:
     if cfg.kind in (SchemeKind.MM, SchemeKind.SR):
         return d.p_BSA * d.p_optical**2
     if cfg.kind is SchemeKind.MS:
         return cfg.p_m * (d.p_BSA * d.p_optical) ** 2
     if cfg.kind is SchemeKind.AFC_MM:
-        return d.p_BSA * (cfg.p_m * d.p_optical_prime) ** 2
+        return d.p_BSA * (cfg.p_m * d.p_optical) ** 2
     # AFC-MS: both halves must pass the non-destructive detectors and latch.
-    return cfg.p_m * (cfg.memory.p_pass * d.p_optical_prime) ** 2
+    return cfg.p_m * (cfg.memory.p_pass * d.p_optical) ** 2
+
+
+def _latch_probability(cfg: SchemeConfig, d: DerivedProbs) -> float:
+    if cfg.kind is SchemeKind.MS:
+        return cfg.p_m * d.p_BSA * d.p_optical
+    if cfg.kind is SchemeKind.AFC_MM:
+        # Source sits next to the memory, so only emission and absorption count.
+        return cfg.p_m * cfg.memory.p_AFC
+    if cfg.kind is SchemeKind.AFC_MS:
+        return cfg.p_m * cfg.memory.p_pass * d.p_optical
+    raise NotApplicableError(f"{cfg.kind.display} has no per-trial latch probability")
+
+
+def _ceil_ratio(numerator: float, denominator: float) -> int | None:
+    """ceil(numerator / denominator), or None when that is unbounded in double precision."""
+    ratio = numerator / denominator if denominator > 0.0 else math.inf
+    return None if ratio == math.inf else math.ceil(ratio)
+
+
+def _afc_budget(cfg: SchemeConfig, d: DerivedProbs) -> tuple[int, bool]:
+    """(trials per round, rephasing-capped) of an AFC config."""
+    k = _ceil_ratio(cfg.memory.N_AFC, _latch_probability(cfg, d))
+    if k is None or k * cfg.memory.t_clock_prime > cfg.memory.t_rephase:
+        return rephasing_cap_trials(cfg.memory), True
+    return k, False
+
+
+def evaluate(cfg: SchemeConfig) -> PointSummary:
+    """Evaluate one sweep point, deriving its probability chain exactly once.
+
+    Trials per round K: MM and SR fire each available memory once. MS sizes
+    the budget so the expected latch count fills the memories. AFC budgets
+    fill the temporal modes but are capped once the budget would outlast
+    the rephasing period. t_round is t_link (twice for SR, whose photons
+    cross the whole link and whose reply returns) plus K trial clocks.
+
+    Raises ParameterError for an MS config whose latch probability is zero
+    or too small for a finite budget (no rephasing cap exists there).
+    """
+    d = cfg.derived()
+    kind, mem, afc = cfg.kind, cfg.memory, cfg.kind.is_afc
+    capped = False
+    if kind is SchemeKind.MM:
+        k = mem.N
+    elif kind is SchemeKind.SR:
+        k = cfg.N_A
+    elif kind is SchemeKind.MS:
+        p_latch = _latch_probability(cfg, d)
+        k = _ceil_ratio(mem.N, p_latch)
+        if k is None:
+            raise ParameterError(f"unbounded trial budget: MS latch probability is {p_latch!r}")
+    else:
+        k, capped = _afc_budget(cfg, d)
+    tl = t_link(cfg.link)
+    if kind is SchemeKind.SR:
+        t_round = 2.0 * tl + k * mem.t_clock
+    else:
+        t_round = tl + k * (mem.t_clock_prime if afc else mem.t_clock)
+    return PointSummary(
+        cfg=cfg,
+        probs=d,
+        p_single=_single_trial_success(cfg, d),
+        K=k,
+        capacity=capacity(cfg),
+        t_round=t_round,
+        capped=capped,
+        feasible=not afc or feasibility_check(cfg).ok,
+    )
+
+
+def single_trial_success(cfg: SchemeConfig) -> float:
+    """Probability that a single trial shares one entangled pair."""
+    return _single_trial_success(cfg, cfg.derived())
 
 
 def latch_probability(cfg: SchemeConfig) -> float:
@@ -173,130 +302,43 @@ def latch_probability(cfg: SchemeConfig) -> float:
     Defined for the waiting schemes (MS, AFC-MM, AFC-MS) whose trial budgets
     are sized from it; MM and SR fire each memory exactly once per round.
     """
-    d = cfg.derived()
-    if cfg.kind is SchemeKind.MS:
-        return cfg.p_m * d.p_BSA * d.p_optical
-    if cfg.kind is SchemeKind.AFC_MM:
-        # Source sits next to the memory, so only emission and absorption count.
-        return cfg.p_m * cfg.memory.p_AFC
-    if cfg.kind is SchemeKind.AFC_MS:
-        return cfg.p_m * cfg.memory.p_pass * d.p_optical_prime
-    raise NotApplicableError(f"{cfg.kind.display} has no per-trial latch probability")
+    return _latch_probability(cfg, cfg.derived())
 
 
 def rephasing_cap_trials(mem: AfcSpec) -> int:
     """Largest trial budget before the first stored photon rephases out."""
-    return math.ceil(mem.t_rephase / mem.t_clock_prime)
-
-
-def _uncapped_afc_trials(cfg: SchemeConfig) -> int | None:
-    """ceil(N_AFC / latch probability), or None when the latch never fires."""
-    p_latch = latch_probability(cfg)
-    if p_latch == 0.0:
-        return None
-    return math.ceil(cfg.memory.N_AFC / p_latch)
+    cap = _ceil_ratio(mem.t_rephase, mem.t_clock_prime)
+    if cap is None:
+        raise ParameterError(f"t_clock_prime {mem.t_clock_prime!r} s is too short for a finite budget")
+    return cap
 
 
 def is_rephasing_capped(cfg: SchemeConfig) -> bool:
     """True when the AFC trial budget is limited by the rephasing period."""
-    if not cfg.kind.is_afc:
-        return False
-    k = _uncapped_afc_trials(cfg)
-    if k is None:
-        return True
-    return k * cfg.memory.t_clock_prime > cfg.memory.t_rephase
+    return cfg.kind.is_afc and _afc_budget(cfg, cfg.derived())[1]
 
 
 def trials_per_round(cfg: SchemeConfig) -> int:
-    """Number of trials performed during one synchronization round.
-
-    MM and SR fire each available memory once. MS sizes the budget so the
-    expected latch count fills the memories. AFC budgets fill the temporal
-    modes but are capped once the budget would outlast the rephasing period.
-
-    Raises ParameterError for an MS config whose latch probability is zero
-    (the budget would be unbounded; no rephasing cap exists there).
-    """
-    if cfg.kind is SchemeKind.MM:
-        return cfg.memory.N
-    if cfg.kind is SchemeKind.SR:
-        return cfg.N_A
-    if cfg.kind is SchemeKind.MS:
-        p_latch = latch_probability(cfg)
-        if p_latch == 0.0:
-            raise ParameterError("unbounded trial budget: MS latch probability is zero")
-        return math.ceil(cfg.memory.N / p_latch)
-    cap = rephasing_cap_trials(cfg.memory)
-    k = _uncapped_afc_trials(cfg)
-    if k is None or k * cfg.memory.t_clock_prime > cfg.memory.t_rephase:
-        return cap
-    return k
+    """Number of trials performed during one synchronization round; see evaluate."""
+    return evaluate(cfg).K
 
 
 def round_time(cfg: SchemeConfig) -> float:
-    """Total synchronization time of one round in seconds."""
-    tl = t_link(cfg.link)
-    if cfg.kind is SchemeKind.MM:
-        return tl + cfg.memory.N * cfg.memory.t_clock
-    if cfg.kind is SchemeKind.SR:
-        # Photons cross the whole link and the reply returns the same way.
-        return 2.0 * tl + cfg.N_A * cfg.memory.t_clock
-    k = trials_per_round(cfg)
-    clock = cfg.memory.t_clock_prime if cfg.kind.is_afc else cfg.memory.t_clock
-    return tl + k * clock
+    """Total synchronization time of one round in seconds; see evaluate."""
+    return evaluate(cfg).t_round
 
 
 def analytic_rate(cfg: SchemeConfig) -> float:
-    """Closed-form entanglement distribution rate in pairs per second.
-
-    The closed forms assume the trial window is short against the photon
-    flight time (K t_clock << t_link). For SR the value is the standard upper
-    bound used as the scheme's rate. When the rephasing cap limits an AFC
-    budget the closed form no longer applies and the exact
-    K * p_single / t_round is returned instead.
-
-    Raises ParameterError at L = 0: the closed forms divide by t_link, so
-    they are defined for L > 0 only (exact_rate and round_time are not).
-    """
-    if cfg.link.L == 0.0:
-        raise ParameterError("analytic_rate needs L > 0 km: the closed forms divide by t_link")
-    d = cfg.derived()
-    tl = t_link(cfg.link)
-    if cfg.kind is SchemeKind.MM:
-        return cfg.memory.N * d.p_BSA * d.p_optical**2 / tl
-    if cfg.kind is SchemeKind.SR:
-        return cfg.N_A * d.p_BSA * d.p_optical**2 / (2.0 * tl)
-    if cfg.kind is SchemeKind.MS:
-        return cfg.memory.N * d.p_BSA * d.p_optical / (cfg.ms_sync_factor * tl)
-    if is_rephasing_capped(cfg):
-        return exact_rate(cfg)
-    mem = cfg.memory
-    if cfg.kind is SchemeKind.AFC_MM:
-        return (mem.N_AFC * d.p_BSA * cfg.p_m * mem.p_AFC
-                * math.exp(-cfg.link.L / cfg.link.L_att) / tl)
-    return (mem.N_AFC * mem.p_pass * mem.p_AFC
-            * fiber_transmission(cfg.link.L, cfg.link.L_att)
-            / (cfg.ms_sync_factor * tl))
+    """Closed-form rate in pairs per second; see PointSummary.rate."""
+    return evaluate(cfg).rate
 
 
 def exact_rate(cfg: SchemeConfig) -> float:
-    """Expected successes per round over the round time, with no approximation.
+    """K * p_single / t_round with no approximation; see PointSummary.exact_rate.
 
-    K * p_single / t_round is what a per-round tally converges to (before the
-    capacity cap, which is negligible whenever K * p_single is well below the
-    memory count). Useful to quantify the closed forms' K t_clock << t_link
-    approximation point by point.
+    Gauges the closed forms' K t_clock << t_link approximation point by point.
     """
-    return trials_per_round(cfg) * single_trial_success(cfg) / round_time(cfg)
-
-
-def scheme_summary(cfg: SchemeConfig) -> AnalyticRates:
-    return AnalyticRates(
-        p_single=single_trial_success(cfg),
-        t_round=round_time(cfg),
-        K=trials_per_round(cfg),
-        rate=analytic_rate(cfg),
-    )
+    return evaluate(cfg).exact_rate
 
 
 def rate_ratio(a: SchemeConfig, b: SchemeConfig) -> float:
@@ -305,7 +347,7 @@ def rate_ratio(a: SchemeConfig, b: SchemeConfig) -> float:
         raise ParameterError("rate_ratio requires both configs to share the same link")
     denominator = analytic_rate(b)
     if denominator == 0.0:
-        raise ZeroDivisionError("rate_ratio: denominator scheme has zero rate")
+        raise ParameterError("rate_ratio: denominator scheme has zero rate")
     return analytic_rate(a) / denominator
 
 

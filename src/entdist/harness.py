@@ -25,15 +25,10 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
 
-from .analytic import (
-    SchemeConfig,
-    SchemeKind,
-    analytic_rate,
-    feasibility_check,
-    round_time,
-    trials_per_round,
-)
-from .montecarlo import DEFAULT_SEED, GRANULARITIES, McControls, estimate_rate, subseed
+import numpy as np
+
+from .analytic import SchemeConfig, SchemeKind, evaluate
+from .montecarlo import DEFAULT_SEED, GRANULARITIES, McControls, estimate_rate, subseeds
 from .params import (
     AFC_REALISTIC,
     AfcSpec,
@@ -389,31 +384,32 @@ def run_scenario(
 ) -> list[ResultRow]:
     """Run a scenario and return one row per sweep point.
 
-    Each point gets the analytic closed form and, unless with_mc is False, a
-    Monte Carlo estimate on its own deterministic sub-seed stream. Infeasible
-    AFC points are flagged (feasible=False) with empty Monte Carlo fields
-    rather than aborting the sweep.
+    Each point is evaluated once (analytic.evaluate) and gets the analytic
+    closed form and, unless with_mc is False, a Monte Carlo estimate on its
+    own deterministic sub-seed stream; the sub-seeds of all points are
+    computed together. Infeasible AFC points are flagged (feasible=False)
+    with empty Monte Carlo fields rather than aborting the sweep.
     """
     scenario = build_scenario(source, overrides=overrides, seed=seed, rounds=rounds)
+    seeds = subseeds(scenario.mc.seed, np.arange(len(scenario.points))).tolist()
     rows: list[ResultRow] = []
-    for index, cfg in enumerate(scenario.points):
-        point_seed = subseed(scenario.mc.seed, index)
-        feasible = feasibility_check(cfg).ok if cfg.kind.is_afc else True
+    for cfg, point_seed in zip(scenario.points, seeds):
+        point = evaluate(cfg)
         mc_rate = mc_stderr = None
-        if with_mc and feasible:
-            estimate = estimate_rate(cfg, replace(scenario.mc, seed=point_seed))
+        if with_mc and point.feasible:
+            estimate = estimate_rate(point, replace(scenario.mc, seed=point_seed))
             mc_rate, mc_stderr = estimate.rate, estimate.stderr
         rows.append(
             ResultRow(
                 scheme=cfg.kind.value,
                 L_km=cfg.link.L,
                 p_m=cfg.p_m,
-                analytic_rate=analytic_rate(cfg),
+                analytic_rate=point.rate,
                 mc_rate=mc_rate,
                 mc_stderr=mc_stderr,
-                K=trials_per_round(cfg),
-                t_round_s=round_time(cfg),
-                feasible=feasible,
+                K=point.K,
+                t_round_s=point.t_round,
+                feasible=point.feasible,
                 seed=point_seed,
             )
         )

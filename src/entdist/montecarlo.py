@@ -11,28 +11,20 @@ All randomness comes from numpy's PCG64 (128-bit state) seeded through
 SeedSequence, so identical (config, controls) inputs give bit-identical
 outputs on any platform running the same numpy release. Sweep points draw
 from independent streams whose sub-seeds are a pure function of
-(master seed, point index); see subseed().
+(master seed, point index); see subseeds().
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from itertools import product
-from typing import Sequence
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
+from numpy.typing import ArrayLike
 
-from .analytic import (
-    NotApplicableError,
-    SchemeConfig,
-    capacity,
-    feasibility_check,
-    round_time,
-    single_trial_success,
-    trials_per_round,
-)
-from .params import LinkParams, ParameterError
+from .analytic import NotApplicableError, PointSummary, SchemeConfig, feasibility_check
+from .params import ParameterError
 
 __all__ = [
     "DEFAULT_SEED",
@@ -40,14 +32,12 @@ __all__ = [
     "FeasibilityError",
     "McControls",
     "RateEstimate",
-    "SweepRow",
     "LatchCounts",
     "rng_for_seed",
     "subseed",
-    "simulate_round",
+    "subseeds",
     "simulate_rounds",
     "estimate_rate",
-    "sweep",
     "simulate_latches",
 ]
 
@@ -102,15 +92,6 @@ class RateEstimate:
 
 
 @dataclass(frozen=True, slots=True)
-class SweepRow:
-    """One sweep point; estimate is None when the point is infeasible."""
-
-    cfg: SchemeConfig
-    estimate: RateEstimate | None
-    feasible: bool
-
-
-@dataclass(frozen=True, slots=True)
 class LatchCounts:
     """Side-resolved latch tallies from the explicit midpoint-source sampler."""
 
@@ -126,23 +107,50 @@ def rng_for_seed(seed: int) -> np.random.Generator:
 
 
 def subseed(master_seed: int, index: int) -> int:
-    """Deterministic 64-bit sub-seed for sweep point `index`.
+    """Deterministic 64-bit sub-seed for sweep point `index`; see subseeds()."""
+    return int(subseeds(master_seed, [index])[0])
 
-    Splitting function: first state word of SeedSequence((master_seed, index)).
-    Feeding the result back through rng_for_seed reproduces the point's stream.
+
+def _seed_hasher(const: int, mult: int) -> Callable[[np.ndarray], np.ndarray]:
+    """numpy SeedSequence's hashmix in wrapping uint32 arithmetic, with its running constant."""
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal const
+        value = value ^ const
+        const = const * mult & 0xFFFF_FFFF
+        value = value * const
+        return value ^ (value >> 16)
+
+    return hashmix
+
+
+def subseeds(master_seed: int, indices: ArrayLike) -> np.ndarray:
+    """Sub-seeds of many sweep points of one master seed, as a uint64 array.
+
+    Splitting function: the first uint64 state word of
+    SeedSequence((master_seed, index)); rng_for_seed(sub-seed) reproduces the
+    point's stream. numpy's pool hash (numpy/random/bit_generator.pyx) runs
+    once over the whole index array, bit for bit. master_seed must lie in
+    [0, 2**64) and every index in [0, 2**32), so that the entropy words
+    (master, then index) fit the 4-word pool; ParameterError otherwise.
     """
-    seq = np.random.SeedSequence((master_seed, index))
-    return int(seq.generate_state(1, np.uint64)[0])
-
-
-def _check_afc_feasible(cfg: SchemeConfig) -> None:
-    if cfg.kind.is_afc:
-        report = feasibility_check(cfg)
-        if not report.ok:
-            raise FeasibilityError(
-                f"round budget {report.used_s:.6g} s exceeds spin coherence "
-                f"{report.limit_s:.6g} s at L = {cfg.link.L} km"
-            )
+    if not 0 <= master_seed < 2**64:
+        raise ParameterError(f"master seed must be a 64-bit unsigned integer, got {master_seed!r}")
+    index = np.asarray(indices)
+    if index.size and not (index.min() >= 0 and index.max() < 2**32):
+        raise ParameterError("sub-seed indices must lie in [0, 2**32)")
+    words = [master_seed & 0xFFFF_FFFF] + ([master_seed >> 32] if master_seed >> 32 else [])
+    entropy = [np.array([w], dtype=np.uint32) for w in words] + [index.astype(np.uint32)]
+    hashmix = _seed_hasher(0x43B0D7E5, 0x931E8875)
+    pool = [hashmix(word) for word in entropy + [np.zeros(1, np.uint32)] * (4 - len(entropy))]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                mixed = 0xCA01F9DD * pool[dst] - 0x4973F715 * hashmix(pool[src])
+                pool[dst] = mixed ^ (mixed >> 16)
+    hashmix = _seed_hasher(0x8B51F9DD, 0x58F38DED)
+    low, high = (hashmix(word).astype(np.uint64) for word in pool[:2])
+    return (low | (high << 32)).reshape(index.shape)
 
 
 def _capped_binomial_law(k: int, p: float, cap: int) -> np.ndarray:
@@ -179,7 +187,7 @@ def _capped_binomial_law(k: int, p: float, cap: int) -> np.ndarray:
 
 
 def simulate_rounds(
-    cfg: SchemeConfig,
+    point: PointSummary,
     rng: np.random.Generator,
     n_rounds: int,
     granularity: str = "binomial",
@@ -194,9 +202,7 @@ def simulate_rounds(
     and tallies the capped counts: the literal audit oracle, limited to
     K <= _PER_TRIAL_CHUNK_CELLS trials per round.
     """
-    k = trials_per_round(cfg)
-    p = single_trial_success(cfg)
-    cap = capacity(cfg)
+    k, p, cap = point.K, point.p_single, point.capacity
     if granularity == "binomial":
         return rng.multinomial(n_rounds, _capped_binomial_law(k, p, cap)).astype(np.int64, copy=False)
     if granularity != "per-trial":
@@ -215,26 +221,24 @@ def simulate_rounds(
     return hist
 
 
-def simulate_round(cfg: SchemeConfig, rng: np.random.Generator,
-                   granularity: str = "binomial") -> int:
-    """Latched-pair count of a single round."""
-    _check_afc_feasible(cfg)
-    return int(np.argmax(simulate_rounds(cfg, rng, 1, granularity)))
-
-
-def estimate_rate(cfg: SchemeConfig, mc: McControls) -> RateEstimate:
-    """Simulate mc.n_rounds rounds and estimate the distribution rate.
+def estimate_rate(point: PointSummary, mc: McControls) -> RateEstimate:
+    """Simulate mc.n_rounds rounds of an evaluated point and estimate its rate.
 
     Raises FeasibilityError before simulating when an AFC round cannot fit the
     spin coherence time. stderr is the ddof=1 standard deviation of the
     per-round counts (read off the histogram) over sqrt(n_rounds), per
     t_round; it is 0 for a single round.
     """
-    _check_afc_feasible(cfg)
+    if not point.feasible:
+        report = feasibility_check(point.cfg)
+        raise FeasibilityError(
+            f"round budget {report.used_s:.6g} s exceeds spin coherence "
+            f"{report.limit_s:.6g} s at L = {point.cfg.link.L} km"
+        )
     rng = rng_for_seed(mc.seed)
-    hist = simulate_rounds(cfg, rng, mc.n_rounds, mc.trial_granularity)
+    hist = simulate_rounds(point, rng, mc.n_rounds, mc.trial_granularity)
     latched = np.arange(len(hist))
-    tr = round_time(cfg)
+    tr = point.t_round
     elapsed = mc.n_rounds * tr
     successes = int(hist @ latched)
     if mc.n_rounds > 1:
@@ -253,34 +257,6 @@ def estimate_rate(cfg: SchemeConfig, mc: McControls) -> RateEstimate:
     )
 
 
-def sweep(
-    template: SchemeConfig,
-    L_values: Sequence[float],
-    p_m_values: Sequence[float],
-    mc: McControls,
-) -> list[SweepRow]:
-    """Estimate every (L, p_m) point of the Cartesian product sweep.
-
-    Each point runs on an independent stream seeded by subseed(mc.seed, index)
-    with index enumerating the product in order, so reruns reproduce the table
-    bit for bit and points could be evaluated concurrently without changing
-    any result. Infeasible AFC points come back flagged instead of raising.
-    """
-    if not L_values or not p_m_values:
-        raise ParameterError("sweep requires non-empty L and p_m value lists")
-    rows: list[SweepRow] = []
-    for index, (L, p_m) in enumerate(product(L_values, p_m_values)):
-        cfg = replace(template, link=replace(template.link, L=L), p_m=p_m)
-        point_mc = replace(mc, seed=subseed(mc.seed, index))
-        try:
-            estimate = estimate_rate(cfg, point_mc)
-        except FeasibilityError:
-            rows.append(SweepRow(cfg=cfg, estimate=None, feasible=False))
-        else:
-            rows.append(SweepRow(cfg=cfg, estimate=estimate, feasible=True))
-    return rows
-
-
 def simulate_latches(cfg: SchemeConfig, rng: np.random.Generator, n_trials: int) -> LatchCounts:
     """Explicit left/right latch sampling for the midpoint-source schemes.
 
@@ -295,7 +271,7 @@ def simulate_latches(cfg: SchemeConfig, rng: np.random.Generator, n_trials: int)
         )
     d = cfg.derived()
     if cfg.kind.is_afc:
-        p_side = cfg.memory.p_pass * d.p_optical_prime
+        p_side = cfg.memory.p_pass * d.p_optical
     else:
         p_side = d.p_BSA * d.p_optical
     emitted = rng.random(n_trials) < cfg.p_m

@@ -132,17 +132,15 @@ class AfcSpec:
 class DerivedProbs:
     """Probability chain derived from a link plus a memory description.
 
-    p_optical and p_optical_prime carry the same value (base probability times
-    fiber transmission over half the link); the two names exist so call sites
-    can state which memory family convention they mean. For spin-photon
-    memories the base is p_memory = emission_fraction * collection_efficiency,
-    for AFC memories it is the absorption efficiency p_AFC.
+    p_optical is the base probability times the fiber transmission over half
+    the link. For spin-photon memories the base is p_memory =
+    emission_fraction * collection_efficiency, for AFC memories it is the
+    absorption efficiency p_AFC.
     """
 
     p_BSA: float             # linear-optics Bell measurement success, p_d^2 / 2
     p_memory: float          # photon emitted (or absorbed) and coupled
-    p_optical: float         # end-to-end photon success, spin-photon convention
-    p_optical_prime: float   # end-to-end photon success, AFC convention
+    p_optical: float         # end-to-end photon success over half the link
     p_m: float               # entangled-pair generation probability per clock
 
 
@@ -169,14 +167,7 @@ def derive_probs(link: LinkParams, mem: MemorySpec | AfcSpec, p_m: float = 1.0) 
         base = mem.p_AFC
     else:
         base = mem.emission_fraction * mem.collection_efficiency
-    end_to_end = base * trans
-    return DerivedProbs(
-        p_BSA=p_bsa,
-        p_memory=base,
-        p_optical=end_to_end,
-        p_optical_prime=end_to_end,
-        p_m=p_m,
-    )
+    return DerivedProbs(p_BSA=p_bsa, p_memory=base, p_optical=base * trans, p_m=p_m)
 
 
 def default_link(L_km: float) -> LinkParams:

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Literal
 
-from .params import ParameterError
+from .params import ParameterError, _require_probability
 
 __all__ = [
     "SwapParams",
@@ -24,11 +24,6 @@ __all__ = [
 ]
 
 Heralding = Literal["perfect", "imperfect"]
-
-
-def _check_probability(field: str, value: float) -> None:
-    if not 0.0 <= value <= 1.0:
-        raise ParameterError(f"{field} must be in [0, 1], got {value!r}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -52,9 +47,9 @@ class SwapParams:
         if self.i < 1:
             raise ParameterError(f"i must be >= 1, got {self.i!r}")
         for field in ("p_BSA", "p_pass", "p_AFC"):
-            _check_probability(field, getattr(self, field))
+            _require_probability(field, getattr(self, field))
         if self.p_emit is not None:
-            _check_probability("p_emit", self.p_emit)
+            _require_probability("p_emit", self.p_emit)
 
     @property
     def emit(self) -> float:

@@ -23,6 +23,7 @@ from entdist.analytic import (
     analytic_rate,
     capacity,
     closed_form_ratio,
+    evaluate,
     feasibility_check,
     is_rephasing_capped,
     rate_ratio,
@@ -36,7 +37,6 @@ from entdist.montecarlo import (
     rng_for_seed,
     simulate_rounds,
     subseed,
-    sweep,
 )
 from entdist.params import (
     AFC_OPTIMISTIC,
@@ -175,7 +175,7 @@ def _sr_points(rounds):
         for index, L in enumerate([5.0, 20.0, 35.0, 50.0]):
             cfg = SchemeConfig(SchemeKind.SR, default_link(L), mem, N_A=3, N_B=3)
             mc = McControls(n_rounds=rounds, seed=subseed(ACCEPTANCE_SEED, 1000 + index))
-            out.append((cfg, estimate_rate(cfg, mc)))
+            out.append((cfg, estimate_rate(evaluate(cfg), mc)))
     return out
 
 
@@ -400,17 +400,18 @@ def test_criterion_6d_capacity_never_exceeded():
                      replace(AFC_REALISTIC, N_AFC=1), p_m=1.0),
     ]
     for index, cfg in enumerate(cases):
-        counts = simulate_rounds(cfg, rng_for_seed(subseed(ACCEPTANCE_SEED, 2000 + index)), 30_000)
+        rng = rng_for_seed(subseed(ACCEPTANCE_SEED, 2000 + index))
+        counts = simulate_rounds(evaluate(cfg), rng, 30_000)
         assert len(counts) <= capacity(cfg) + 1, cfg
         assert counts.sum() == 30_000, cfg
     _report(6, "per-round successes never exceed the memory/mode capacity")
 
 
 def test_criterion_6e_seeded_determinism():
-    template = SchemeConfig(SchemeKind.AFC_MM, LINK10, AFC_REALISTIC, p_m=0.5)
-    mc = McControls(n_rounds=2000, seed=ACCEPTANCE_SEED)
-    table_a = sweep(template, [5.0, 25.0, 50.0], [0.02, 0.5, 1.0], mc)
-    table_b = sweep(template, [5.0, 25.0, 50.0], [0.02, 0.5, 1.0], mc)
+    # The custom AFC-MM series uses the realistic comb.
+    series = {"scheme": "afc-mm", "L_km": [5.0, 25.0, 50.0], "p_m": [0.02, 0.5, 1.0]}
+    table_a = run_scenario("custom", overrides=series, rounds=2000, seed=ACCEPTANCE_SEED)
+    table_b = run_scenario("custom", overrides=series, rounds=2000, seed=ACCEPTANCE_SEED)
     assert table_a == table_b
     csv_a = rows_to_csv(run_scenario("fig5d", rounds=2000, seed=ACCEPTANCE_SEED))
     csv_b = rows_to_csv(run_scenario("fig5d", rounds=2000, seed=ACCEPTANCE_SEED))
@@ -422,8 +423,9 @@ def test_criterion_6f_sampling_modes_agree():
     # Flaky-tolerant statistical test at p > 0.01, pinned by fixed seeds.
     cfg = SchemeConfig(SchemeKind.MM, LINK10, QUANTUM_DOT)
     n = 20_000
-    binomial = simulate_rounds(cfg, rng_for_seed(31), n, "binomial")
-    per_trial = simulate_rounds(cfg, rng_for_seed(32), n, "per-trial")
+    point = evaluate(cfg)
+    binomial = simulate_rounds(point, rng_for_seed(31), n, "binomial")
+    per_trial = simulate_rounds(point, rng_for_seed(32), n, "per-trial")
     table = np.array([binomial, per_trial])
     occupied = table.sum(axis=0) > 0
     result = stats.chi2_contingency(table[:, occupied])

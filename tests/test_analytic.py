@@ -11,6 +11,7 @@ from entdist.analytic import (
     analytic_rate,
     capacity,
     closed_form_ratio,
+    evaluate,
     exact_rate,
     feasibility_check,
     is_rephasing_capped,
@@ -18,7 +19,6 @@ from entdist.analytic import (
     rate_ratio,
     rephasing_cap_trials,
     round_time,
-    scheme_summary,
     single_trial_success,
     trials_per_round,
 )
@@ -147,8 +147,23 @@ class TestTrialBudgets:
         assert trials_per_round(cfg) == 5100
 
     def test_zero_latch_probability_is_unbounded_for_ms(self):
-        with pytest.raises(ParameterError, match="unbounded trial budget"):
-            trials_per_round(ms(p_m=0.0))
+        # 1e-320 is a nonzero latch probability whose budget N / p overflows.
+        for p_m in (0.0, 1e-320):
+            with pytest.raises(ParameterError, match="unbounded trial budget"):
+                trials_per_round(ms(p_m=p_m))
+            with pytest.raises(ParameterError, match="unbounded trial budget"):
+                analytic_rate(ms(p_m=p_m))
+
+    def test_overflowing_inputs_raise_parameter_errors(self):
+        with pytest.raises(ParameterError, match="t_clock_prime"):
+            rephasing_cap_trials(replace(AFC_REALISTIC, t_clock_prime=5e-324))
+        # t_link underflows to 0 at L = 5e-324 km; at 1e-310 km the rates overflow.
+        with pytest.raises(ParameterError, match="L > 0"):
+            analytic_rate(mm(link=default_link(5e-324)))
+        with pytest.raises(ParameterError, match="double precision"):
+            analytic_rate(mm(link=default_link(1e-310)))
+        with pytest.raises(ParameterError, match="double precision"):
+            exact_rate(mm(memory=replace(QUANTUM_DOT, t_clock=5e-324), link=default_link(0.0)))
 
     def test_zero_latch_probability_hits_cap_for_afc(self):
         # The rephasing period bounds the budget even when nothing latches.
@@ -210,16 +225,20 @@ class TestRates:
             analytic_rate(cfg)
         assert math.isfinite(round_time(cfg)) and round_time(cfg) > 0.0
         assert math.isfinite(exact_rate(cfg)) and exact_rate(cfg) >= 0.0
-        estimate = estimate_rate(cfg, McControls(n_rounds=100, seed=1))
+        estimate = estimate_rate(evaluate(cfg), McControls(n_rounds=100, seed=1))
         assert math.isfinite(estimate.rate) and estimate.rate >= 0.0
 
     def test_summary_bundles_the_quantities(self):
         cfg = afc_ms()
-        summary = scheme_summary(cfg)
+        summary = evaluate(cfg)
         assert summary.K == 527
         assert summary.rate == analytic_rate(cfg)
         assert summary.p_single == single_trial_success(cfg)
         assert summary.t_round == round_time(cfg)
+        assert summary.capacity == capacity(cfg)
+        assert summary.capped == is_rephasing_capped(cfg)
+        assert summary.feasible == feasibility_check(cfg).ok
+        assert summary.exact_rate == exact_rate(cfg)
 
 
 class TestRateRatios:
@@ -232,7 +251,7 @@ class TestRateRatios:
 
     def test_zero_denominator(self):
         # p_m = 0 caps the budget and zeroes every trial, hence a zero rate.
-        with pytest.raises(ZeroDivisionError):
+        with pytest.raises(ParameterError, match="zero rate"):
             rate_ratio(afc_mm(), afc_mm(p_m=0.0))
 
     def test_ms_over_mm(self):

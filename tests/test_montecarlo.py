@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 from dataclasses import replace
 
 import numpy as np
@@ -11,6 +12,7 @@ from entdist.analytic import (
     SchemeConfig,
     SchemeKind,
     capacity,
+    evaluate,
     exact_rate,
     latch_probability,
     round_time,
@@ -24,11 +26,11 @@ from entdist.montecarlo import (
     estimate_rate,
     rng_for_seed,
     simulate_latches,
-    simulate_round,
     simulate_rounds,
     subseed,
-    sweep,
+    subseeds,
 )
+from entdist.harness import ConfigError, run_scenario
 from entdist.params import (
     AFC_OPTIMISTIC,
     AFC_REALISTIC,
@@ -43,6 +45,11 @@ LINK10 = default_link(10.0)
 MM_QD = SchemeConfig(SchemeKind.MM, LINK10, QUANTUM_DOT)
 MS_QD = SchemeConfig(SchemeKind.MS, LINK10, QUANTUM_DOT, p_m=0.5)
 AFC_MS = SchemeConfig(SchemeKind.AFC_MS, LINK10, AFC_REALISTIC, p_m=0.5)
+
+def mm_qd_series(L_km, p_m):
+    """Flat-config overrides sweeping MM_QD's scheme and memory over L and p_m."""
+    return {"scheme": "mm", "memory.kind": "quantum-dot", "memory.N": 3, "L_km": L_km, "p_m": p_m}
+
 
 # Frozen closed-form reference for the MM quantum-dot point at L = 10 km.
 MM_QD_RATE = 2466.209960041923
@@ -71,26 +78,24 @@ def brute_force_mean_successes(n_trials, p):
 class TestDeterminism:
     def test_estimates_are_bit_identical(self):
         mc = McControls(n_rounds=5000, seed=11)
-        assert estimate_rate(MM_QD, mc) == estimate_rate(MM_QD, mc)
+        assert estimate_rate(evaluate(MM_QD), mc) == estimate_rate(evaluate(MM_QD), mc)
 
     def test_single_round_reproducible(self):
         mc = McControls(n_rounds=1, seed=3)
-        first = estimate_rate(AFC_MS, mc)
-        second = estimate_rate(AFC_MS, mc)
+        first = estimate_rate(evaluate(AFC_MS), mc)
+        second = estimate_rate(evaluate(AFC_MS), mc)
         assert first == second
         assert first.stderr == 0.0
 
     def test_different_seeds_differ(self):
-        a = estimate_rate(MM_QD, McControls(n_rounds=5000, seed=1))
-        b = estimate_rate(MM_QD, McControls(n_rounds=5000, seed=2))
+        a = estimate_rate(evaluate(MM_QD), McControls(n_rounds=5000, seed=1))
+        b = estimate_rate(evaluate(MM_QD), McControls(n_rounds=5000, seed=2))
         assert a.successes != b.successes
 
     def test_sweep_tables_match_across_reruns(self):
-        mc = McControls(n_rounds=2000, seed=9)
-        Ls = [5.0, 10.0, 15.0]
-        pms = [0.5, 1.0]
-        first = sweep(MM_QD, Ls, pms, mc)
-        second = sweep(MM_QD, Ls, pms, mc)
+        series = mm_qd_series([5.0, 10.0, 15.0], [0.5, 1.0])
+        first = run_scenario("custom", overrides=series, seed=9, rounds=2000)
+        second = run_scenario("custom", overrides=series, seed=9, rounds=2000)
         assert first == second
 
     def test_subseed_streams_are_uncorrelated(self):
@@ -101,10 +106,48 @@ class TestDeterminism:
         assert abs(r) < 4.0 / math.sqrt(n)
 
 
+_DRAWN = random.Random(20)
+SUBSEED_MASTERS = ([0, 1, 2**32 - 1, 2**32, 2**64 - 1]
+                   + [_DRAWN.getrandbits(64) for _ in range(8)]
+                   + [_DRAWN.getrandbits(32) for _ in range(3)])
+SUBSEED_INDICES = [0, 1, 2**32 - 1] + [_DRAWN.getrandbits(32) for _ in range(64)] + list(range(2, 40))
+
+
+def seed_sequence_subseed(master_seed, index):
+    """The documented splitting function, evaluated by numpy itself."""
+    return int(np.random.SeedSequence((master_seed, index)).generate_state(1, np.uint64)[0])
+
+
+class TestSubseeds:
+    @pytest.mark.parametrize("master", SUBSEED_MASTERS)
+    def test_match_seed_sequence(self, master):
+        got = subseeds(master, SUBSEED_INDICES)
+        assert got.dtype == np.uint64
+        assert got.tolist() == [seed_sequence_subseed(master, i) for i in SUBSEED_INDICES]
+        assert subseed(master, SUBSEED_INDICES[-1]) == seed_sequence_subseed(master, SUBSEED_INDICES[-1])
+
+    def test_shape_follows_indices(self):
+        assert subseeds(7, np.arange(0)).shape == (0,)
+        assert subseeds(7, np.arange(6).reshape(2, 3)).tolist()[1] == [
+            seed_sequence_subseed(7, i) for i in (3, 4, 5)
+        ]
+
+    @pytest.mark.parametrize("index", [2**32, -1])
+    def test_index_outside_32_bits_rejected(self, index):
+        with pytest.raises(ParameterError, match="indices"):
+            subseeds(1, [0, index])
+        with pytest.raises(ParameterError, match="indices"):
+            subseed(1, index)
+
+    def test_master_outside_64_bits_rejected(self):
+        with pytest.raises(ParameterError, match="master seed"):
+            subseeds(2**64, [0])
+
+
 class TestRoundOutcomes:
     def test_impossible_success_yields_zero(self):
         cfg = replace(MM_QD, link=replace(LINK10, p_d=0.0))
-        counts = simulate_rounds(cfg, rng_for_seed(0), 1000)
+        counts = simulate_rounds(evaluate(cfg), rng_for_seed(0), 1000)
         assert counts[0] == 1000
         assert not counts[1:].any()
 
@@ -113,7 +156,7 @@ class TestRoundOutcomes:
                           p_AFC=1.0, p_pass=1.0, t_clock_prime=1e-8)
         cfg = SchemeConfig(SchemeKind.AFC_MS, default_link(0.0), perfect, p_m=1.0)
         assert single_trial_success(cfg) == 1.0
-        counts = simulate_rounds(cfg, rng_for_seed(0), 500)
+        counts = simulate_rounds(evaluate(cfg), rng_for_seed(0), 500)
         assert counts.tolist() == [0, 0, 0, 500]
 
     def test_mean_matches_brute_force_enumeration(self):
@@ -121,14 +164,14 @@ class TestRoundOutcomes:
         p = single_trial_success(MM_QD)
         expected = brute_force_mean_successes(3, p)
         assert expected == pytest.approx(3 * p, rel=1e-12)
-        counts = simulate_rounds(MM_QD, rng_for_seed(17), 200_000)
+        counts = simulate_rounds(evaluate(MM_QD), rng_for_seed(17), 200_000)
         mean, stderr = histogram_mean_and_stderr(counts)
         assert abs(mean - expected) <= 3.0 * stderr
 
     def test_counts_never_exceed_capacity(self):
         tight = SchemeConfig(SchemeKind.MS, default_link(5.0),
                              replace(QUANTUM_DOT, N=1), p_m=1.0)
-        counts = simulate_rounds(tight, rng_for_seed(23), 50_000)
+        counts = simulate_rounds(evaluate(tight), rng_for_seed(23), 50_000)
         assert len(counts) - 1 <= capacity(tight) == 1
         assert counts.sum() == 50_000
         # The cap must actually bind somewhere for this config.
@@ -136,17 +179,17 @@ class TestRoundOutcomes:
         uncapped_mean = k * p
         assert histogram_mean_and_stderr(counts)[0] < uncapped_mean
 
-    def test_simulate_round_returns_plain_int(self):
-        value = simulate_round(MM_QD, rng_for_seed(1))
-        assert isinstance(value, int)
-        assert 0 <= value <= 3
+    def test_single_round_histogram_holds_one_round(self):
+        counts = simulate_rounds(evaluate(MM_QD), rng_for_seed(1), 1)
+        assert len(counts) == 4
+        assert counts.sum() == 1
 
 
 class TestGranularities:
     def test_per_trial_and_binomial_agree_in_distribution(self):
         n = 20000
-        binomial = simulate_rounds(MM_QD, rng_for_seed(31), n, "binomial")
-        per_trial = simulate_rounds(MM_QD, rng_for_seed(32), n, "per-trial")
+        binomial = simulate_rounds(evaluate(MM_QD), rng_for_seed(31), n, "binomial")
+        per_trial = simulate_rounds(evaluate(MM_QD), rng_for_seed(32), n, "per-trial")
         # Flaky-tolerant statistical check, pinned by the fixed seeds above:
         # a contingency test across the success-count histogram at p > 0.01.
         support = np.arange(4)
@@ -164,7 +207,7 @@ class TestGranularities:
             assert gof.pvalue > 0.01
 
     def test_per_trial_chunking_handles_large_budgets(self):
-        counts = simulate_rounds(AFC_MS, rng_for_seed(41), 9000, "per-trial")
+        counts = simulate_rounds(evaluate(AFC_MS), rng_for_seed(41), 9000, "per-trial")
         assert counts.sum() == 9000
         k, p = trials_per_round(AFC_MS), single_trial_success(AFC_MS)
         mean, stderr = histogram_mean_and_stderr(counts)
@@ -172,7 +215,7 @@ class TestGranularities:
 
     def test_unknown_granularity_rejected(self):
         with pytest.raises(ParameterError, match="trial_granularity"):
-            simulate_rounds(MM_QD, rng_for_seed(0), 10, "per-photon")
+            simulate_rounds(evaluate(MM_QD), rng_for_seed(0), 10, "per-photon")
         with pytest.raises(ParameterError, match="trial_granularity"):
             McControls(n_rounds=10, trial_granularity="per-photon")
 
@@ -191,7 +234,7 @@ class TestHistogramSampler:
                           p_AFC=1.0, p_pass=1.0, t_clock_prime=1e-8)
         cfg = SchemeConfig(SchemeKind.AFC_MS, default_link(0.0), perfect, p_m=p_m)
         assert single_trial_success(cfg) == p_m
-        counts = simulate_rounds(cfg, rng_for_seed(0), 700, granularity)
+        counts = simulate_rounds(evaluate(cfg), rng_for_seed(0), 700, granularity)
         expected = np.zeros(capacity(cfg) + 1, dtype=np.int64)
         expected[cell] = 700
         assert np.array_equal(counts, expected)
@@ -204,7 +247,7 @@ class TestHistogramSampler:
         cfg = SchemeConfig(kind, default_link(L), AFC_OPTIMISTIC, p_m=1.0)
         k, cap = trials_per_round(cfg), capacity(cfg)
         assert k >= cap == 1060
-        counts = simulate_rounds(cfg, rng_for_seed(71), 500_000)
+        counts = simulate_rounds(evaluate(cfg), rng_for_seed(71), 500_000)
         assert len(counts) == cap + 1
         assert counts.sum() == 500_000
         mean, stderr = histogram_mean_and_stderr(counts)
@@ -217,7 +260,7 @@ class TestHistogramSampler:
         k, p, cap = trials_per_round(tight), single_trial_success(tight), capacity(tight)
         assert k > cap
         n = 50_000
-        counts = simulate_rounds(tight, rng_for_seed(73), n)
+        counts = simulate_rounds(evaluate(tight), rng_for_seed(73), n)
         expected = capped_binomial_pmf(k, p, cap) * n
         assert stats.binom.sf(cap - 1, k, p) > 0.1   # the cap cell folds a real tail
         assert stats.chisquare(counts, expected).pvalue > 0.01
@@ -240,18 +283,18 @@ class TestHistogramSampler:
         # touched K cells would exhaust memory here.
         cfg = SchemeConfig(SchemeKind.MS, default_link(50.0), QUANTUM_DOT, p_m=1e-9)
         assert trials_per_round(cfg) > 6e10
-        counts = simulate_rounds(cfg, rng_for_seed(79), 500_000)
+        counts = simulate_rounds(evaluate(cfg), rng_for_seed(79), 500_000)
         assert len(counts) <= capacity(cfg) + 1
         assert counts.sum() == 500_000
-        estimate = estimate_rate(cfg, McControls(n_rounds=500_000, seed=79))
+        estimate = estimate_rate(evaluate(cfg), McControls(n_rounds=500_000, seed=79))
         assert abs(estimate.rate - exact_rate(cfg)) <= 4.0 * estimate.stderr
 
     def test_per_trial_refuses_budgets_beyond_its_block(self):
         cfg = SchemeConfig(SchemeKind.MS, default_link(50.0), QUANTUM_DOT, p_m=1e-9)
         with pytest.raises(ParameterError, match="per-trial"):
-            simulate_rounds(cfg, rng_for_seed(0), 10, "per-trial")
+            simulate_rounds(evaluate(cfg), rng_for_seed(0), 10, "per-trial")
         with pytest.raises(ParameterError, match="per-trial"):
-            estimate_rate(cfg, McControls(n_rounds=10, trial_granularity="per-trial"))
+            estimate_rate(evaluate(cfg), McControls(n_rounds=10, trial_granularity="per-trial"))
 
 
 class TestLatchDiagnostics:
@@ -280,17 +323,17 @@ class TestEstimateRate:
     def test_mm_quantum_dot_matches_closed_form(self):
         # The closed form drops N t_clock against t_link; allow that 0.1%
         # systematic on top of the statistical tolerance.
-        estimate = estimate_rate(MM_QD, McControls(n_rounds=50_000, seed=61))
+        estimate = estimate_rate(evaluate(MM_QD), McControls(n_rounds=50_000, seed=61))
         tolerance = 3.0 * estimate.stderr + 1e-3 * MM_QD_RATE
         assert abs(estimate.rate - MM_QD_RATE) <= tolerance
 
     def test_estimate_matches_exact_expectation(self):
-        estimate = estimate_rate(AFC_MS, McControls(n_rounds=50_000, seed=67))
+        estimate = estimate_rate(evaluate(AFC_MS), McControls(n_rounds=50_000, seed=67))
         assert abs(estimate.rate - exact_rate(AFC_MS)) <= 3.0 * estimate.stderr
 
     def test_elapsed_accounting(self):
         mc = McControls(n_rounds=1234, seed=5)
-        estimate = estimate_rate(MS_QD, mc)
+        estimate = estimate_rate(evaluate(MS_QD), mc)
         assert estimate.elapsed == 1234 * round_time(MS_QD)
         assert estimate.rate == estimate.successes / estimate.elapsed
         assert estimate.n_rounds == 1234
@@ -299,7 +342,7 @@ class TestEstimateRate:
     def test_infeasible_afc_config_raises_before_simulating(self):
         far = SchemeConfig(SchemeKind.AFC_MM, default_link(190.0), AFC_REALISTIC, p_m=0.5)
         with pytest.raises(FeasibilityError, match="spin coherence"):
-            estimate_rate(far, McControls(n_rounds=10))
+            estimate_rate(evaluate(far), McControls(n_rounds=10))
 
     def test_round_count_validated(self):
         with pytest.raises(ParameterError, match="n_rounds"):
@@ -307,26 +350,29 @@ class TestEstimateRate:
 
 
 class TestSweep:
+    """run_scenario as the sweep engine: rows, sub-seeds and infeasible points."""
+
     def test_cartesian_product_row_count(self):
-        rows = sweep(MM_QD, [5.0, 10.0, 15.0], [0.02, 0.5, 1.0],
-                     McControls(n_rounds=200, seed=7))
+        rows = run_scenario("custom", overrides=mm_qd_series([5.0, 10.0, 15.0], [0.02, 0.5, 1.0]),
+                            seed=7, rounds=200)
         assert len(rows) == 9
-        seen = {(row.cfg.link.L, row.cfg.p_m) for row in rows}
+        seen = {(row.L_km, row.p_m) for row in rows}
         assert len(seen) == 9
 
     def test_singleton_sweep_equals_point_estimate(self):
         mc = McControls(n_rounds=1000, seed=77)
-        rows = sweep(MM_QD, [10.0], [1.0], mc)
-        direct = estimate_rate(MM_QD, replace(mc, seed=subseed(77, 0)))
-        assert rows[0].estimate == direct
+        rows = run_scenario("custom", overrides=mm_qd_series([10.0], [1.0]), seed=77, rounds=1000)
+        direct = estimate_rate(evaluate(MM_QD), replace(mc, seed=subseed(77, 0)))
+        assert (rows[0].mc_rate, rows[0].mc_stderr) == (direct.rate, direct.stderr)
+        assert rows[0].seed == direct.seed
 
     def test_infeasible_points_are_flagged_not_raised(self):
-        template = SchemeConfig(SchemeKind.AFC_MM, LINK10, AFC_REALISTIC, p_m=0.5)
-        rows = sweep(template, [50.0, 190.0], [0.5], McControls(n_rounds=100, seed=1))
+        series = {"scheme": "afc-mm", "L_km": [50.0, 190.0], "p_m": [0.5]}
+        rows = run_scenario("custom", overrides=series, seed=1, rounds=100)
         assert [row.feasible for row in rows] == [True, False]
-        assert rows[1].estimate is None
-        assert rows[1].cfg.link.L == 190.0
+        assert rows[1].mc_rate is None and rows[1].mc_stderr is None
+        assert rows[1].L_km == 190.0
 
     def test_empty_value_lists_rejected(self):
-        with pytest.raises(ParameterError, match="non-empty"):
-            sweep(MM_QD, [], [1.0], McControls(n_rounds=10))
+        with pytest.raises(ConfigError, match="empty"):
+            run_scenario("custom", overrides=mm_qd_series([10.0], []), rounds=10)

@@ -47,9 +47,8 @@ def test_zero_distance_has_unit_attenuation():
 
 def test_afc_end_to_end_probability():
     probs = derive_probs(default_link(10.0), AFC_REALISTIC)
-    assert probs.p_optical_prime == pytest.approx(P_OPT_PRIME_L10, rel=1e-12)
+    assert probs.p_optical == pytest.approx(P_OPT_PRIME_L10, rel=1e-12)
     assert probs.p_memory == 0.53
-    assert probs.p_optical == probs.p_optical_prime
 
 
 def test_derived_probability_ordering():

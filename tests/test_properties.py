@@ -1,0 +1,117 @@
+"""Property tests over randomly drawn valid configs of all five schemes.
+
+Examples are derandomized, so every run checks the same configs.
+"""
+
+import math
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from entdist import analytic
+from entdist.analytic import (
+    NotApplicableError,
+    SchemeConfig,
+    SchemeKind,
+    analytic_rate,
+    capacity,
+    evaluate,
+    exact_rate,
+    feasibility_check,
+    is_rephasing_capped,
+    round_time,
+    single_trial_success,
+    trials_per_round,
+)
+from entdist.params import AfcSpec, LinkParams, MemorySpec, ParameterError
+
+NAMED_ERRORS = (ParameterError, NotApplicableError)
+
+probability = st.floats(0.0, 1.0)
+duration_s = st.floats(0.0, 1.0, exclude_min=True)
+
+links = st.builds(
+    LinkParams,
+    L=st.floats(0.0, 1e5),
+    L_att=st.floats(0.0, 1e5, exclude_min=True),
+    n=st.floats(1.0, 1e3),
+    c=st.floats(0.0, 1e9, exclude_min=True),
+    p_d=probability,
+)
+spin_memories = st.builds(
+    MemorySpec,
+    label=st.just("drawn"),
+    t_clock=duration_s,
+    emission_fraction=probability,
+    collection_efficiency=probability,
+    N=st.integers(1, 10**6),
+)
+
+
+@st.composite
+def afc_memories(draw):
+    t_rephase = draw(duration_s)
+    return AfcSpec(
+        N_AFC=draw(st.integers(1, 10**5)),
+        t_rephase=t_rephase,
+        t_spin_coherence=t_rephase * draw(st.floats(1.0, 1e3)),
+        p_AFC=draw(probability),
+        p_pass=draw(probability),
+        t_clock_prime=draw(duration_s),
+    )
+
+
+@st.composite
+def configs(draw):
+    kind = draw(st.sampled_from(list(SchemeKind)))
+    memory = draw(afc_memories() if kind.is_afc else spin_memories)
+    extra = {}
+    if kind is SchemeKind.SR:
+        n_a = draw(st.integers(1, 2 * memory.N - 1))
+        extra = {"N_A": n_a, "N_B": 2 * memory.N - n_a}
+    return SchemeConfig(kind, draw(links), memory, p_m=draw(probability),
+                        ms_sync_factor=draw(st.sampled_from((1, 2))), **extra)
+
+
+def outcome(compute):
+    """('value', result) or ('error', exception type) for a named error."""
+    try:
+        return "value", compute()
+    except NAMED_ERRORS as exc:
+        return "error", type(exc)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(cfg=configs())
+def test_evaluate_matches_the_public_functions(cfg):
+    calls = 0
+    derive = analytic.derive_probs
+
+    def counting_derive(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return derive(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(analytic, "derive_probs", counting_derive)
+        evaluated = outcome(lambda: evaluate(cfg))
+        if evaluated[0] == "value":
+            point = evaluated[1]
+            rate, exact = outcome(lambda: point.rate), outcome(lambda: point.exact_rate)
+            assert calls == 1
+    if evaluated[0] == "error":
+        assert outcome(lambda: trials_per_round(cfg)) == evaluated
+        assert outcome(lambda: round_time(cfg)) == evaluated
+        return
+    assert point.p_single == single_trial_success(cfg)
+    assert point.K == trials_per_round(cfg)
+    assert point.capacity == capacity(cfg)
+    assert point.t_round == round_time(cfg)
+    assert point.capped == is_rephasing_capped(cfg)
+    assert point.feasible == (feasibility_check(cfg).ok if cfg.kind.is_afc else True)
+    assert rate == outcome(lambda: analytic_rate(cfg))
+    assert exact == outcome(lambda: exact_rate(cfg))
+    for kind, value in (rate, exact):
+        if kind == "value":
+            assert math.isfinite(value) and value >= 0.0
