@@ -49,7 +49,6 @@ from .montecarlo import (
 )
 from .params import (
     AFC_OPTIMISTIC,
-    AFC_PRESETS,
     AFC_REALISTIC,
     AfcSpec,
     DIAMOND_NV,

@@ -258,7 +258,8 @@ def evaluate(cfg: SchemeConfig) -> PointSummary:
     cross the whole link and whose reply returns) plus K trial clocks.
 
     Raises ParameterError for an MS config whose latch probability is zero
-    or too small for a finite budget (no rephasing cap exists there).
+    or too small for a finite budget (no rephasing cap exists there), and
+    for a round time that is not finite in double precision.
     """
     d = cfg.derived()
     kind, mem, afc = cfg.kind, cfg.memory, cfg.kind.is_afc
@@ -279,6 +280,8 @@ def evaluate(cfg: SchemeConfig) -> PointSummary:
         t_round = 2.0 * tl + k * mem.t_clock
     else:
         t_round = tl + k * (mem.t_clock_prime if afc else mem.t_clock)
+    if not math.isfinite(t_round):
+        raise ParameterError(f"t_round is {t_round!r} s: the inputs exceed double precision")
     return PointSummary(
         cfg=cfg,
         probs=d,

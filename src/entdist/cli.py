@@ -17,7 +17,7 @@ import json
 import sys
 from typing import Any, Sequence
 
-from .harness import ConfigError, PRESETS, emit, preset_names, run_scenario
+from .harness import ConfigError, PRESETS, emit, preset_names, run_scenario, write_text
 from .params import ParameterError
 from .swapping import SwapParams, chain_factor, swap_budget
 
@@ -106,12 +106,7 @@ def _cmd_swap(args: argparse.Namespace) -> int:
         "chain_factor": chain_factor(params),
         "links": params.i,
     }
-    text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
-    if args.out is None or args.out == "-":
-        sys.stdout.write(text)
-    else:
-        with open(args.out, "w", newline="") as handle:
-            handle.write(text)
+    write_text(json.dumps(payload, indent=2, allow_nan=False) + "\n", args.out)
     return _EXIT_OK
 
 

@@ -13,7 +13,8 @@ figure parameter sets:
 * fig6a / fig6b: the optimistic comb (1060 modes, p_AFC = 1).
 
 Configs are flat JSON documents; every key is optional on top of a named
-preset base. The schema is documented in the README.
+preset base. Each key is declared once, in _CONFIG_KEYS, and each output
+column once, as a field of ResultRow; the README documents both.
 """
 
 from __future__ import annotations
@@ -21,25 +22,16 @@ from __future__ import annotations
 import copy
 import json
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from operator import attrgetter
 from pathlib import Path
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
 from .analytic import SchemeConfig, SchemeKind, evaluate
-from .montecarlo import DEFAULT_SEED, GRANULARITIES, McControls, estimate_rate, subseeds
-from .params import (
-    AFC_REALISTIC,
-    AfcSpec,
-    DEFAULT_C_KM_PER_S,
-    DEFAULT_DETECTOR_EFFICIENCY,
-    DEFAULT_FIBER_INDEX,
-    DEFAULT_L_ATT_KM,
-    LinkParams,
-    MEMORY_PRESETS,
-    MemorySpec,
-)
+from .montecarlo import McControls, estimate_rate, subseeds
+from .params import AFC_REALISTIC, LinkParams, MEMORY_PRESETS, MemorySpec, QUANTUM_DOT
 
 __all__ = [
     "ConfigError",
@@ -62,35 +54,6 @@ class ConfigError(ValueError):
 
 PRESET_L_KM = [5.0, 10.0, 15.0, 20.0, 25.0, 30.0, 35.0, 40.0, 45.0, 50.0]
 PRESET_P_M = [0.02, 0.5, 1.0]
-
-CSV_HEADER = "scheme,L_km,p_m,analytic_rate,mc_rate,mc_stderr,K,t_round_s,feasible,seed"
-
-# Keys a series (one scheme swept over L and p_m) understands.
-_SERIES_KEYS = {
-    "scheme",
-    "L_km",
-    "p_m",
-    "L_att_km",
-    "n",
-    "c_km_per_s",
-    "p_d",
-    "ms_sync_factor",
-    "N_A",
-    "N_B",
-    "memory.kind",
-    "memory.label",
-    "memory.t_clock_s",
-    "memory.emission_fraction",
-    "memory.collection_efficiency",
-    "memory.N",
-    "afc.N_AFC",
-    "afc.t_rephase_s",
-    "afc.t_spin_coherence_s",
-    "afc.p_AFC",
-    "afc.p_pass",
-    "afc.t_clock_prime_s",
-}
-_SCENARIO_KEYS = {"mc.n_rounds", "mc.seed", "mc.trial_granularity"}
 
 
 def _afc_series(scheme: str, n_afc: int, p_afc: float) -> dict[str, Any]:
@@ -198,6 +161,11 @@ class ResultRow:
     seed: int
 
 
+_COLUMNS = tuple(field.name for field in fields(ResultRow))
+_row_values = attrgetter(*_COLUMNS)
+CSV_HEADER = ",".join(_COLUMNS)
+
+
 def _as_number(key: str, value: Any) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{key} must be a number, got {value!r}")
@@ -220,39 +188,67 @@ def _as_number_list(key: str, value: Any) -> list[float]:
     return [_as_number(key, value)]
 
 
-def _build_memory(series: Mapping[str, Any], scheme: SchemeKind) -> MemorySpec | AfcSpec:
-    if scheme.is_afc:
-        base = AFC_REALISTIC
-        return AfcSpec(
-            N_AFC=_as_int("afc.N_AFC", series.get("afc.N_AFC", base.N_AFC)),
-            t_rephase=_as_number("afc.t_rephase_s", series.get("afc.t_rephase_s", base.t_rephase)),
-            t_spin_coherence=_as_number(
-                "afc.t_spin_coherence_s", series.get("afc.t_spin_coherence_s", base.t_spin_coherence)
-            ),
-            p_AFC=_as_number("afc.p_AFC", series.get("afc.p_AFC", base.p_AFC)),
-            p_pass=_as_number("afc.p_pass", series.get("afc.p_pass", base.p_pass)),
-            t_clock_prime=_as_number(
-                "afc.t_clock_prime_s", series.get("afc.t_clock_prime_s", base.t_clock_prime)
-            ),
-        )
-    kind = series.get("memory.kind", "quantum-dot")
-    if kind not in MEMORY_PRESETS:
+def _as_text(key: str, value: Any) -> str:
+    return str(value)
+
+
+def _as_scheme(key: str, value: Any) -> SchemeKind:
+    try:
+        return SchemeKind(str(value).lower())
+    except ValueError:
         raise ConfigError(
-            f"memory.kind must be one of {sorted(MEMORY_PRESETS)}, got {kind!r}"
-        )
-    base = MEMORY_PRESETS[kind]
-    return MemorySpec(
-        label=str(series.get("memory.label", base.label)),
-        t_clock=_as_number("memory.t_clock_s", series.get("memory.t_clock_s", base.t_clock)),
-        emission_fraction=_as_number(
-            "memory.emission_fraction", series.get("memory.emission_fraction", base.emission_fraction)
-        ),
-        collection_efficiency=_as_number(
-            "memory.collection_efficiency",
-            series.get("memory.collection_efficiency", base.collection_efficiency),
-        ),
-        N=_as_int("memory.N", series.get("memory.N", base.N)),
-    )
+            f"{key} must be one of {[k.value for k in SchemeKind]}, got {value!r}"
+        ) from None
+
+
+def _as_memory_preset(key: str, value: Any) -> MemorySpec:
+    if not isinstance(value, str) or value not in MEMORY_PRESETS:
+        raise ConfigError(f"{key} must be one of {sorted(MEMORY_PRESETS)}, got {value!r}")
+    return MEMORY_PRESETS[value]
+
+
+# Every flat config key: the spec it sets ("scheme" is the SchemeConfig, "mc"
+# the scenario's McControls), the field it sets there and the coercion of its
+# JSON value. L_km and p_m are the sweep axes and take lists; memory.kind
+# names the preset that the other memory.* keys override.
+_CONFIG_KEYS: dict[str, tuple[str, str, Callable[[str, Any], Any]]] = {
+    "scheme": ("scheme", "kind", _as_scheme),
+    "p_m": ("scheme", "p_m", _as_number_list),
+    "ms_sync_factor": ("scheme", "ms_sync_factor", _as_int),
+    "N_A": ("scheme", "N_A", _as_int),
+    "N_B": ("scheme", "N_B", _as_int),
+    "L_km": ("link", "L", _as_number_list),
+    "L_att_km": ("link", "L_att", _as_number),
+    "n": ("link", "n", _as_number),
+    "c_km_per_s": ("link", "c", _as_number),
+    "p_d": ("link", "p_d", _as_number),
+    "memory.kind": ("memory", "kind", _as_memory_preset),
+    "memory.label": ("memory", "label", _as_text),
+    "memory.t_clock_s": ("memory", "t_clock", _as_number),
+    "memory.emission_fraction": ("memory", "emission_fraction", _as_number),
+    "memory.collection_efficiency": ("memory", "collection_efficiency", _as_number),
+    "memory.N": ("memory", "N", _as_int),
+    "afc.N_AFC": ("afc", "N_AFC", _as_int),
+    "afc.t_rephase_s": ("afc", "t_rephase", _as_number),
+    "afc.t_spin_coherence_s": ("afc", "t_spin_coherence", _as_number),
+    "afc.p_AFC": ("afc", "p_AFC", _as_number),
+    "afc.p_pass": ("afc", "p_pass", _as_number),
+    "afc.t_clock_prime_s": ("afc", "t_clock_prime", _as_number),
+    "mc.n_rounds": ("mc", "n_rounds", _as_int),
+    "mc.seed": ("mc", "seed", _as_int),
+    "mc.trial_granularity": ("mc", "trial_granularity", _as_text),
+}
+_SCENARIO_KEYS = {key for key, (spec, _, _) in _CONFIG_KEYS.items() if spec == "mc"}
+_SERIES_KEYS = _CONFIG_KEYS.keys() - _SCENARIO_KEYS
+
+
+def _spec_fields(document: Mapping[str, Any], spec: str) -> dict[str, Any]:
+    """The coerced fields of `spec` that `document` sets, by field name."""
+    return {
+        field: coerce(key, document[key])
+        for key, (owner, field, coerce) in _CONFIG_KEYS.items()
+        if owner == spec and key in document
+    }
 
 
 def _resolve_series(series: Mapping[str, Any]) -> list[SchemeConfig]:
@@ -261,38 +257,25 @@ def _resolve_series(series: Mapping[str, Any]) -> list[SchemeConfig]:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     if "scheme" not in series:
         raise ConfigError("scheme is required (one of mm, sr, ms, afc-mm, afc-ms)")
-    try:
-        scheme = SchemeKind(str(series["scheme"]).lower())
-    except ValueError:
-        raise ConfigError(
-            f"scheme must be one of {[k.value for k in SchemeKind]}, got {series['scheme']!r}"
-        ) from None
     if "L_km" not in series:
         raise ConfigError("L_km is required (a distance in km, or a list of them)")
-    L_values = _as_number_list("L_km", series["L_km"])
-    p_m_values = _as_number_list("p_m", series.get("p_m", 1.0))
-    memory = _build_memory(series, scheme)
-    extra: dict[str, Any] = {}
-    if scheme is SchemeKind.SR:
+    scheme = _spec_fields(series, "scheme")
+    p_m_values = scheme.pop("p_m", [1.0])
+    if scheme["kind"] is SchemeKind.SR:
         if "N_A" not in series or "N_B" not in series:
             raise ConfigError("N_A and N_B are required for SR")
-        extra["N_A"] = _as_int("N_A", series["N_A"])
-        extra["N_B"] = _as_int("N_B", series["N_B"])
     elif "N_A" in series or "N_B" in series:
         raise ConfigError("N_A / N_B are only meaningful for SR")
-    if "ms_sync_factor" in series:
-        extra["ms_sync_factor"] = _as_int("ms_sync_factor", series["ms_sync_factor"])
+    if scheme["kind"].is_afc:
+        memory = replace(AFC_REALISTIC, **_spec_fields(series, "afc"))
+    else:
+        memory_fields = _spec_fields(series, "memory")
+        memory = replace(memory_fields.pop("kind", QUANTUM_DOT), **memory_fields)
+    link_fields = _spec_fields(series, "link")
     points = []
-    for L in L_values:
-        link = LinkParams(
-            L=L,
-            L_att=_as_number("L_att_km", series.get("L_att_km", DEFAULT_L_ATT_KM)),
-            n=_as_number("n", series.get("n", DEFAULT_FIBER_INDEX)),
-            c=_as_number("c_km_per_s", series.get("c_km_per_s", DEFAULT_C_KM_PER_S)),
-            p_d=_as_number("p_d", series.get("p_d", DEFAULT_DETECTOR_EFFICIENCY)),
-        )
-        for p_m in p_m_values:
-            points.append(SchemeConfig(kind=scheme, link=link, memory=memory, p_m=p_m, **extra))
+    for L in link_fields.pop("L"):
+        link = LinkParams(L=L, **link_fields)
+        points.extend(SchemeConfig(link=link, memory=memory, p_m=p_m, **scheme) for p_m in p_m_values)
     return points
 
 
@@ -304,8 +287,7 @@ def _apply_overrides(scenario: dict[str, Any], overrides: Mapping[str, Any]) -> 
             for series in scenario["series"]:
                 series[key] = value
         else:
-            known = sorted(_SERIES_KEYS | _SCENARIO_KEYS)
-            raise ConfigError(f"unknown config key {key!r}; known keys: {known}")
+            raise ConfigError(f"unknown config key {key!r}; known keys: {sorted(_CONFIG_KEYS)}")
 
 
 def _load_config_file(path: str) -> dict[str, Any]:
@@ -355,14 +337,7 @@ def build_scenario(
         scenario["mc.n_rounds"] = rounds
     if seed is not None:
         scenario["mc.seed"] = seed
-    granularity = scenario.get("mc.trial_granularity", "binomial")
-    if granularity not in GRANULARITIES:
-        raise ConfigError(f"mc.trial_granularity must be one of {GRANULARITIES}, got {granularity!r}")
-    mc = McControls(
-        n_rounds=_as_int("mc.n_rounds", scenario.get("mc.n_rounds", 100_000)),
-        seed=_as_int("mc.seed", scenario.get("mc.seed", DEFAULT_SEED)),
-        trial_granularity=granularity,
-    )
+    mc = McControls(**{"n_rounds": 100_000, **_spec_fields(scenario, "mc")})
     points: list[SchemeConfig] = []
     for series in scenario["series"]:
         points.extend(_resolve_series(series))
@@ -427,13 +402,10 @@ def _csv_cell(value: Any) -> str:
 
 
 def rows_to_csv(rows: Sequence[ResultRow]) -> str:
-    """Fixed-header CSV with LF endings and shortest round-trip floats."""
+    """CSV_HEADER, then one line per row, with LF endings and shortest round-trip floats."""
     lines = [CSV_HEADER]
     for row in rows:
-        lines.append(",".join(_csv_cell(v) for v in (
-            row.scheme, row.L_km, row.p_m, row.analytic_rate, row.mc_rate,
-            row.mc_stderr, row.K, row.t_round_s, row.feasible, row.seed,
-        )))
+        lines.append(",".join(_csv_cell(v) for v in _row_values(row)))
     return "\n".join(lines) + "\n"
 
 
@@ -443,21 +415,7 @@ def rows_to_json(rows: Sequence[ResultRow]) -> str:
     A non-finite value raises ValueError rather than emitting NaN/Infinity,
     which are not JSON.
     """
-    payload = [
-        {
-            "scheme": row.scheme,
-            "L_km": row.L_km,
-            "p_m": row.p_m,
-            "analytic_rate": row.analytic_rate,
-            "mc_rate": row.mc_rate,
-            "mc_stderr": row.mc_stderr,
-            "K": row.K,
-            "t_round_s": row.t_round_s,
-            "feasible": row.feasible,
-            "seed": row.seed,
-        }
-        for row in rows
-    ]
+    payload = [dict(zip(_COLUMNS, _row_values(row))) for row in rows]
     return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 
@@ -471,6 +429,11 @@ def emit(rows: Sequence[ResultRow], fmt: str = "csv", destination: str | None = 
         text = rows_to_json(rows)
     else:
         raise ConfigError(f"format must be 'csv' or 'json', got {fmt!r}")
+    write_text(text, destination)
+
+
+def write_text(text: str, destination: str | None) -> None:
+    """Write text to a path, or to stdout when destination is None or "-"."""
     if destination is None or destination == "-":
         sys.stdout.write(text)
     else:

@@ -44,9 +44,10 @@ __all__ = [
 DEFAULT_SEED = 42
 GRANULARITIES = ("binomial", "per-trial")
 
-# Per-trial mode materializes a rounds x K boolean block; chunk it so memory
-# stays bounded. A round wider than the block is refused.
-_PER_TRIAL_CHUNK_CELLS = 4_000_000
+# Largest array, in cells, one sampling step allocates: the histogram of a
+# round's latched pairs, and per-trial mode's rounds x K boolean block, which
+# is chunked to fit. A histogram or a round wider than this is refused.
+_MAX_CELLS = 4_000_000
 
 
 class FeasibilityError(RuntimeError):
@@ -195,26 +196,32 @@ def simulate_rounds(
     """Histogram of latched pairs over n_rounds independent rounds.
 
     Cell j of the returned int64 array counts the rounds that latched j
-    pairs; it has min(K, capacity) + 1 cells and sums to n_rounds.
+    pairs; it has min(K, capacity) + 1 cells and sums to n_rounds. More than
+    _MAX_CELLS cells raise ParameterError before anything is allocated.
     "binomial" draws the whole histogram at once as Multinomial(n_rounds, q)
     with q the law of min(Binomial(K, p), capacity), in O(capacity) work
     whatever K and n_rounds are. "per-trial" draws every trial of every round
     and tallies the capped counts: the literal audit oracle, limited to
-    K <= _PER_TRIAL_CHUNK_CELLS trials per round.
+    K <= _MAX_CELLS trials per round.
     """
     k, p, cap = point.K, point.p_single, point.capacity
+    top = min(k, cap)
+    if top + 1 > _MAX_CELLS:
+        raise ParameterError(
+            f"the histogram of latched pairs holds at most {_MAX_CELLS} cells, "
+            f"got min(K, capacity) + 1 = {top + 1}"
+        )
     if granularity == "binomial":
         return rng.multinomial(n_rounds, _capped_binomial_law(k, p, cap)).astype(np.int64, copy=False)
     if granularity != "per-trial":
         raise ParameterError(f"trial_granularity must be one of {GRANULARITIES}, got {granularity!r}")
-    if k > _PER_TRIAL_CHUNK_CELLS:
+    if k > _MAX_CELLS:
         raise ParameterError(
-            f"per-trial sampling holds at most {_PER_TRIAL_CHUNK_CELLS} trials per round, "
+            f"per-trial sampling holds at most {_MAX_CELLS} trials per round, "
             f"got K = {k}; use trial_granularity 'binomial'"
         )
-    top = min(k, cap)
     hist = np.zeros(top + 1, dtype=np.int64)
-    chunk = _PER_TRIAL_CHUNK_CELLS // max(k, 1)
+    chunk = _MAX_CELLS // max(k, 1)
     for start in range(0, n_rounds, chunk):
         trials = rng.random((min(chunk, n_rounds - start), k)) < p
         hist += np.bincount(np.minimum(trials.sum(axis=1), cap), minlength=top + 1)

@@ -28,7 +28,6 @@ __all__ = [
     "AFC_REALISTIC",
     "AFC_OPTIMISTIC",
     "MEMORY_PRESETS",
-    "AFC_PRESETS",
     "DEFAULT_L_ATT_KM",
     "DEFAULT_C_KM_PER_S",
     "DEFAULT_FIBER_INDEX",
@@ -197,8 +196,3 @@ AFC_REALISTIC = AfcSpec(N_AFC=100, t_rephase=51e-6, t_spin_coherence=1e-3,
                         p_AFC=0.53, p_pass=0.9, t_clock_prime=10e-9)
 AFC_OPTIMISTIC = AfcSpec(N_AFC=1060, t_rephase=51e-6, t_spin_coherence=1e-3,
                          p_AFC=1.0, p_pass=0.9, t_clock_prime=10e-9)
-
-AFC_PRESETS: dict[str, AfcSpec] = {
-    "realistic": AFC_REALISTIC,
-    "optimistic": AFC_OPTIMISTIC,
-}

@@ -73,10 +73,24 @@ def test_zero_length_link_is_config_error(capsys):
     assert "L > 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("argv, message", [
+    (["analytic", "custom", "--set", "scheme=mm", "--set", "L_km=10",
+      "--set", "memory.t_clock_s=1e308"], "t_round"),
+    (["run", "custom", "--set", "scheme=ms", "--set", "L_km=10",
+      "--set", "memory.N=1e9", "--rounds", "10"], "cells"),
+])
+def test_out_of_range_inputs_are_config_errors(capsys, argv, message, fmt):
+    assert main(argv + ["--format", fmt]) == 1
+    captured = capsys.readouterr()
+    assert message in captured.err and captured.out == ""
+
+
 def test_unwritable_destination_is_runtime_error(tmp_path, capsys):
     missing_dir = tmp_path / "not" / "here" / "rows.csv"
     code = main(["run", "fig2c", "--rounds", "10", "--out", str(missing_dir)])
     assert code == 2
+    assert main(["swap", "--pairs", "10", "--out", str(missing_dir)]) == 2
 
 
 def test_swap_subcommand_matches_library(capsys):

@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +10,7 @@ from entdist.harness import (
     CSV_HEADER,
     ConfigError,
     PRESETS,
+    _CONFIG_KEYS,
     build_scenario,
     emit,
     preset_names,
@@ -19,6 +22,7 @@ from entdist.params import AfcSpec, MemorySpec, QUANTUM_DOT, default_link
 
 SWEEP_L = [5.0, 10.0, 15.0, 20.0, 25.0, 30.0, 35.0, 40.0, 45.0, 50.0]
 SWEEP_PM = [0.02, 0.5, 1.0]
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def _series_params(scenario):
@@ -260,3 +264,21 @@ def test_multimode_to_single_pair_ratio_band():
         ms_cfg = SchemeConfig(SchemeKind.MS, default_link(row.L_km), QUANTUM_DOT, p_m=row.p_m)
         ratio = row.analytic_rate / analytic_rate(ms_cfg)
         assert 50.0 <= ratio <= 200.0
+
+
+def readme_section(title):
+    text = README.read_text()
+    start = text.index(f"\n## {title}\n")
+    end = text.find("\n## ", start + 1)
+    return text[start:end if end != -1 else None]
+
+
+class TestReadme:
+    def test_config_schema_table_lists_every_key_once(self):
+        key_cells = [line.split("|")[1] for line in readme_section("Config schema").splitlines()
+                     if line.startswith("|")]
+        documented = [key for cell in key_cells for key in re.findall(r"`([^`]+)`", cell)]
+        assert sorted(documented) == sorted([*_CONFIG_KEYS, "preset"])
+
+    def test_output_schema_header_is_the_csv_header(self):
+        assert readme_section("Output schema").split("```")[1].strip() == CSV_HEADER

@@ -19,6 +19,7 @@ from entdist.analytic import (
     single_trial_success,
     trials_per_round,
 )
+from entdist import montecarlo
 from entdist.montecarlo import (
     FeasibilityError,
     McControls,
@@ -295,6 +296,19 @@ class TestHistogramSampler:
             simulate_rounds(evaluate(cfg), rng_for_seed(0), 10, "per-trial")
         with pytest.raises(ParameterError, match="per-trial"):
             estimate_rate(evaluate(cfg), McControls(n_rounds=10, trial_granularity="per-trial"))
+
+    def test_oversized_histogram_is_refused_before_allocating(self, monkeypatch):
+        # MS with 1e9 memories per node: a capacity-long histogram would need
+        # gigabytes, so the sampler refuses it before building the law.
+        def never_called(*args):
+            raise AssertionError("the histogram law was built")
+
+        monkeypatch.setattr(montecarlo, "_capped_binomial_law", never_called)
+        huge = {"scheme": "ms", "memory.N": 10**9, "L_km": 10.0, "p_m": 1.0}
+        with pytest.raises(ParameterError, match="4000000 cells"):
+            run_scenario("custom", overrides=huge, rounds=100)
+        (row,) = run_scenario("custom", overrides=huge, with_mc=False)
+        assert row.K > 10**9 and row.analytic_rate > 0.0 and row.mc_rate is None
 
 
 class TestLatchDiagnostics:

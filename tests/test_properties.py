@@ -24,6 +24,7 @@ from entdist.analytic import (
     single_trial_success,
     trials_per_round,
 )
+from entdist.montecarlo import _MAX_CELLS, rng_for_seed, simulate_rounds
 from entdist.params import AfcSpec, LinkParams, MemorySpec, ParameterError
 
 NAMED_ERRORS = (ParameterError, NotApplicableError)
@@ -39,21 +40,24 @@ links = st.builds(
     c=st.floats(0.0, 1e9, exclude_min=True),
     p_d=probability,
 )
-spin_memories = st.builds(
-    MemorySpec,
-    label=st.just("drawn"),
-    t_clock=duration_s,
-    emission_fraction=probability,
-    collection_efficiency=probability,
-    N=st.integers(1, 10**6),
-)
+
+
+def spin_memories(max_n):
+    return st.builds(
+        MemorySpec,
+        label=st.just("drawn"),
+        t_clock=duration_s,
+        emission_fraction=probability,
+        collection_efficiency=probability,
+        N=st.integers(1, max_n),
+    )
 
 
 @st.composite
-def afc_memories(draw):
+def afc_memories(draw, max_modes):
     t_rephase = draw(duration_s)
     return AfcSpec(
-        N_AFC=draw(st.integers(1, 10**5)),
+        N_AFC=draw(st.integers(1, max_modes)),
         t_rephase=t_rephase,
         t_spin_coherence=t_rephase * draw(st.floats(1.0, 1e3)),
         p_AFC=draw(probability),
@@ -63,9 +67,10 @@ def afc_memories(draw):
 
 
 @st.composite
-def configs(draw):
+def configs(draw, max_memories=10**6):
+    """A valid config: up to max_memories spin memories, or a tenth as many AFC modes."""
     kind = draw(st.sampled_from(list(SchemeKind)))
-    memory = draw(afc_memories() if kind.is_afc else spin_memories)
+    memory = draw(afc_memories(max_memories // 10) if kind.is_afc else spin_memories(max_memories))
     extra = {}
     if kind is SchemeKind.SR:
         n_a = draw(st.integers(1, 2 * memory.N - 1))
@@ -107,7 +112,7 @@ def test_evaluate_matches_the_public_functions(cfg):
     assert point.p_single == single_trial_success(cfg)
     assert point.K == trials_per_round(cfg)
     assert point.capacity == capacity(cfg)
-    assert point.t_round == round_time(cfg)
+    assert point.t_round == round_time(cfg) and math.isfinite(point.t_round)
     assert point.capped == is_rephasing_capped(cfg)
     assert point.feasible == (feasibility_check(cfg).ok if cfg.kind.is_afc else True)
     assert rate == outcome(lambda: analytic_rate(cfg))
@@ -115,3 +120,22 @@ def test_evaluate_matches_the_public_functions(cfg):
     for kind, value in (rate, exact):
         if kind == "value":
             assert math.isfinite(value) and value >= 0.0
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(cfg=configs(max_memories=10**7), n_rounds=st.integers(1, 10**4), seed=st.integers(0, 2**64 - 1))
+def test_histograms_have_one_cell_per_latch_count(cfg, n_rounds, seed):
+    # Capacities up to 1e7 reach past the sampler's cell limit, so both
+    # outcomes are drawn.
+    evaluated = outcome(lambda: evaluate(cfg))
+    if evaluated[0] == "error":
+        return
+    point = evaluated[1]
+    cells = min(point.K, point.capacity) + 1
+    if cells > _MAX_CELLS:
+        with pytest.raises(ParameterError, match="cells"):
+            simulate_rounds(point, rng_for_seed(seed), n_rounds)
+        return
+    hist = simulate_rounds(point, rng_for_seed(seed), n_rounds)
+    assert len(hist) == cells <= point.capacity + 1
+    assert (hist >= 0).all() and hist.sum() == n_rounds
