@@ -23,9 +23,12 @@ import copy
 import json
 import sys
 from dataclasses import dataclass, fields, replace
+from json.encoder import encode_basestring_ascii
+from math import isfinite
 from operator import attrgetter
 from pathlib import Path
-from typing import Any, Callable, Mapping, Sequence
+from types import NoneType
+from typing import Any, Callable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -391,7 +394,17 @@ def run_scenario(
     return rows
 
 
+class _Format(NamedTuple):
+    """How one output format spells each cell and joins a row's cells."""
+
+    by_type: dict[type, Callable[[Any], str]]  # C-level encoder of a one-type column
+    cell: Callable[[Any], str]                  # any value, one at a time
+    row: Callable[[tuple[str, ...]], str]       # fills the row template
+    finite_only: bool                           # refuse nan and +/-inf
+
+
 def _csv_cell(value: Any) -> str:
+    """One value as the README's CSV rule spells it."""
     if value is None:
         return ""
     if isinstance(value, bool):
@@ -401,22 +414,84 @@ def _csv_cell(value: Any) -> str:
     return str(value)
 
 
+def _json_cell(value: Any) -> str:
+    """One value as json.dumps spells it, including its refusals."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None or isinstance(value, bool):
+        return _JSON_CONSTANTS[value]
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if not isfinite(value):
+            raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+        return float.__repr__(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+_JSON_CONSTANTS = {None: "null", False: "false", True: "true"}
+_CSV = _Format(
+    by_type={
+        float: float.__repr__,
+        int: int.__repr__,
+        bool: {False: "false", True: "true"}.__getitem__,
+        str: str,
+        NoneType: {None: ""}.__getitem__,
+    },
+    cell=_csv_cell,
+    row=",".join,
+    finite_only=False,
+)
+_JSON = _Format(
+    by_type={
+        float: float.__repr__,
+        int: int.__repr__,
+        bool: _JSON_CONSTANTS.__getitem__,
+        str: encode_basestring_ascii,
+        NoneType: _JSON_CONSTANTS.__getitem__,
+    },
+    cell=_json_cell,
+    # One object of json.dumps(rows, indent=2): a key per line, four spaces in.
+    row=("  {\n" + ",\n".join(f"    {encode_basestring_ascii(c)}: %s" for c in _COLUMNS) + "\n  }").__mod__,
+    finite_only=True,
+)
+
+
+def _encode_rows(rows: Sequence[ResultRow], fmt: _Format) -> Iterator[str]:
+    """Each row's text in `fmt`, encoded a column at a time.
+
+    A column whose values all have one type is encoded with one map of that
+    type's encoder; mixed columns (mc_rate is a float or None) and any other
+    type go value by value through fmt.cell, which has the same rules. The
+    maps run lazily, row by row, so a refused value is the first in row
+    order, as with json.dumps.
+    """
+    encoded = []
+    for column in zip(*map(_row_values, rows)):
+        kinds = set(map(type, column))
+        encode = fmt.cell
+        if len(kinds) == 1:
+            kind = kinds.pop()
+            if kind is not float or not fmt.finite_only or all(map(isfinite, column)):
+                encode = fmt.by_type.get(kind, fmt.cell)
+        encoded.append(map(encode, column))
+    return map(fmt.row, zip(*encoded))
+
+
 def rows_to_csv(rows: Sequence[ResultRow]) -> str:
     """CSV_HEADER, then one line per row, with LF endings and shortest round-trip floats."""
-    lines = [CSV_HEADER]
-    for row in rows:
-        lines.append(",".join(_csv_cell(v) for v in _row_values(row)))
-    return "\n".join(lines) + "\n"
+    return "\n".join([CSV_HEADER, *_encode_rows(rows, _CSV)]) + "\n"
 
 
 def rows_to_json(rows: Sequence[ResultRow]) -> str:
-    """JSON array of objects with the same keys as the CSV columns.
+    """The bytes of json.dumps(rows as objects, indent=2) plus a newline.
 
-    A non-finite value raises ValueError rather than emitting NaN/Infinity,
-    which are not JSON.
+    Keys are the CSV columns; floats are the same shortest round-trip text
+    as in the CSV. A non-finite value raises ValueError rather than emitting
+    NaN/Infinity, which are not JSON.
     """
-    payload = [dict(zip(_COLUMNS, _row_values(row))) for row in rows]
-    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+    body = ",\n".join(_encode_rows(rows, _JSON))
+    return f"[\n{body}\n]\n" if body else "[]\n"
 
 
 def emit(rows: Sequence[ResultRow], fmt: str = "csv", destination: str | None = None) -> None:

@@ -48,6 +48,8 @@ GRANULARITIES = ("binomial", "per-trial")
 # round's latched pairs, and per-trial mode's rounds x K boolean block, which
 # is chunked to fit. A histogram or a round wider than this is refused.
 _MAX_CELLS = 4_000_000
+# numpy's multinomial takes the round count as a C long.
+_MAX_ROUNDS = 2**63 - 1
 
 
 class FeasibilityError(RuntimeError):
@@ -70,8 +72,8 @@ class McControls:
     trial_granularity: str = "binomial"
 
     def __post_init__(self) -> None:
-        if self.n_rounds < 1:
-            raise ParameterError(f"n_rounds must be >= 1, got {self.n_rounds!r}")
+        if not 1 <= self.n_rounds <= _MAX_ROUNDS:
+            raise ParameterError(f"n_rounds must be in [1, 2**63 - 1], got {self.n_rounds!r}")
         if not 0 <= self.seed < 2**64:
             raise ParameterError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
         if self.trial_granularity not in GRANULARITIES:
@@ -247,6 +249,9 @@ def estimate_rate(point: PointSummary, mc: McControls) -> RateEstimate:
     latched = np.arange(len(hist))
     tr = point.t_round
     elapsed = mc.n_rounds * tr
+    # int64 holds n_rounds * capacity latched pairs only up to 2**63 - 1.
+    if mc.n_rounds * (len(hist) - 1) > _MAX_ROUNDS:
+        hist = hist.astype(object)
     successes = int(hist @ latched)
     if mc.n_rounds > 1:
         mean = successes / mc.n_rounds

@@ -1,10 +1,16 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from entdist.cli import main
 from entdist.harness import CSV_HEADER
 from entdist.swapping import SwapParams, chain_factor, swap_budget
+
+DATA = Path(__file__).resolve().parent / "data"
+AFC_MM_SCAN = ["analytic", "custom", "--set", "scheme=afc-mm",
+               "--set", "L_km=[10,20,30,40,50,60,70,80,90,100,110,120,130,140,150,160,170,180,190]",
+               "--set", "p_m=[0.02,0.5,1]"]
 
 
 def test_list_presets(capsys):
@@ -79,6 +85,9 @@ def test_zero_length_link_is_config_error(capsys):
       "--set", "memory.t_clock_s=1e308"], "t_round"),
     (["run", "custom", "--set", "scheme=ms", "--set", "L_km=10",
       "--set", "memory.N=1e9", "--rounds", "10"], "cells"),
+    (["run", "custom", "--set", "scheme=mm", "--set", "L_km=10",
+      "--set", "mc.n_rounds=1e19"], "n_rounds"),
+    (["run", "fig2a", "--rounds", "9223372036854775808"], "n_rounds"),
 ])
 def test_out_of_range_inputs_are_config_errors(capsys, argv, message, fmt):
     assert main(argv + ["--format", fmt]) == 1
@@ -109,3 +118,15 @@ def test_swap_subcommand_matches_library(capsys):
 
 def test_swap_validation_error(capsys):
     assert main(["swap", "--pairs", "0"]) == 1
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("name, argv", [
+    ("fig5c_analytic", ["analytic", "fig5c"]),
+    # Includes feasible=false rows: the AFC round outlasts the spin coherence.
+    ("afc_mm_scan_analytic", AFC_MM_SCAN),
+])
+def test_stdout_matches_golden_bytes(capsysbinary, name, argv, fmt):
+    # Analytic output only: seeded Monte Carlo bytes are promised per numpy release.
+    assert main(argv + ["--format", fmt]) == 0
+    assert capsysbinary.readouterr().out == (DATA / f"{name}.{fmt}").read_bytes()

@@ -361,6 +361,20 @@ class TestEstimateRate:
     def test_round_count_validated(self):
         with pytest.raises(ParameterError, match="n_rounds"):
             McControls(n_rounds=0)
+        # numpy's multinomial takes the round count as a C long.
+        with pytest.raises(ParameterError, match="n_rounds"):
+            McControls(n_rounds=2**63)
+        assert McControls(n_rounds=2**63 - 1).n_rounds == 2**63 - 1
+
+    def test_largest_round_count_counts_every_pair(self):
+        # 3 pairs in each of 2**63 - 1 rounds overflow int64 successes.
+        perfect = AfcSpec(N_AFC=3, t_rephase=51e-6, t_spin_coherence=1e-3,
+                          p_AFC=1.0, p_pass=1.0, t_clock_prime=1e-8)
+        point = evaluate(SchemeConfig(SchemeKind.AFC_MS, default_link(0.0), perfect, p_m=1.0))
+        estimate = estimate_rate(point, McControls(n_rounds=2**63 - 1))
+        assert estimate.successes == 3 * (2**63 - 1)
+        assert estimate.rate == pytest.approx(3 / point.t_round, rel=1e-12)
+        assert estimate.stderr == 0.0
 
 
 class TestSweep:

@@ -1,9 +1,12 @@
-"""Property tests over randomly drawn valid configs of all five schemes.
+"""Property tests over randomly drawn valid configs of all five schemes,
+and of the CSV/JSON emitters over drawn result rows.
 
-Examples are derandomized, so every run checks the same configs.
+Examples are derandomized, so every run checks the same inputs.
 """
 
+import json
 import math
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, settings
@@ -24,10 +27,12 @@ from entdist.analytic import (
     single_trial_success,
     trials_per_round,
 )
+from entdist.harness import CSV_HEADER, ResultRow, rows_to_csv, rows_to_json
 from entdist.montecarlo import _MAX_CELLS, rng_for_seed, simulate_rounds
 from entdist.params import AfcSpec, LinkParams, MemorySpec, ParameterError
 
 NAMED_ERRORS = (ParameterError, NotApplicableError)
+COLUMNS = [field.name for field in fields(ResultRow)]
 
 probability = st.floats(0.0, 1.0)
 duration_s = st.floats(0.0, 1.0, exclude_min=True)
@@ -139,3 +144,72 @@ def test_histograms_have_one_cell_per_latch_count(cfg, n_rounds, seed):
     hist = simulate_rounds(point, rng_for_seed(seed), n_rounds)
     assert len(hist) == cells <= point.capacity + 1
     assert (hist >= 0).all() and hist.sum() == n_rounds
+
+
+FLOAT_COLUMNS = ("L_km", "p_m", "analytic_rate", "mc_rate", "mc_stderr", "t_round_s")
+finite = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [-0.0, 5e-324, 1e16, 1e22]
+)
+result_rows = st.builds(
+    ResultRow,
+    scheme=st.sampled_from([kind.value for kind in SchemeKind]),
+    L_km=finite,
+    p_m=finite,
+    analytic_rate=finite,
+    mc_rate=st.none() | finite,
+    mc_stderr=st.none() | finite,
+    K=st.integers(0, 2**64 - 1),
+    t_round_s=finite,
+    feasible=st.booleans(),
+    seed=st.integers(0, 2**64 - 1),
+)
+
+
+def readme_csv_cell(value):
+    """The README's CSV rule: repr floats, empty None, true/false, str otherwise."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return repr(value)
+    return str(value)
+
+
+def as_values(row):
+    return [getattr(row, column) for column in COLUMNS]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(rows=st.lists(result_rows, max_size=8))
+def test_emitters_match_the_stdlib_reference(rows):
+    objects = [dict(zip(COLUMNS, as_values(row))) for row in rows]
+    assert rows_to_json(rows) == json.dumps(objects, indent=2, allow_nan=False) + "\n"
+    lines = [",".join(map(readme_csv_cell, as_values(row))) for row in rows]
+    assert rows_to_csv(rows) == "\n".join([CSV_HEADER, *lines]) + "\n"
+
+
+def test_emitters_of_no_rows():
+    assert rows_to_json([]) == json.dumps([], indent=2) + "\n" == "[]\n"
+    assert rows_to_csv([]) == CSV_HEADER + "\n"
+
+
+@pytest.mark.parametrize("column", FLOAT_COLUMNS)
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_json_refuses_non_finite_floats_like_the_stdlib(column, value):
+    row = ResultRow("mm", 10.0, 0.5, 1.0, 2.0, 0.1, 3, 1e-4, True, 7)
+    rows = [row, replace(row, **{column: value})]
+    objects = [dict(zip(COLUMNS, as_values(r))) for r in rows]
+    with pytest.raises(ValueError) as reference:
+        json.dumps(objects, indent=2, allow_nan=False)
+    assert str(reference.value) == f"Out of range float values are not JSON compliant: {value!r}"
+    with pytest.raises(ValueError) as emitted:
+        rows_to_json(rows)
+    assert str(emitted.value) == str(reference.value)
+
+
+def test_json_reports_the_first_non_finite_value_in_row_order():
+    row = ResultRow("mm", 10.0, 0.5, 1.0, 2.0, 0.1, 3, 1e-4, True, 7)
+    rows = [replace(row, t_round_s=math.nan), replace(row, L_km=math.inf)]
+    with pytest.raises(ValueError, match="compliant: nan$"):
+        rows_to_json(rows)
