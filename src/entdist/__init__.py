@@ -12,8 +12,8 @@ from .analytic import (
     SchemeKind,
     analytic_rate,
     capacity,
-    closed_form_ratio,
     evaluate,
+    evaluate_series,
     exact_rate,
     feasibility_check,
     is_rephasing_capped,
@@ -37,12 +37,10 @@ from .harness import (
 )
 from .montecarlo import (
     FeasibilityError,
-    LatchCounts,
     McControls,
     RateEstimate,
     estimate_rate,
     rng_for_seed,
-    simulate_latches,
     simulate_rounds,
     subseed,
     subseeds,

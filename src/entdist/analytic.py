@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Callable, NamedTuple, Sequence
 
 from .params import (
     AfcSpec,
@@ -26,6 +27,7 @@ from .params import (
     LinkParams,
     MemorySpec,
     ParameterError,
+    _require_count,
     derive_probs,
     fiber_transmission,
     t_link,
@@ -36,6 +38,7 @@ __all__ = [
     "SchemeConfig",
     "FeasibilityReport",
     "PointSummary",
+    "SeriesColumns",
     "NotApplicableError",
     "single_trial_success",
     "latch_probability",
@@ -47,8 +50,8 @@ __all__ = [
     "analytic_rate",
     "exact_rate",
     "evaluate",
+    "evaluate_series",
     "rate_ratio",
-    "closed_form_ratio",
     "feasibility_check",
 ]
 
@@ -114,6 +117,8 @@ class SchemeConfig:
                 raise ParameterError("N_A and N_B are required for SR")
             if self.N_A < 1 or self.N_B < 1:
                 raise ParameterError(f"N_A and N_B must be >= 1, got {self.N_A!r}, {self.N_B!r}")
+            _require_count("N_A", self.N_A)
+            _require_count("N_B", self.N_B)
             if self.N_A + self.N_B != 2 * self.memory.N:
                 raise ParameterError(
                     f"N_A + N_B must equal 2N = {2 * self.memory.N}, "
@@ -137,21 +142,20 @@ class FeasibilityReport:
 
 @dataclass(frozen=True, slots=True)
 class PointSummary:
-    """Every analytic quantity of one sweep point, built by evaluate().
+    """One sweep point: its entry of each evaluate_series column, and its config from evaluate().
 
-    The Monte Carlo sampler reads it too, so a point is evaluated once.
-    rate and exact_rate are computed on access and raise ParameterError
-    rather than return a value that is not finite.
+    rate and exact_rate raise ParameterError rather than return a value that
+    is not finite.
     """
 
-    cfg: SchemeConfig
-    probs: DerivedProbs   # the point's probability chain
-    p_single: float       # success probability of one trial
     K: int                # trials per round
+    p_single: float       # success probability of one trial
     capacity: int         # pairs one round can latch at most
     t_round: float        # full synchronization window, s
     capped: bool          # AFC budget limited by the rephasing period
     feasible: bool        # the round fits the spin coherence time
+    rate_or_error: float | ParameterError  # what rate returns, or the error it raises
+    cfg: SchemeConfig | None = None
 
     @property
     def exact_rate(self) -> float:
@@ -160,7 +164,7 @@ class PointSummary:
         No approximation, before the capacity cap (negligible whenever
         K * p_single is well below the memory count).
         """
-        return _finite(self.K * self.p_single / self.t_round)
+        return _exact_rate(self.K, self.p_single, self.t_round)
 
     @property
     def rate(self) -> float:
@@ -175,26 +179,25 @@ class PointSummary:
         Raises ParameterError when t_link is 0 (L = 0): the closed forms
         divide by it. exact_rate, t_round and Monte Carlo work there.
         """
-        cfg, d, mem = self.cfg, self.probs, self.cfg.memory
-        tl = t_link(cfg.link)
-        if tl == 0.0:
-            raise ParameterError("analytic_rate needs L > 0 km: the closed forms divide by t_link")
-        if self.capped:
-            return self.exact_rate
-        if cfg.kind is SchemeKind.MM:
-            rate = mem.N * d.p_BSA * d.p_optical**2 / tl
-        elif cfg.kind is SchemeKind.SR:
-            rate = cfg.N_A * d.p_BSA * d.p_optical**2 / (2.0 * tl)
-        elif cfg.kind is SchemeKind.MS:
-            rate = mem.N * d.p_BSA * d.p_optical / (cfg.ms_sync_factor * tl)
-        elif cfg.kind is SchemeKind.AFC_MM:
-            rate = (mem.N_AFC * d.p_BSA * cfg.p_m * mem.p_AFC
-                    * math.exp(-cfg.link.L / cfg.link.L_att) / tl)
-        else:
-            rate = (mem.N_AFC * mem.p_pass * mem.p_AFC
-                    * fiber_transmission(cfg.link.L, cfg.link.L_att)
-                    / (cfg.ms_sync_factor * tl))
-        return _finite(rate)
+        if isinstance(self.rate_or_error, ParameterError):
+            raise self.rate_or_error
+        return self.rate_or_error
+
+
+class SeriesColumns(NamedTuple):
+    """evaluate_series' result: one entry per (link, p_m) point, links major, in PointSummary's order.
+
+    A point that fails holds its ParameterError in rate, and None in every
+    other column if it could not be evaluated at all.
+    """
+
+    K: list[int | None]
+    p_single: list[float | None]
+    capacity: list[int | None]
+    t_round: list[float | None]
+    capped: list[bool | None]
+    feasible: list[bool | None]
+    rate: list[float | ParameterError]
 
 
 def _finite(rate: float) -> float:
@@ -203,35 +206,47 @@ def _finite(rate: float) -> float:
     return rate
 
 
+def _exact_rate(k: int, p_single: float, t_round: float) -> float:
+    return _finite(k * p_single / t_round)
+
+
 def capacity(cfg: SchemeConfig) -> int:
     """Entangled pairs one round can latch at most (memory or mode count)."""
     if cfg.kind.is_afc:
         return cfg.memory.N_AFC
-    if cfg.kind is SchemeKind.SR:
-        return cfg.N_A
-    return cfg.memory.N
+    return cfg.N_A if cfg.kind is SchemeKind.SR else cfg.memory.N
 
 
-def _single_trial_success(cfg: SchemeConfig, d: DerivedProbs) -> float:
-    if cfg.kind in (SchemeKind.MM, SchemeKind.SR):
-        return d.p_BSA * d.p_optical**2
-    if cfg.kind is SchemeKind.MS:
-        return cfg.p_m * (d.p_BSA * d.p_optical) ** 2
-    if cfg.kind is SchemeKind.AFC_MM:
-        return d.p_BSA * (cfg.p_m * d.p_optical) ** 2
-    # AFC-MS: both halves must pass the non-destructive detectors and latch.
-    return cfg.p_m * (cfg.memory.p_pass * d.p_optical) ** 2
-
-
-def _latch_probability(cfg: SchemeConfig, d: DerivedProbs) -> float:
-    if cfg.kind is SchemeKind.MS:
-        return cfg.p_m * d.p_BSA * d.p_optical
-    if cfg.kind is SchemeKind.AFC_MM:
-        # Source sits next to the memory, so only emission and absorption count.
-        return cfg.p_m * cfg.memory.p_AFC
-    if cfg.kind is SchemeKind.AFC_MS:
-        return cfg.p_m * cfg.memory.p_pass * d.p_optical
-    raise NotApplicableError(f"{cfg.kind.display} has no per-trial latch probability")
+# Each scheme's formulas, over cfg's memory, the probability chain d of one
+# link and the source probability p_m, which need not be cfg's own:
+# evaluate_series runs one cfg over a whole series. tl is t_link, half and
+# full the fiber transmissions over L / 2 and L.
+_SINGLE_TRIAL_SUCCESS: dict[SchemeKind, Callable[..., float]] = {
+    SchemeKind.MM: lambda cfg, d, p_m: d.p_BSA * d.p_optical**2,
+    SchemeKind.SR: lambda cfg, d, p_m: d.p_BSA * d.p_optical**2,
+    SchemeKind.MS: lambda cfg, d, p_m: p_m * (d.p_BSA * d.p_optical) ** 2,
+    SchemeKind.AFC_MM: lambda cfg, d, p_m: d.p_BSA * (p_m * d.p_optical) ** 2,
+    # Both halves must pass the non-destructive detectors and latch.
+    SchemeKind.AFC_MS: lambda cfg, d, p_m: p_m * (cfg.memory.p_pass * d.p_optical) ** 2,
+}
+# Per-trial latch probability of one side, for the schemes that wait for it.
+_LATCH_PROBABILITY: dict[SchemeKind, Callable[..., float]] = {
+    SchemeKind.MS: lambda cfg, d, p_m: p_m * d.p_BSA * d.p_optical,
+    # The source sits next to the memory, so only emission and absorption count.
+    SchemeKind.AFC_MM: lambda cfg, d, p_m: p_m * cfg.memory.p_AFC,
+    SchemeKind.AFC_MS: lambda cfg, d, p_m: p_m * cfg.memory.p_pass * d.p_optical,
+}
+_CLOSED_FORM_RATE: dict[SchemeKind, Callable[..., float]] = {
+    SchemeKind.MM: lambda cfg, d, p_m, tl, half, full: cfg.memory.N * d.p_BSA * d.p_optical**2 / tl,
+    SchemeKind.SR: lambda cfg, d, p_m, tl, half, full: (
+        cfg.N_A * d.p_BSA * d.p_optical**2 / (2.0 * tl)),
+    SchemeKind.MS: lambda cfg, d, p_m, tl, half, full: (
+        cfg.memory.N * d.p_BSA * d.p_optical / (cfg.ms_sync_factor * tl)),
+    SchemeKind.AFC_MM: lambda cfg, d, p_m, tl, half, full: (
+        cfg.memory.N_AFC * d.p_BSA * p_m * cfg.memory.p_AFC * full / tl),
+    SchemeKind.AFC_MS: lambda cfg, d, p_m, tl, half, full: (
+        cfg.memory.N_AFC * cfg.memory.p_pass * cfg.memory.p_AFC * half / (cfg.ms_sync_factor * tl)),
+}
 
 
 def _ceil_ratio(numerator: float, denominator: float) -> int | None:
@@ -240,16 +255,32 @@ def _ceil_ratio(numerator: float, denominator: float) -> int | None:
     return None if ratio == math.inf else math.ceil(ratio)
 
 
-def _afc_budget(cfg: SchemeConfig, d: DerivedProbs) -> tuple[int, bool]:
-    """(trials per round, rephasing-capped) of an AFC config."""
-    k = _ceil_ratio(cfg.memory.N_AFC, _latch_probability(cfg, d))
-    if k is None or k * cfg.memory.t_clock_prime > cfg.memory.t_rephase:
-        return rephasing_cap_trials(cfg.memory), True
+def _waiting_budget(mem: MemorySpec | AfcSpec, p_latch: float) -> tuple[int, bool]:
+    """(trials per round, rephasing-capped) of MS or an AFC scheme; see evaluate_series."""
+    if isinstance(mem, MemorySpec):
+        k = _ceil_ratio(mem.N, p_latch)
+        if k is None:
+            raise ParameterError(f"unbounded trial budget: MS latch probability is {p_latch!r}")
+        return k, False
+    k = _ceil_ratio(mem.N_AFC, p_latch)
+    if k is None or k * mem.t_clock_prime > mem.t_rephase:
+        return rephasing_cap_trials(mem), True
     return k, False
 
 
-def evaluate(cfg: SchemeConfig) -> PointSummary:
-    """Evaluate one sweep point, deriving its probability chain exactly once.
+def _round_budget(mem: AfcSpec, tl: float) -> FeasibilityReport:
+    used = mem.t_rephase + tl
+    return FeasibilityReport(ok=used <= mem.t_spin_coherence, used_s=used,
+                             limit_s=mem.t_spin_coherence)
+
+
+def evaluate_series(cfg: SchemeConfig, links: Sequence[LinkParams],
+                    p_m_values: Sequence[float]) -> SeriesColumns:
+    """Evaluate cfg's scheme and memory at every point of links x p_m_values.
+
+    cfg's own link and p_m are not read; each p_m must be one SchemeConfig
+    accepts. Points come links major, in the order given. The probability
+    chain, t_link and the fiber transmissions are computed once per link.
 
     Trials per round K: MM and SR fire each available memory once. MS sizes
     the budget so the expected latch count fills the memories. AFC budgets
@@ -257,46 +288,56 @@ def evaluate(cfg: SchemeConfig) -> PointSummary:
     the rephasing period. t_round is t_link (twice for SR, whose photons
     cross the whole link and whose reply returns) plus K trial clocks.
 
-    Raises ParameterError for an MS config whose latch probability is zero
-    or too small for a finite budget (no rephasing cap exists there), and
-    for a round time that is not finite in double precision.
+    A point fails where its trial budget or round time is not finite (an MS
+    latch probability of 0 has no rephasing cap to fall back on); its rate
+    alone fails at L = 0 and where the rate is not finite.
     """
-    d = cfg.derived()
-    kind, mem, afc = cfg.kind, cfg.memory, cfg.kind.is_afc
-    capped = False
-    if kind is SchemeKind.MM:
-        k = mem.N
-    elif kind is SchemeKind.SR:
-        k = cfg.N_A
-    elif kind is SchemeKind.MS:
-        p_latch = _latch_probability(cfg, d)
-        k = _ceil_ratio(mem.N, p_latch)
-        if k is None:
-            raise ParameterError(f"unbounded trial budget: MS latch probability is {p_latch!r}")
-    else:
-        k, capped = _afc_budget(cfg, d)
-    tl = t_link(cfg.link)
-    if kind is SchemeKind.SR:
-        t_round = 2.0 * tl + k * mem.t_clock
-    else:
-        t_round = tl + k * (mem.t_clock_prime if afc else mem.t_clock)
-    if not math.isfinite(t_round):
-        raise ParameterError(f"t_round is {t_round!r} s: the inputs exceed double precision")
-    return PointSummary(
-        cfg=cfg,
-        probs=d,
-        p_single=_single_trial_success(cfg, d),
-        K=k,
-        capacity=capacity(cfg),
-        t_round=t_round,
-        capped=capped,
-        feasible=not afc or feasibility_check(cfg).ok,
-    )
+    kind, mem = cfg.kind, cfg.memory
+    single_trial_success, closed_form_rate = _SINGLE_TRIAL_SUCCESS[kind], _CLOSED_FORM_RATE[kind]
+    latch_probability = _LATCH_PROBABILITY.get(kind)
+    t_clock = mem.t_clock_prime if kind.is_afc else mem.t_clock
+    point_capacity = capacity(cfg)
+    points = []
+    for link in links:
+        d = derive_probs(link, mem)
+        tl = t_link(link)
+        flight = 2.0 * tl if kind is SchemeKind.SR else tl
+        half = fiber_transmission(link.L, link.L_att)
+        full = math.exp(-link.L / link.L_att)
+        fits = not kind.is_afc or _round_budget(mem, tl).ok
+        for p_m in p_m_values:
+            try:
+                k, capped = ((point_capacity, False) if latch_probability is None
+                             else _waiting_budget(mem, latch_probability(cfg, d, p_m)))
+                t_round = flight + k * t_clock
+                if not math.isfinite(t_round):
+                    raise ParameterError(f"t_round is {t_round!r} s: the inputs exceed double precision")
+            except ParameterError as exc:
+                points.append((None,) * 6 + (exc,))
+                continue
+            p_single = single_trial_success(cfg, d, p_m)
+            try:
+                if tl == 0.0:
+                    raise ParameterError("analytic_rate needs L > 0 km: the closed forms divide by t_link")
+                rate = (_exact_rate(k, p_single, t_round) if capped
+                        else _finite(closed_form_rate(cfg, d, p_m, tl, half, full)))
+            except ParameterError as exc:
+                rate = exc
+            points.append((k, p_single, point_capacity, t_round, capped, fits, rate))
+    return SeriesColumns(*map(list, zip(*points))) if points else SeriesColumns([], [], [], [], [], [], [])
+
+
+def evaluate(cfg: SchemeConfig) -> PointSummary:
+    """The one-point case of evaluate_series; raises where the point fails, or from .rate."""
+    point = [column[0] for column in evaluate_series(cfg, (cfg.link,), (cfg.p_m,))]
+    if point[0] is None:
+        raise point[-1]
+    return PointSummary(*point, cfg=cfg)
 
 
 def single_trial_success(cfg: SchemeConfig) -> float:
     """Probability that a single trial shares one entangled pair."""
-    return _single_trial_success(cfg, cfg.derived())
+    return _SINGLE_TRIAL_SUCCESS[cfg.kind](cfg, cfg.derived(), cfg.p_m)
 
 
 def latch_probability(cfg: SchemeConfig) -> float:
@@ -305,7 +346,9 @@ def latch_probability(cfg: SchemeConfig) -> float:
     Defined for the waiting schemes (MS, AFC-MM, AFC-MS) whose trial budgets
     are sized from it; MM and SR fire each memory exactly once per round.
     """
-    return _latch_probability(cfg, cfg.derived())
+    if cfg.kind not in _LATCH_PROBABILITY:
+        raise NotApplicableError(f"{cfg.kind.display} has no per-trial latch probability")
+    return _LATCH_PROBABILITY[cfg.kind](cfg, cfg.derived(), cfg.p_m)
 
 
 def rephasing_cap_trials(mem: AfcSpec) -> int:
@@ -318,16 +361,16 @@ def rephasing_cap_trials(mem: AfcSpec) -> int:
 
 def is_rephasing_capped(cfg: SchemeConfig) -> bool:
     """True when the AFC trial budget is limited by the rephasing period."""
-    return cfg.kind.is_afc and _afc_budget(cfg, cfg.derived())[1]
+    return cfg.kind.is_afc and _waiting_budget(cfg.memory, latch_probability(cfg))[1]
 
 
 def trials_per_round(cfg: SchemeConfig) -> int:
-    """Number of trials performed during one synchronization round; see evaluate."""
+    """Number of trials performed during one synchronization round; see evaluate_series."""
     return evaluate(cfg).K
 
 
 def round_time(cfg: SchemeConfig) -> float:
-    """Total synchronization time of one round in seconds; see evaluate."""
+    """Total synchronization time of one round in seconds; see evaluate_series."""
     return evaluate(cfg).t_round
 
 
@@ -354,41 +397,6 @@ def rate_ratio(a: SchemeConfig, b: SchemeConfig) -> float:
     return analytic_rate(a) / denominator
 
 
-def closed_form_ratio(a: SchemeConfig, b: SchemeConfig) -> float:
-    """Specialized closed-form rate ratio for the documented scheme pairs.
-
-    Supported (numerator, denominator) pairs: (MS, MM), (AFC-MS, AFC-MM),
-    (AFC-MM, MS), (AFC-MS, MS). In the uncapped regime each expression equals
-    rate_ratio of the same configs to floating-point accuracy, provided the
-    shared quantities (link, and memory or p_m where they cancel) match.
-    """
-    if a.link != b.link:
-        raise ParameterError("closed_form_ratio requires both configs to share the same link")
-    trans = fiber_transmission(a.link.L, a.link.L_att)
-    pair = (a.kind, b.kind)
-    if pair == (SchemeKind.MS, SchemeKind.MM):
-        if a.memory != b.memory:
-            raise ParameterError("MS/MM ratio assumes both schemes use the same memory")
-        p_memory = a.derived().p_memory
-        return 1.0 / (2.0 * p_memory * trans)
-    if pair == (SchemeKind.AFC_MS, SchemeKind.AFC_MM):
-        if a.memory != b.memory:
-            raise ParameterError("AFC-MS/AFC-MM ratio assumes both schemes use the same memory")
-        p_bsa = a.derived().p_BSA
-        return a.memory.p_pass / (2.0 * p_bsa * b.p_m * trans)
-    if pair == (SchemeKind.AFC_MM, SchemeKind.MS):
-        afc, spin = a.memory, b.memory
-        p_memory = b.derived().p_memory
-        return (2.0 * afc.N_AFC * a.p_m * afc.p_AFC * trans) / (spin.N * p_memory)
-    if pair == (SchemeKind.AFC_MS, SchemeKind.MS):
-        afc, spin = a.memory, b.memory
-        db = b.derived()
-        return (afc.N_AFC * afc.p_AFC * afc.p_pass) / (spin.N * db.p_BSA * db.p_memory)
-    raise NotApplicableError(
-        f"no specialized ratio for ({a.kind.display}, {b.kind.display})"
-    )
-
-
 def feasibility_check(cfg: SchemeConfig) -> FeasibilityReport:
     """Check that one AFC round fits inside the spin coherence time.
 
@@ -398,6 +406,4 @@ def feasibility_check(cfg: SchemeConfig) -> FeasibilityReport:
     """
     if not cfg.kind.is_afc:
         raise NotApplicableError(f"feasibility_check does not apply to {cfg.kind.display}")
-    used = cfg.memory.t_rephase + t_link(cfg.link)
-    limit = cfg.memory.t_spin_coherence
-    return FeasibilityReport(ok=used <= limit, used_s=used, limit_s=limit)
+    return _round_budget(cfg.memory, t_link(cfg.link))

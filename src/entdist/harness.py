@@ -23,6 +23,7 @@ import copy
 import json
 import sys
 from dataclasses import dataclass, fields, replace
+from itertools import pairwise
 from json.encoder import encode_basestring_ascii
 from math import isfinite
 from operator import attrgetter
@@ -32,9 +33,9 @@ from typing import Any, Callable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .analytic import SchemeConfig, SchemeKind, evaluate
+from .analytic import PointSummary, SchemeConfig, SchemeKind, SeriesColumns, evaluate_series
 from .montecarlo import McControls, estimate_rate, subseeds
-from .params import AFC_REALISTIC, LinkParams, MEMORY_PRESETS, MemorySpec, QUANTUM_DOT
+from .params import AFC_REALISTIC, LinkParams, MEMORY_PRESETS, MemorySpec, ParameterError, QUANTUM_DOT
 
 __all__ = [
     "ConfigError",
@@ -136,12 +137,35 @@ def preset_names() -> list[str]:
     return sorted(PRESETS)
 
 
+class _Series(NamedTuple):
+    """cfg's scheme and memory at links x p_m; both sorted stably, by L and by value."""
+
+    cfg: SchemeConfig
+    links: tuple[LinkParams, ...]
+    p_m: tuple[float, ...]
+
+
+def _row_order(series: Sequence[_Series]) -> Sequence[int]:
+    """Row order of the series' points, concatenated: by (scheme, L, p_m), ties in input order."""
+    if len(series) == 1 and all(a.L < b.L for a, b in pairwise(series[0].links)):
+        return range(len(series[0].links) * len(series[0].p_m))  # links x p_m is sorted
+    keys = [(s.cfg.kind.value, link.L, p_m) for s in series for link in s.links for p_m in s.p_m]
+    return sorted(range(len(keys)), key=keys.__getitem__)
+
+
 @dataclass(frozen=True)
 class Scenario:
     name: str
-    points: tuple[SchemeConfig, ...]
+    series: tuple[_Series, ...]
     mc: McControls
     description: str = ""
+
+    @property
+    def points(self) -> tuple[SchemeConfig, ...]:
+        """Every sweep point's config, in row order; built anew on each access."""
+        configs = [replace(s.cfg, link=link, p_m=p_m)
+                   for s in self.series for link in s.links for p_m in s.p_m]
+        return tuple(configs[j] for j in _row_order(self.series))
 
 
 @dataclass(frozen=True, slots=True)
@@ -254,7 +278,7 @@ def _spec_fields(document: Mapping[str, Any], spec: str) -> dict[str, Any]:
     }
 
 
-def _resolve_series(series: Mapping[str, Any]) -> list[SchemeConfig]:
+def _resolve_series(series: Mapping[str, Any]) -> _Series:
     unknown = set(series) - _SERIES_KEYS
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
@@ -275,11 +299,13 @@ def _resolve_series(series: Mapping[str, Any]) -> list[SchemeConfig]:
         memory_fields = _spec_fields(series, "memory")
         memory = replace(memory_fields.pop("kind", QUANTUM_DOT), **memory_fields)
     link_fields = _spec_fields(series, "link")
-    points = []
-    for L in link_fields.pop("L"):
-        link = LinkParams(L=L, **link_fields)
-        points.extend(SchemeConfig(link=link, memory=memory, p_m=p_m, **scheme) for p_m in p_m_values)
-    return points
+    L_values = link_fields.pop("L")
+    # Checked in the order a point-by-point build meets the errors: the first
+    # L, then every p_m with it, then the other L.
+    first = LinkParams(L=L_values[0], **link_fields)
+    configs = [SchemeConfig(link=first, memory=memory, p_m=p_m, **scheme) for p_m in p_m_values]
+    links = [first, *(LinkParams(L=L, **link_fields) for L in L_values[1:])]
+    return _Series(configs[0], tuple(sorted(links, key=attrgetter("L"))), tuple(sorted(p_m_values)))
 
 
 def _apply_overrides(scenario: dict[str, Any], overrides: Mapping[str, Any]) -> None:
@@ -341,16 +367,27 @@ def build_scenario(
     if seed is not None:
         scenario["mc.seed"] = seed
     mc = McControls(**{"n_rounds": 100_000, **_spec_fields(scenario, "mc")})
-    points: list[SchemeConfig] = []
-    for series in scenario["series"]:
-        points.extend(_resolve_series(series))
-    points.sort(key=lambda cfg: (cfg.kind.value, cfg.link.L, cfg.p_m))
     return Scenario(
         name=name,
-        points=tuple(points),
+        series=tuple(_resolve_series(series) for series in scenario["series"]),
         mc=mc,
         description=str(scenario.get("description", "")),
     )
+
+
+def _point_columns(series: Sequence[_Series]) -> dict[str, list[Any]]:
+    """scheme, L_km, p_m and the evaluate_series columns of every point, in row order."""
+    merged = {name: [] for name in ("scheme", "L_km", "p_m", *SeriesColumns._fields)}
+    for s in series:
+        merged["scheme"] += [s.cfg.kind.value] * (len(s.links) * len(s.p_m))
+        merged["L_km"] += [link.L for link in s.links for _ in s.p_m]
+        merged["p_m"] += s.p_m * len(s.links)
+        for name, column in zip(SeriesColumns._fields, evaluate_series(s.cfg, s.links, s.p_m)):
+            merged[name] += column
+    order = _row_order(series)
+    if isinstance(order, range):
+        return merged
+    return {name: [column[j] for j in order] for name, column in merged.items()}
 
 
 def run_scenario(
@@ -362,36 +399,33 @@ def run_scenario(
 ) -> list[ResultRow]:
     """Run a scenario and return one row per sweep point.
 
-    Each point is evaluated once (analytic.evaluate) and gets the analytic
-    closed form and, unless with_mc is False, a Monte Carlo estimate on its
-    own deterministic sub-seed stream; the sub-seeds of all points are
+    Each series is evaluated as a whole (analytic.evaluate_series). Unless
+    with_mc is False, each feasible point then gets a Monte Carlo estimate on
+    its own deterministic sub-seed stream; the sub-seeds of all points are
     computed together. Infeasible AFC points are flagged (feasible=False)
-    with empty Monte Carlo fields rather than aborting the sweep.
+    with empty Monte Carlo fields rather than aborting the sweep. The first
+    failing point raises its ParameterError after the simulations of the
+    points before it (and its own, when only its rate fails).
     """
     scenario = build_scenario(source, overrides=overrides, seed=seed, rounds=rounds)
-    seeds = subseeds(scenario.mc.seed, np.arange(len(scenario.points))).tolist()
-    rows: list[ResultRow] = []
-    for cfg, point_seed in zip(scenario.points, seeds):
-        point = evaluate(cfg)
-        mc_rate = mc_stderr = None
-        if with_mc and point.feasible:
-            estimate = estimate_rate(point, replace(scenario.mc, seed=point_seed))
-            mc_rate, mc_stderr = estimate.rate, estimate.stderr
-        rows.append(
-            ResultRow(
-                scheme=cfg.kind.value,
-                L_km=cfg.link.L,
-                p_m=cfg.p_m,
-                analytic_rate=point.rate,
-                mc_rate=mc_rate,
-                mc_stderr=mc_stderr,
-                K=point.K,
-                t_round_s=point.t_round,
-                feasible=point.feasible,
-                seed=point_seed,
-            )
-        )
-    return rows
+    points = _point_columns(scenario.series)
+    rates = points["rate"]
+    n = len(rates)
+    seeds = subseeds(scenario.mc.seed, np.arange(n)).tolist()
+    failed = next((i for i, rate in enumerate(rates) if isinstance(rate, ParameterError)), n)
+    mc_rate, mc_stderr = [None] * n, [None] * n
+    if with_mc:
+        simulated = failed + (failed < n and points["K"][failed] is not None)
+        evaluated = zip(*(points[name] for name in SeriesColumns._fields))
+        for i, values in zip(range(simulated), evaluated):
+            point = PointSummary(*values)
+            if point.feasible:
+                estimate = estimate_rate(point, replace(scenario.mc, seed=seeds[i]))
+                mc_rate[i], mc_stderr[i] = estimate.rate, estimate.stderr
+    if failed < n:
+        raise rates[failed]
+    return list(map(ResultRow, points["scheme"], points["L_km"], points["p_m"], rates,
+                    mc_rate, mc_stderr, points["K"], points["t_round"], points["feasible"], seeds))
 
 
 class _Format(NamedTuple):

@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 from numpy.typing import ArrayLike
 
-from .analytic import NotApplicableError, PointSummary, SchemeConfig, feasibility_check
+from .analytic import PointSummary, feasibility_check
 from .params import ParameterError
 
 __all__ = [
@@ -32,13 +32,11 @@ __all__ = [
     "FeasibilityError",
     "McControls",
     "RateEstimate",
-    "LatchCounts",
     "rng_for_seed",
     "subseed",
     "subseeds",
     "simulate_rounds",
     "estimate_rate",
-    "simulate_latches",
 ]
 
 DEFAULT_SEED = 42
@@ -92,16 +90,6 @@ class RateEstimate:
     stderr: float      # standard error of the rate over per-round success counts
     n_rounds: int
     seed: int
-
-
-@dataclass(frozen=True, slots=True)
-class LatchCounts:
-    """Side-resolved latch tallies from the explicit midpoint-source sampler."""
-
-    trials: int
-    left: int
-    right: int
-    both: int
 
 
 def rng_for_seed(seed: int) -> np.random.Generator:
@@ -234,9 +222,10 @@ def estimate_rate(point: PointSummary, mc: McControls) -> RateEstimate:
     """Simulate mc.n_rounds rounds of an evaluated point and estimate its rate.
 
     Raises FeasibilityError before simulating when an AFC round cannot fit the
-    spin coherence time. stderr is the ddof=1 standard deviation of the
-    per-round counts (read off the histogram) over sqrt(n_rounds), per
-    t_round; it is 0 for a single round.
+    spin coherence time; its message reads point.cfg, which evaluate sets.
+    stderr is the ddof=1 standard deviation of the per-round counts (read
+    off the histogram) over sqrt(n_rounds), per t_round; it is 0 for a
+    single round.
     """
     if not point.feasible:
         report = feasibility_check(point.cfg)
@@ -266,32 +255,4 @@ def estimate_rate(point: PointSummary, mc: McControls) -> RateEstimate:
         stderr=stderr,
         n_rounds=mc.n_rounds,
         seed=mc.seed,
-    )
-
-
-def simulate_latches(cfg: SchemeConfig, rng: np.random.Generator, n_trials: int) -> LatchCounts:
-    """Explicit left/right latch sampling for the midpoint-source schemes.
-
-    Draws the shared pair emission once per trial and then each side's
-    latch independently, instead of the joint single-trial probability the
-    round samplers use. The `both` tally therefore validates that the joint
-    probability factorizes as p_m times the two one-sided terms.
-    """
-    if not cfg.kind.is_midpoint_source:
-        raise NotApplicableError(
-            f"{cfg.kind.display} has no left/right latch decomposition"
-        )
-    d = cfg.derived()
-    if cfg.kind.is_afc:
-        p_side = cfg.memory.p_pass * d.p_optical
-    else:
-        p_side = d.p_BSA * d.p_optical
-    emitted = rng.random(n_trials) < cfg.p_m
-    left = emitted & (rng.random(n_trials) < p_side)
-    right = emitted & (rng.random(n_trials) < p_side)
-    return LatchCounts(
-        trials=n_trials,
-        left=int(left.sum()),
-        right=int(right.sum()),
-        both=int((left & right).sum()),
     )

@@ -10,6 +10,7 @@ everything here is safe for unrestricted concurrent use.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 __all__ = [
@@ -28,17 +29,7 @@ __all__ = [
     "AFC_REALISTIC",
     "AFC_OPTIMISTIC",
     "MEMORY_PRESETS",
-    "DEFAULT_L_ATT_KM",
-    "DEFAULT_C_KM_PER_S",
-    "DEFAULT_FIBER_INDEX",
-    "DEFAULT_DETECTOR_EFFICIENCY",
 ]
-
-# Fiber and detector defaults shared by every preset.
-DEFAULT_L_ATT_KM = 22.0        # standard fiber attenuation length, km
-DEFAULT_C_KM_PER_S = 2.998e5   # vacuum light speed, km/s
-DEFAULT_FIBER_INDEX = 1.5      # refractive index of the fiber core
-DEFAULT_DETECTOR_EFFICIENCY = 0.8
 
 
 class ParameterError(ValueError):
@@ -58,20 +49,26 @@ def _require_positive(field: str, value: float) -> None:
     _require(value > 0.0, field, f"must be > 0, got {value!r}")
 
 
+def _require_count(field: str, value: int) -> None:
+    """A count >= 1 that converts to a finite float, so rates and budgets stay finite."""
+    _require(value >= 1, field, f"must be >= 1, got {value!r}")
+    _require(value <= sys.float_info.max, field, f"must be at most {sys.float_info.max!r}")
+
+
 @dataclass(frozen=True, slots=True)
 class LinkParams:
-    """Fiber link between two adjacent repeater nodes.
+    """Fiber link between two adjacent repeater nodes; the defaults are every preset's.
 
     L may be zero (co-located nodes) for degenerate boundary cases, where the
     closed-form analytic_rate raises ParameterError; all other parameters
     must be strictly physical.
     """
 
-    L: float                                    # node separation, km
-    L_att: float = DEFAULT_L_ATT_KM             # attenuation length, km
-    n: float = DEFAULT_FIBER_INDEX              # refractive index
-    c: float = DEFAULT_C_KM_PER_S               # vacuum light speed, km/s
-    p_d: float = DEFAULT_DETECTOR_EFFICIENCY    # single-photon detector efficiency
+    L: float              # node separation, km
+    L_att: float = 22.0   # attenuation length of standard fiber, km
+    n: float = 1.5        # refractive index of the fiber core
+    c: float = 2.998e5    # vacuum light speed, km/s
+    p_d: float = 0.8      # single-photon detector efficiency
 
     def __post_init__(self) -> None:
         _require(self.L >= 0.0, "L", f"must be >= 0 km, got {self.L!r}")
@@ -96,7 +93,7 @@ class MemorySpec:
         _require_positive("t_clock", self.t_clock)
         _require_probability("emission_fraction", self.emission_fraction)
         _require_probability("collection_efficiency", self.collection_efficiency)
-        _require(self.N >= 1, "N", f"must be >= 1, got {self.N!r}")
+        _require_count("N", self.N)
 
 
 @dataclass(frozen=True, slots=True)
@@ -115,7 +112,7 @@ class AfcSpec:
     t_clock_prime: float         # time used for one trial, s
 
     def __post_init__(self) -> None:
-        _require(self.N_AFC >= 1, "N_AFC", f"must be >= 1, got {self.N_AFC!r}")
+        _require_count("N_AFC", self.N_AFC)
         _require_positive("t_rephase", self.t_rephase)
         _require(
             self.t_spin_coherence >= self.t_rephase,

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Literal
 
-from .params import ParameterError, _require_probability
+from .params import ParameterError, _require_count, _require_probability
 
 __all__ = [
     "SwapParams",
@@ -42,10 +42,8 @@ class SwapParams:
     i: int = 1                  # number of elementary links in the chain
 
     def __post_init__(self) -> None:
-        if self.J < 1:
-            raise ParameterError(f"J must be >= 1, got {self.J!r}")
-        if self.i < 1:
-            raise ParameterError(f"i must be >= 1, got {self.i!r}")
+        _require_count("J", self.J)
+        _require_count("i", self.i)
         for field in ("p_BSA", "p_pass", "p_AFC"):
             _require_probability(field, getattr(self, field))
         if self.p_emit is not None:
@@ -69,7 +67,8 @@ def swap_budget(p: SwapParams, heralding: Heralding = "perfect") -> SwapBudget:
     Perfect heralding consumes exactly one announced pair per trial; imperfect
     heralding inflates the trial count by 1 / (p_pass * p_AFC) and squares the
     same factor into the per-trial success. K_swap stays real-valued; use
-    ceil_trials when an integer schedule is needed.
+    ceil_trials when an integer schedule is needed. Raises ParameterError
+    for a K_swap past double precision.
     """
     base = p.emit**2 * p.p_BSA
     if heralding == "perfect":
@@ -80,8 +79,12 @@ def swap_budget(p: SwapParams, heralding: Heralding = "perfect") -> SwapBudget:
     confirm = p.p_pass * p.p_AFC
     if confirm == 0.0:
         raise ParameterError("imperfect heralding requires p_pass * p_AFC > 0")
+    k_swap = p.J / confirm
+    # p_swap <= 1 and expected_successes <= J: only K_swap can leave double range.
+    if not math.isfinite(k_swap):
+        raise ParameterError(f"K_swap is {k_swap!r}: the inputs exceed double precision")
     return SwapBudget(
-        K_swap=p.J / confirm,
+        K_swap=k_swap,
         p_swap=confirm**2 * base,
         expected_successes=p.J * confirm * base,
     )

@@ -22,7 +22,6 @@ from entdist.analytic import (
     SchemeKind,
     analytic_rate,
     capacity,
-    closed_form_ratio,
     evaluate,
     feasibility_check,
     is_rephasing_capped,
@@ -48,6 +47,8 @@ from entdist.params import (
     default_link,
 )
 from entdist.swapping import SwapParams, chain_factor, swap_budget
+
+from oracles import closed_form_ratio
 
 ACCEPTANCE_SEED = 3
 REDUCED_ROUNDS = 50_000

@@ -10,7 +10,6 @@ from entdist.analytic import (
     SchemeKind,
     analytic_rate,
     capacity,
-    closed_form_ratio,
     evaluate,
     exact_rate,
     feasibility_check,
@@ -33,6 +32,8 @@ from entdist.params import (
     QUANTUM_DOT,
     default_link,
 )
+
+from oracles import closed_form_ratio
 
 # Frozen expected values (40-digit evaluation of the defining formulas,
 # rounded to nearest double).

@@ -1,10 +1,14 @@
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entdist.cli import main
-from entdist.harness import CSV_HEADER
+from entdist.harness import CSV_HEADER, PRESETS
 from entdist.swapping import SwapParams, chain_factor, swap_budget
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -79,6 +83,9 @@ def test_zero_length_link_is_config_error(capsys):
     assert "L > 0" in capsys.readouterr().err
 
 
+HUGE = str(10**400)  # past the largest double, 1.8e308
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("argv, message", [
     (["analytic", "custom", "--set", "scheme=mm", "--set", "L_km=10",
@@ -88,11 +95,47 @@ def test_zero_length_link_is_config_error(capsys):
     (["run", "custom", "--set", "scheme=mm", "--set", "L_km=10",
       "--set", "mc.n_rounds=1e19"], "n_rounds"),
     (["run", "fig2a", "--rounds", "9223372036854775808"], "n_rounds"),
+    (["swap", "--pairs", "10", "--p-pass", "5e-324", "--p-afc", "1"], "K_swap"),
+    (["swap", "--pairs", HUGE], "J must be at most"),
+    (["analytic", "custom", "--set", "scheme=mm", "--set", "L_km=10",
+      "--set", f"memory.N={HUGE}"], "N must be at most"),
+    (["analytic", "custom", "--set", "scheme=ms", "--set", "L_km=10",
+      "--set", f"memory.N={HUGE}"], "N must be at most"),
+    (["analytic", "custom", "--set", "scheme=afc-mm", "--set", "L_km=10",
+      "--set", f"afc.N_AFC={HUGE}"], "N_AFC must be at most"),
+    (["analytic", "custom", "--set", "scheme=sr", "--set", "L_km=10",
+      "--set", f"memory.N={15 * 10**307}", "--set", f"N_A={25 * 10**307}",
+      "--set", f"N_B={5 * 10**307}"], "N_A must be at most"),
 ])
 def test_out_of_range_inputs_are_config_errors(capsys, argv, message, fmt):
-    assert main(argv + ["--format", fmt]) == 1
+    # swap has no --format: it always writes JSON.
+    assert main(argv if argv[0] == "swap" else argv + ["--format", fmt]) == 1
     captured = capsys.readouterr()
     assert message in captured.err and captured.out == ""
+
+
+SWAP_EDGES = ("0", "5e-324", "1e308", "inf", "nan", str(2**64 + 1), HUGE)
+SWAP_INT_EDGES = ("0", str(2**64 + 1), HUGE)  # what argparse's int() accepts
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(pairs=st.sampled_from(SWAP_INT_EDGES), links=st.sampled_from(SWAP_INT_EDGES),
+       floats=st.fixed_dictionaries({flag: st.none() | st.sampled_from(SWAP_EDGES)
+                                     for flag in ("--p-emit", "--p-bsa", "--p-pass", "--p-afc")}),
+       heralding=st.sampled_from(["perfect", "imperfect"]))
+def test_swap_exits_0_or_1_over_the_edges(pairs, links, floats, heralding):
+    argv = ["swap", "--pairs", pairs, "--links", links, "--heralding", heralding]
+    for flag, value in floats.items():
+        if value is not None:
+            argv += [flag, value]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1), err.getvalue()
+    if code == 0:
+        assert set(json.loads(out.getvalue())) >= {"K_swap", "p_swap", "expected_successes"}
+    else:
+        assert out.getvalue() == "" and "config error" in err.getvalue()
 
 
 def test_unwritable_destination_is_runtime_error(tmp_path, capsys):
@@ -125,8 +168,15 @@ def test_swap_validation_error(capsys):
     ("fig5c_analytic", ["analytic", "fig5c"]),
     # Includes feasible=false rows: the AFC round outlasts the spin coherence.
     ("afc_mm_scan_analytic", AFC_MM_SCAN),
+    *((f"{preset}_analytic", ["analytic", preset])
+      for preset in ("fig2a", "fig2b", "fig2c", "fig5a", "fig5b", "fig5d", "fig6a", "fig6b")),
+    # An SR series and two AFC-MM series whose unsorted L lists interleave and
+    # tie: the seed column pins the order the three series merge in.
+    ("multi_series_analytic", ["analytic", "multi_series"]),
 ])
-def test_stdout_matches_golden_bytes(capsysbinary, name, argv, fmt):
+def test_stdout_matches_golden_bytes(capsysbinary, monkeypatch, name, argv, fmt):
     # Analytic output only: seeded Monte Carlo bytes are promised per numpy release.
+    scenario = json.loads((DATA / "multi_series_scenario.json").read_text())
+    monkeypatch.setitem(PRESETS, "multi_series", scenario)
     assert main(argv + ["--format", fmt]) == 0
     assert capsysbinary.readouterr().out == (DATA / f"{name}.{fmt}").read_bytes()

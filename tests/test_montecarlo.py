@@ -26,7 +26,6 @@ from entdist.montecarlo import (
     _capped_binomial_law,
     estimate_rate,
     rng_for_seed,
-    simulate_latches,
     simulate_rounds,
     subseed,
     subseeds,
@@ -40,6 +39,8 @@ from entdist.params import (
     QUANTUM_DOT,
     default_link,
 )
+
+from oracles import simulate_latches
 
 LINK10 = default_link(10.0)
 

@@ -8,11 +8,12 @@ import json
 import math
 from dataclasses import fields, replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entdist import analytic
+from entdist import analytic, harness
 from entdist.analytic import (
     NotApplicableError,
     SchemeConfig,
@@ -27,9 +28,24 @@ from entdist.analytic import (
     single_trial_success,
     trials_per_round,
 )
-from entdist.harness import CSV_HEADER, ResultRow, rows_to_csv, rows_to_json
-from entdist.montecarlo import _MAX_CELLS, rng_for_seed, simulate_rounds
-from entdist.params import AfcSpec, LinkParams, MemorySpec, ParameterError
+from entdist.harness import (
+    CSV_HEADER,
+    ConfigError,
+    ResultRow,
+    build_scenario,
+    rows_to_csv,
+    rows_to_json,
+    run_scenario,
+)
+from entdist.montecarlo import _MAX_CELLS, rng_for_seed, simulate_rounds, subseeds
+from entdist.params import (
+    AFC_REALISTIC,
+    AfcSpec,
+    LinkParams,
+    MemorySpec,
+    ParameterError,
+    QUANTUM_DOT,
+)
 
 NAMED_ERRORS = (ParameterError, NotApplicableError)
 COLUMNS = [field.name for field in fields(ResultRow)]
@@ -103,6 +119,8 @@ def test_evaluate_matches_the_public_functions(cfg):
         calls += 1
         return derive(*args, **kwargs)
 
+    # evaluate is the one-point case of evaluate_series, which derives the
+    # probability chain once per link.
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(analytic, "derive_probs", counting_derive)
         evaluated = outcome(lambda: evaluate(cfg))
@@ -144,6 +162,113 @@ def test_histograms_have_one_cell_per_latch_count(cfg, n_rounds, seed):
     hist = simulate_rounds(point, rng_for_seed(seed), n_rounds)
     assert len(hist) == cells <= point.capacity + 1
     assert (hist >= 0).all() and hist.sum() == n_rounds
+
+
+VALID_L_KM, EDGE_L_KM = [0.5, 5.0, 10.0, 12.5, 30.0, 190.0], [0.0, -0.0, 1e-310, 1e308, math.inf, -1.0]
+VALID_P_M, EDGE_P_M = [0.02, 0.5, 1.0], [0.0, -0.0, 1e-300, 1.5]
+
+
+@st.composite
+def rarely(draw, common, edges):
+    """A value of common, or about one time in eight a value of edges."""
+    return draw(st.sampled_from(edges if draw(st.integers(0, 7)) == 0 else common))
+
+
+@st.composite
+def axis(draw, common, edges):
+    """An unsorted list with duplicates, holding an edge value about one time in eight."""
+    values = draw(st.lists(st.sampled_from(common), min_size=1, max_size=5))
+    if draw(st.integers(0, 7)) == 0:
+        values.insert(draw(st.integers(0, len(values))), draw(st.sampled_from(edges)))
+    return values
+
+
+@st.composite
+def series_documents(draw, kind):
+    """One series of a flat config, mostly valid, with edge values now and then."""
+    series = {
+        "scheme": kind.value,
+        "L_km": draw(axis(VALID_L_KM, EDGE_L_KM)),
+        "p_m": draw(axis(VALID_P_M, EDGE_P_M)),
+        "p_d": draw(rarely([0.8], [0.0, 1.5])),
+        "ms_sync_factor": draw(st.sampled_from([1, 2])),
+    }
+    if kind.is_afc:
+        series.update({
+            "afc.N_AFC": draw(st.sampled_from([1, 100, 10**6])),
+            "afc.p_AFC": draw(rarely([0.53, 1.0], [0.0])),
+            "afc.t_clock_prime_s": draw(rarely([10e-9], [1e-320])),
+        })
+    else:
+        n = draw(st.sampled_from([1, 3, 10**9]))
+        series.update({"memory.N": n, "memory.t_clock_s": draw(rarely([10e-9], [1e308]))})
+        if kind is SchemeKind.SR:
+            n_a = draw(st.integers(1, 2 * n - 1))
+            series.update({"N_A": n_a, "N_B": 2 * n - n_a})
+    return series
+
+
+def point_by_point(document, master_seed):
+    """Rows of a scenario built, validated and evaluated one point at a time."""
+    configs = []
+    for series in document["series"]:
+        scheme = harness._spec_fields(series, "scheme")
+        p_m_values = scheme.pop("p_m")
+        if scheme["kind"].is_afc:
+            memory = replace(AFC_REALISTIC, **harness._spec_fields(series, "afc"))
+        else:
+            memory = replace(QUANTUM_DOT, **harness._spec_fields(series, "memory"))
+        link = harness._spec_fields(series, "link")
+        configs += [SchemeConfig(link=LinkParams(L=L, **link), memory=memory, p_m=p_m, **scheme)
+                    for L in link.pop("L") for p_m in p_m_values]
+    configs.sort(key=lambda cfg: (cfg.kind.value, cfg.link.L, cfg.p_m))
+    seeds = subseeds(master_seed, np.arange(len(configs))).tolist()
+    rows = []
+    for cfg, seed in zip(configs, seeds):
+        point = evaluate(cfg)
+        rows.append(ResultRow(cfg.kind.value, cfg.link.L, cfg.p_m, point.rate, None, None,
+                              point.K, point.t_round, point.feasible, seed))
+    return configs, rows
+
+
+def refusal(compute):
+    """The value, or the class and message of a named refusal."""
+    try:
+        return compute()
+    except (ConfigError, ParameterError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), kinds=st.lists(st.sampled_from(list(SchemeKind)), min_size=1, max_size=3))
+def test_series_path_equals_the_one_point_path(data, kinds):
+    # Few distinct kinds and L values, so series of one scheme often interleave and tie.
+    document = {"series": [data.draw(series_documents(kind)) for kind in kinds]}
+    links = sum(len(series["L_km"]) for series in document["series"])
+    calls = 0
+    derive = analytic.derive_probs
+
+    def counting_derive(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return derive(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setitem(harness.PRESETS, "drawn", document)
+        patch.setattr(analytic, "derive_probs", counting_derive)
+        rows = refusal(lambda: run_scenario("drawn", with_mc=False))
+        patch.setattr(analytic, "derive_probs", derive)
+        expected = refusal(lambda: point_by_point(document, build_scenario("drawn").mc.seed))
+        points = refusal(lambda: build_scenario("drawn").points)
+    if isinstance(rows, list):
+        # The chain is derived once per link, not once per point.
+        assert calls == links
+    if isinstance(expected, tuple) and isinstance(expected[0], list):
+        configs, expected = expected
+        assert points == tuple(configs)
+    assert rows == expected
+    if isinstance(rows, list):
+        assert rows_to_csv(rows) == rows_to_csv(expected)
 
 
 FLOAT_COLUMNS = ("L_km", "p_m", "analytic_rate", "mc_rate", "mc_stderr", "t_round_s")
