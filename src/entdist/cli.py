@@ -36,6 +36,8 @@ def _parse_set(values: Sequence[str]) -> dict[str, Any]:
             overrides[key] = json.loads(raw)
         except json.JSONDecodeError:
             overrides[key] = raw
+        except ValueError as exc:  # an integer past the int-to-string digit limit
+            raise ConfigError(f"--set {key}: {exc}") from exc
     return overrides
 
 

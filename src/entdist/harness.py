@@ -34,7 +34,7 @@ from typing import Any, Callable, Iterator, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .analytic import PointSummary, SchemeConfig, SchemeKind, SeriesColumns, evaluate_series
-from .montecarlo import McControls, estimate_rate, subseeds
+from .montecarlo import McControls, estimate_series, subseeds
 from .params import AFC_REALISTIC, LinkParams, MEMORY_PRESETS, MemorySpec, ParameterError, QUANTUM_DOT
 
 __all__ = [
@@ -326,6 +326,8 @@ def _load_config_file(path: str) -> dict[str, Any]:
         raise ConfigError(f"cannot read config file {path!r}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"malformed JSON in {path!r}: {exc}") from exc
+    except ValueError as exc:  # text that is not UTF-8, or an integer past the digit limit
+        raise ConfigError(f"config file {path!r}: {exc}") from exc
     if not isinstance(document, dict):
         raise ConfigError(f"config file {path!r} must contain a JSON object")
     return document
@@ -400,9 +402,10 @@ def run_scenario(
     """Run a scenario and return one row per sweep point.
 
     Each series is evaluated as a whole (analytic.evaluate_series). Unless
-    with_mc is False, each feasible point then gets a Monte Carlo estimate on
-    its own deterministic sub-seed stream; the sub-seeds of all points are
-    computed together. Infeasible AFC points are flagged (feasible=False)
+    with_mc is False, one estimate_series call then gives each feasible point
+    a Monte Carlo estimate on the stream of rng_for_seed(row.seed): the PCG64
+    states of every SeedSequence(sub-seed) are derived in one pass and set on
+    one reused generator. Infeasible AFC points are flagged (feasible=False)
     with empty Monte Carlo fields rather than aborting the sweep. The first
     failing point raises its ParameterError after the simulations of the
     points before it (and its own, when only its rate fails).
@@ -416,12 +419,8 @@ def run_scenario(
     mc_rate, mc_stderr = [None] * n, [None] * n
     if with_mc:
         simulated = failed + (failed < n and points["K"][failed] is not None)
-        evaluated = zip(*(points[name] for name in SeriesColumns._fields))
-        for i, values in zip(range(simulated), evaluated):
-            point = PointSummary(*values)
-            if point.feasible:
-                estimate = estimate_rate(point, replace(scenario.mc, seed=seeds[i]))
-                mc_rate[i], mc_stderr[i] = estimate.rate, estimate.stderr
+        evaluated = list(map(PointSummary, *(points[name][:simulated] for name in SeriesColumns._fields)))
+        _, mc_rate[:simulated], mc_stderr[:simulated] = estimate_series(evaluated, seeds[:simulated], scenario.mc)
     if failed < n:
         raise rates[failed]
     return list(map(ResultRow, points["scheme"], points["L_km"], points["p_m"], rates,

@@ -7,18 +7,19 @@ unconsumed memories do not carry over.
 
 Reproducibility contract
 ------------------------
-All randomness comes from numpy's PCG64 (128-bit state) seeded through
-SeedSequence, so identical (config, controls) inputs give bit-identical
-outputs on any platform running the same numpy release. Sweep points draw
-from independent streams whose sub-seeds are a pure function of
-(master seed, point index); see subseeds().
+All randomness comes from numpy's PCG64 (128-bit state) in the state that
+SeedSequence(seed) gives it (derived without one; see _streams()), so
+identical (config, controls) inputs give bit-identical outputs on any
+platform running the same numpy release. Sweep points draw from independent
+streams whose sub-seeds are a pure function of (master seed, point index);
+see subseeds().
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
 from numpy.typing import ArrayLike
@@ -27,8 +28,6 @@ from .analytic import PointSummary, feasibility_check
 from .params import ParameterError
 
 __all__ = [
-    "DEFAULT_SEED",
-    "GRANULARITIES",
     "FeasibilityError",
     "McControls",
     "RateEstimate",
@@ -37,10 +36,11 @@ __all__ = [
     "subseeds",
     "simulate_rounds",
     "estimate_rate",
+    "estimate_series",
 ]
 
-DEFAULT_SEED = 42
-GRANULARITIES = ("binomial", "per-trial")
+_DEFAULT_SEED = 42
+_GRANULARITIES = ("binomial", "per-trial")
 
 # Largest array, in cells, one sampling step allocates: the histogram of a
 # round's latched pairs, and per-trial mode's rounds x K boolean block, which
@@ -66,7 +66,7 @@ class McControls:
     """
 
     n_rounds: int
-    seed: int = DEFAULT_SEED
+    seed: int = _DEFAULT_SEED
     trial_granularity: str = "binomial"
 
     def __post_init__(self) -> None:
@@ -74,9 +74,9 @@ class McControls:
             raise ParameterError(f"n_rounds must be in [1, 2**63 - 1], got {self.n_rounds!r}")
         if not 0 <= self.seed < 2**64:
             raise ParameterError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
-        if self.trial_granularity not in GRANULARITIES:
+        if self.trial_granularity not in _GRANULARITIES:
             raise ParameterError(
-                f"trial_granularity must be one of {GRANULARITIES}, got {self.trial_granularity!r}"
+                f"trial_granularity must be one of {_GRANULARITIES}, got {self.trial_granularity!r}"
             )
 
 
@@ -93,8 +93,13 @@ class RateEstimate:
 
 
 def rng_for_seed(seed: int) -> np.random.Generator:
-    """PCG64 generator seeded through SeedSequence(seed)."""
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    """PCG64(SeedSequence(seed))'s generator, from the derivation sweeps use (_streams).
+
+    So rng_for_seed(row.seed) reproduces a row's stream. seed must lie in [0, 2**64).
+    """
+    if not 0 <= seed < 2**64:
+        raise ParameterError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
+    return next(_streams([seed]))
 
 
 def subseed(master_seed: int, index: int) -> int:
@@ -102,17 +107,41 @@ def subseed(master_seed: int, index: int) -> int:
     return int(subseeds(master_seed, [index])[0])
 
 
-def _seed_hasher(const: int, mult: int) -> Callable[[np.ndarray], np.ndarray]:
-    """numpy SeedSequence's hashmix in wrapping uint32 arithmetic, with its running constant."""
+# The pool hash runs on Python ints (one seed) or on uint32 arrays (many);
+# masking with _M32 wraps an int as uint32 arithmetic wraps by itself.
+_M32 = 0xFFFF_FFFF
 
-    def hashmix(value: np.ndarray) -> np.ndarray:
+
+def _seed_hasher(const: int, mult: int) -> Callable[[Any], Any]:
+    """numpy SeedSequence's hashmix on 32-bit words, with its running constant."""
+
+    def hashmix(value: Any) -> Any:
         nonlocal const
         value = value ^ const
-        const = const * mult & 0xFFFF_FFFF
-        value = value * const
+        const = const * mult & _M32
+        value = value * const & _M32
         return value ^ (value >> 16)
 
     return hashmix
+
+
+def _seed_words(entropy: list[Any], n_words: int) -> list[Any]:
+    """SeedSequence(entropy).generate_state(n_words, np.uint64), element-wise over arrays.
+
+    numpy's pool hash (numpy/random/bit_generator.pyx), bit for bit, on at
+    most 4 entropy words, all ints or all uint32 arrays (which broadcast).
+    The padding is a zero of the same kind; trailing zero words hash like it.
+    """
+    hashmix = _seed_hasher(0x43B0D7E5, 0x931E8875)
+    pool = [hashmix(word) for word in entropy + [entropy[0] & 0] * (4 - len(entropy))]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                mixed = (0xCA01F9DD * pool[dst] - 0x4973F715 * hashmix(pool[src])) & _M32
+                pool[dst] = mixed ^ (mixed >> 16)
+    hashmix = _seed_hasher(0x8B51F9DD, 0x58F38DED)
+    halves = (np.asarray(hashmix(pool[i % 4]), np.uint64) for i in range(2 * n_words))
+    return [low | (high << 32) for low, high in zip(halves, halves)]  # consecutive halves
 
 
 def subseeds(master_seed: int, indices: ArrayLike) -> np.ndarray:
@@ -120,28 +149,51 @@ def subseeds(master_seed: int, indices: ArrayLike) -> np.ndarray:
 
     Splitting function: the first uint64 state word of
     SeedSequence((master_seed, index)); rng_for_seed(sub-seed) reproduces the
-    point's stream. numpy's pool hash (numpy/random/bit_generator.pyx) runs
-    once over the whole index array, bit for bit. master_seed must lie in
-    [0, 2**64) and every index in [0, 2**32), so that the entropy words
-    (master, then index) fit the 4-word pool; ParameterError otherwise.
+    point's stream. numpy's pool hash runs once over the whole index array
+    (_seed_words). master_seed must lie in [0, 2**64) and every index in
+    [0, 2**32), so that the entropy words (master, then index) fit the
+    4-word pool; ParameterError otherwise.
     """
     if not 0 <= master_seed < 2**64:
         raise ParameterError(f"master seed must be a 64-bit unsigned integer, got {master_seed!r}")
     index = np.asarray(indices)
     if index.size and not (index.min() >= 0 and index.max() < 2**32):
         raise ParameterError("sub-seed indices must lie in [0, 2**32)")
-    words = [master_seed & 0xFFFF_FFFF] + ([master_seed >> 32] if master_seed >> 32 else [])
+    words = [master_seed & _M32] + ([master_seed >> 32] if master_seed >> 32 else [])
     entropy = [np.array([w], dtype=np.uint32) for w in words] + [index.astype(np.uint32)]
-    hashmix = _seed_hasher(0x43B0D7E5, 0x931E8875)
-    pool = [hashmix(word) for word in entropy + [np.zeros(1, np.uint32)] * (4 - len(entropy))]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                mixed = 0xCA01F9DD * pool[dst] - 0x4973F715 * hashmix(pool[src])
-                pool[dst] = mixed ^ (mixed >> 16)
-    hashmix = _seed_hasher(0x8B51F9DD, 0x58F38DED)
-    low, high = (hashmix(word).astype(np.uint64) for word in pool[:2])
-    return (low | (high << 32)).reshape(index.shape)
+    return _seed_words(entropy, 1)[0].reshape(index.shape)
+
+
+# PCG64's 128-bit LCG multiplier (PCG_DEFAULT_MULTIPLIER_128 in numpy's pcg64.h).
+_PCG64_MULT = 0x2360ED051FC65DA4_4385DF649FCCF645
+
+
+def _streams(seeds: ArrayLike) -> Iterator[np.random.Generator]:
+    """One generator, set in turn to the state of PCG64(SeedSequence(seed)) of each seed.
+
+    One pool hash gives all seeds' 4 state words w (a seed is its low and
+    high 32 bits); PCG64's setseq rule (pcg_setseq_128_srandom_r) makes
+    inc = 2 * w2:w3 + 1 and state = (w0:w1 + inc) * multiplier + inc, mod
+    2**128. numpy.random is imported here so that analytic runs skip it.
+    """
+    from numpy.random.bit_generator import ISeedSequence
+
+    class NoEntropy(ISeedSequence):  # zero words: the state is set below
+        def generate_state(self, n_words: int, dtype: Any = np.uint32) -> np.ndarray:
+            return np.zeros(n_words, dtype)
+
+    seeds = np.asarray(seeds, dtype=np.uint64)
+    entropy = [(seeds & _M32).astype(np.uint32), (seeds >> 32).astype(np.uint32)]
+    if seeds.size == 1:  # numpy's per-call overhead would dwarf one seed's hash
+        entropy = [word.item() for word in entropy]
+    words = _seed_words(entropy, 4)
+    rng = np.random.Generator(np.random.PCG64(NoEntropy()))
+    for w0, w1, w2, w3 in zip(*(np.atleast_1d(word).tolist() for word in words)):
+        inc = (w2 << 65 | w3 << 1 | 1) % 2**128
+        state = ((w0 << 64 | w1) + inc) * _PCG64_MULT + inc
+        rng.bit_generator.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+                                   "state": {"state": state % 2**128, "inc": inc}}
+        yield rng
 
 
 def _capped_binomial_law(k: int, p: float, cap: int) -> np.ndarray:
@@ -204,7 +256,7 @@ def simulate_rounds(
     if granularity == "binomial":
         return rng.multinomial(n_rounds, _capped_binomial_law(k, p, cap)).astype(np.int64, copy=False)
     if granularity != "per-trial":
-        raise ParameterError(f"trial_granularity must be one of {GRANULARITIES}, got {granularity!r}")
+        raise ParameterError(f"trial_granularity must be one of {_GRANULARITIES}, got {granularity!r}")
     if k > _MAX_CELLS:
         raise ParameterError(
             f"per-trial sampling holds at most {_MAX_CELLS} trials per round, "
@@ -221,11 +273,10 @@ def simulate_rounds(
 def estimate_rate(point: PointSummary, mc: McControls) -> RateEstimate:
     """Simulate mc.n_rounds rounds of an evaluated point and estimate its rate.
 
-    Raises FeasibilityError before simulating when an AFC round cannot fit the
-    spin coherence time; its message reads point.cfg, which evaluate sets.
-    stderr is the ddof=1 standard deviation of the per-round counts (read
-    off the histogram) over sqrt(n_rounds), per t_round; it is 0 for a
-    single round.
+    The one-point case of estimate_series, on the stream of
+    rng_for_seed(mc.seed). Raises FeasibilityError before simulating when an
+    AFC round cannot fit the spin coherence time; its message reads
+    point.cfg, which evaluate sets.
     """
     if not point.feasible:
         report = feasibility_check(point.cfg)
@@ -233,26 +284,30 @@ def estimate_rate(point: PointSummary, mc: McControls) -> RateEstimate:
             f"round budget {report.used_s:.6g} s exceeds spin coherence "
             f"{report.limit_s:.6g} s at L = {point.cfg.link.L} km"
         )
-    rng = rng_for_seed(mc.seed)
-    hist = simulate_rounds(point, rng, mc.n_rounds, mc.trial_granularity)
-    latched = np.arange(len(hist))
-    tr = point.t_round
-    elapsed = mc.n_rounds * tr
-    # int64 holds n_rounds * capacity latched pairs only up to 2**63 - 1.
-    if mc.n_rounds * (len(hist) - 1) > _MAX_ROUNDS:
-        hist = hist.astype(object)
-    successes = int(hist @ latched)
-    if mc.n_rounds > 1:
-        mean = successes / mc.n_rounds
-        variance = float(hist @ (latched - mean) ** 2) / (mc.n_rounds - 1)
-        stderr = math.sqrt(variance / mc.n_rounds) / tr
-    else:
-        stderr = 0.0
-    return RateEstimate(
-        successes=successes,
-        elapsed=elapsed,
-        rate=successes / elapsed,
-        stderr=stderr,
-        n_rounds=mc.n_rounds,
-        seed=mc.seed,
-    )
+    (successes,), (rate,), (stderr,) = estimate_series([point], [mc.seed], mc)
+    return RateEstimate(successes, mc.n_rounds * point.t_round, rate, stderr, mc.n_rounds, mc.seed)
+
+
+def estimate_series(points: Sequence[PointSummary], seeds: Sequence[int], mc: McControls) -> tuple:
+    """Columns of successes, rates and standard errors; None for infeasible points.
+
+    Point i draws on the stream of rng_for_seed(seeds[i]), one reused
+    generator (_streams); mc.seed is not read. rate = successes /
+    (n_rounds * t_round); stderr is the ddof=1 deviation of the per-round
+    counts over sqrt(n_rounds), per t_round (0 for a single round).
+    """
+    n_rounds, n = mc.n_rounds, len(points)
+    successes, rates, stderrs = [None] * n, [None] * n, [None] * n
+    for i, (point, rng) in enumerate(zip(points, _streams(seeds), strict=True)):
+        if not point.feasible:
+            continue
+        hist = simulate_rounds(point, rng, n_rounds, mc.trial_granularity)
+        latched = np.arange(len(hist))
+        # int64 holds n_rounds * capacity latched pairs only up to 2**63 - 1.
+        if n_rounds * (len(hist) - 1) > _MAX_ROUNDS:
+            hist = hist.astype(object)
+        successes[i] = total = int(hist @ latched)
+        rates[i] = total / (n_rounds * point.t_round)
+        variance = float(hist @ (latched - total / n_rounds) ** 2) / max(n_rounds - 1, 1)
+        stderrs[i] = math.sqrt(variance / n_rounds) / point.t_round
+    return successes, rates, stderrs

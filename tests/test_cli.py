@@ -3,6 +3,7 @@ import json
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -114,6 +115,24 @@ def test_out_of_range_inputs_are_config_errors(capsys, argv, message, fmt):
     assert message in captured.err and captured.out == ""
 
 
+LONG_INT = "9" * 5000  # past the int-to-string limit of 4,300 digits
+
+
+@pytest.mark.parametrize("route", ["--set", "config file"])
+def test_oversized_integer_literal_is_config_error(tmp_path, capsys, route):
+    argv = ["analytic", "custom", "--set", "scheme=mm", "--set", "L_km=10",
+            "--set", f"memory.N={LONG_INT}"]
+    named = "--set memory.N"
+    if route == "config file":
+        path = tmp_path / "long_int.json"
+        path.write_text(f'{{"scheme": "mm", "L_km": 10, "memory.N": {LONG_INT}}}')
+        argv, named = ["analytic", str(path)], repr(str(path))
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert named in captured.err and "4300 digits" in captured.err
+
+
 SWAP_EDGES = ("0", "5e-324", "1e308", "inf", "nan", str(2**64 + 1), HUGE)
 SWAP_INT_EDGES = ("0", str(2**64 + 1), HUGE)  # what argparse's int() accepts
 
@@ -180,3 +199,15 @@ def test_stdout_matches_golden_bytes(capsysbinary, monkeypatch, name, argv, fmt)
     monkeypatch.setitem(PRESETS, "multi_series", scenario)
     assert main(argv + ["--format", fmt]) == 0
     assert capsysbinary.readouterr().out == (DATA / f"{name}.{fmt}").read_bytes()
+
+
+# numpy release that wrote fig5c_run.*; seeded Monte Carlo bytes are promised per release.
+GOLDEN_MC_NUMPY = "2.4.6"
+
+
+@pytest.mark.skipif(np.__version__ != GOLDEN_MC_NUMPY,
+                    reason=f"seeded golden bytes were written with numpy {GOLDEN_MC_NUMPY}")
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_seeded_run_matches_golden_bytes(capsysbinary, fmt):
+    assert main(["run", "fig5c", "--seed", "3", "--rounds", "2000", "--format", fmt]) == 0
+    assert capsysbinary.readouterr().out == (DATA / f"fig5c_run.{fmt}").read_bytes()

@@ -1,7 +1,9 @@
 import itertools
+import json
 import math
 import random
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,7 +32,7 @@ from entdist.montecarlo import (
     subseed,
     subseeds,
 )
-from entdist.harness import ConfigError, run_scenario
+from entdist.harness import PRESETS, ConfigError, build_scenario, run_scenario
 from entdist.params import (
     AFC_OPTIMISTIC,
     AFC_REALISTIC,
@@ -144,6 +146,26 @@ class TestSubseeds:
     def test_master_outside_64_bits_rejected(self):
         with pytest.raises(ParameterError, match="master seed"):
             subseeds(2**64, [0])
+
+
+RNG_SEEDS = ([0, 1, 2**32 - 1, 2**32, 2**64 - 1]
+             + [_DRAWN.getrandbits(32) for _ in range(4)] + [_DRAWN.getrandbits(64) for _ in range(8)])
+
+
+class TestRngForSeed:
+    """rng_for_seed derives PCG64's state without a SeedSequence; numpy's own is the oracle."""
+
+    @pytest.mark.parametrize("seed", RNG_SEEDS)
+    def test_matches_pcg64_of_seed_sequence(self, seed):
+        reference = np.random.PCG64(np.random.SeedSequence(seed))
+        rng = rng_for_seed(seed)
+        assert rng.bit_generator.state == reference.state
+        assert np.array_equal(rng.random(1000), np.random.Generator(reference).random(1000))
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_64_bits_rejected(self, seed):
+        with pytest.raises(ParameterError, match="64-bit"):
+            rng_for_seed(seed)
 
 
 class TestRoundOutcomes:
@@ -405,3 +427,23 @@ class TestSweep:
     def test_empty_value_lists_rejected(self):
         with pytest.raises(ConfigError, match="empty"):
             run_scenario("custom", overrides=mm_qd_series([10.0], []), rounds=10)
+
+
+MULTI_SERIES = json.loads((Path(__file__).resolve().parent / "data" / "multi_series_scenario.json").read_text())
+
+
+@pytest.mark.parametrize("granularity", ["binomial", "per-trial"])
+@pytest.mark.parametrize("source", ["multi_series", "fig5c"])
+def test_each_row_reproduces_from_its_seed(monkeypatch, source, granularity):
+    # The README's promise: a row's seed alone reproduces its Monte Carlo
+    # columns, whatever the series around it.
+    monkeypatch.setitem(PRESETS, "multi_series", MULTI_SERIES)
+    settings = dict(source=source, overrides={"mc.trial_granularity": granularity}, seed=3, rounds=300)
+    rows = run_scenario(**settings)
+    configs = build_scenario(**settings).points
+    feasible = [(row, cfg) for row, cfg in zip(rows, configs, strict=True) if row.feasible]
+    assert feasible
+    for row, cfg in feasible:
+        mc = McControls(300, seed=row.seed, trial_granularity=granularity)
+        estimate = estimate_rate(evaluate(cfg), mc)
+        assert (row.mc_rate, row.mc_stderr) == (estimate.rate, estimate.stderr)
