@@ -11,17 +11,10 @@ from .analytic import (
     SchemeConfig,
     SchemeKind,
     analytic_rate,
-    capacity,
     evaluate,
     evaluate_series,
-    exact_rate,
     feasibility_check,
-    is_rephasing_capped,
-    latch_probability,
-    rate_ratio,
-    rephasing_cap_trials,
     round_time,
-    single_trial_success,
     trials_per_round,
 )
 from .harness import (
@@ -57,11 +50,10 @@ from .params import (
     ParameterError,
     QUANTUM_DOT,
     TRAPPED_ION,
-    default_link,
     derive_probs,
     fiber_transmission,
     t_link,
 )
-from .swapping import SwapBudget, SwapParams, ceil_trials, chain_factor, swap_budget
+from .swapping import SwapBudget, SwapParams, chain_factor, swap_budget
 
 __version__ = "0.1.0"

@@ -23,7 +23,6 @@ from typing import Callable, NamedTuple, Sequence
 
 from .params import (
     AfcSpec,
-    DerivedProbs,
     LinkParams,
     MemorySpec,
     ParameterError,
@@ -40,18 +39,11 @@ __all__ = [
     "PointSummary",
     "SeriesColumns",
     "NotApplicableError",
-    "single_trial_success",
-    "latch_probability",
     "trials_per_round",
-    "rephasing_cap_trials",
-    "is_rephasing_capped",
-    "capacity",
     "round_time",
     "analytic_rate",
-    "exact_rate",
     "evaluate",
     "evaluate_series",
-    "rate_ratio",
     "feasibility_check",
 ]
 
@@ -84,13 +76,16 @@ class SchemeKind(str, Enum):
 class SchemeConfig:
     """One fully specified arrangement: scheme, link, memory and source.
 
+    evaluate(cfg) gives every quantity of the point: K, p_single, capacity,
+    t_round, capped, feasible, rate and exact_rate.
+
     N_A / N_B split the 2N memories between sender and receiver and are only
     meaningful (and required) for SR.
 
     ms_sync_factor selects the classical-synchronization convention for the
     midpoint-source rate denominators: 2 reproduces the published closed
     forms, 1 the naive trials-times-probability-per-round derivation. The two
-    differ by exactly that factor; see analytic_rate.
+    rates differ by exactly that factor.
     """
 
     kind: SchemeKind
@@ -126,9 +121,6 @@ class SchemeConfig:
                 )
         elif self.N_A is not None or self.N_B is not None:
             raise ParameterError("N_A / N_B are only meaningful for SR")
-
-    def derived(self) -> DerivedProbs:
-        return derive_probs(self.link, self.memory, self.p_m)
 
 
 @dataclass(frozen=True, slots=True)
@@ -210,13 +202,6 @@ def _exact_rate(k: int, p_single: float, t_round: float) -> float:
     return _finite(k * p_single / t_round)
 
 
-def capacity(cfg: SchemeConfig) -> int:
-    """Entangled pairs one round can latch at most (memory or mode count)."""
-    if cfg.kind.is_afc:
-        return cfg.memory.N_AFC
-    return cfg.N_A if cfg.kind is SchemeKind.SR else cfg.memory.N
-
-
 # Each scheme's formulas, over cfg's memory, the probability chain d of one
 # link and the source probability p_m, which need not be cfg's own:
 # evaluate_series runs one cfg over a whole series. tl is t_link, half and
@@ -264,7 +249,11 @@ def _waiting_budget(mem: MemorySpec | AfcSpec, p_latch: float) -> tuple[int, boo
         return k, False
     k = _ceil_ratio(mem.N_AFC, p_latch)
     if k is None or k * mem.t_clock_prime > mem.t_rephase:
-        return rephasing_cap_trials(mem), True
+        # The largest budget before the first stored photon rephases out.
+        cap = _ceil_ratio(mem.t_rephase, mem.t_clock_prime)
+        if cap is None:
+            raise ParameterError(f"t_clock_prime {mem.t_clock_prime!r} s is too short for a finite budget")
+        return cap, True
     return k, False
 
 
@@ -296,7 +285,8 @@ def evaluate_series(cfg: SchemeConfig, links: Sequence[LinkParams],
     single_trial_success, closed_form_rate = _SINGLE_TRIAL_SUCCESS[kind], _CLOSED_FORM_RATE[kind]
     latch_probability = _LATCH_PROBABILITY.get(kind)
     t_clock = mem.t_clock_prime if kind.is_afc else mem.t_clock
-    point_capacity = capacity(cfg)
+    # Pairs one round can latch at most: the mode count, or the (receiving) memories.
+    point_capacity = mem.N_AFC if kind.is_afc else cfg.N_A if kind is SchemeKind.SR else mem.N
     points = []
     for link in links:
         d = derive_probs(link, mem)
@@ -335,35 +325,6 @@ def evaluate(cfg: SchemeConfig) -> PointSummary:
     return PointSummary(*point, cfg=cfg)
 
 
-def single_trial_success(cfg: SchemeConfig) -> float:
-    """Probability that a single trial shares one entangled pair."""
-    return _SINGLE_TRIAL_SUCCESS[cfg.kind](cfg, cfg.derived(), cfg.p_m)
-
-
-def latch_probability(cfg: SchemeConfig) -> float:
-    """Per-trial probability that one side latches a qubit.
-
-    Defined for the waiting schemes (MS, AFC-MM, AFC-MS) whose trial budgets
-    are sized from it; MM and SR fire each memory exactly once per round.
-    """
-    if cfg.kind not in _LATCH_PROBABILITY:
-        raise NotApplicableError(f"{cfg.kind.display} has no per-trial latch probability")
-    return _LATCH_PROBABILITY[cfg.kind](cfg, cfg.derived(), cfg.p_m)
-
-
-def rephasing_cap_trials(mem: AfcSpec) -> int:
-    """Largest trial budget before the first stored photon rephases out."""
-    cap = _ceil_ratio(mem.t_rephase, mem.t_clock_prime)
-    if cap is None:
-        raise ParameterError(f"t_clock_prime {mem.t_clock_prime!r} s is too short for a finite budget")
-    return cap
-
-
-def is_rephasing_capped(cfg: SchemeConfig) -> bool:
-    """True when the AFC trial budget is limited by the rephasing period."""
-    return cfg.kind.is_afc and _waiting_budget(cfg.memory, latch_probability(cfg))[1]
-
-
 def trials_per_round(cfg: SchemeConfig) -> int:
     """Number of trials performed during one synchronization round; see evaluate_series."""
     return evaluate(cfg).K
@@ -377,24 +338,6 @@ def round_time(cfg: SchemeConfig) -> float:
 def analytic_rate(cfg: SchemeConfig) -> float:
     """Closed-form rate in pairs per second; see PointSummary.rate."""
     return evaluate(cfg).rate
-
-
-def exact_rate(cfg: SchemeConfig) -> float:
-    """K * p_single / t_round with no approximation; see PointSummary.exact_rate.
-
-    Gauges the closed forms' K t_clock << t_link approximation point by point.
-    """
-    return evaluate(cfg).exact_rate
-
-
-def rate_ratio(a: SchemeConfig, b: SchemeConfig) -> float:
-    """analytic_rate(a) / analytic_rate(b) for two configs on the same link."""
-    if a.link != b.link:
-        raise ParameterError("rate_ratio requires both configs to share the same link")
-    denominator = analytic_rate(b)
-    if denominator == 0.0:
-        raise ParameterError("rate_ratio: denominator scheme has zero rate")
-    return analytic_rate(a) / denominator
 
 
 def feasibility_check(cfg: SchemeConfig) -> FeasibilityReport:

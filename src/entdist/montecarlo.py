@@ -8,7 +8,7 @@ unconsumed memories do not carry over.
 Reproducibility contract
 ------------------------
 All randomness comes from numpy's PCG64 (128-bit state) in the state that
-SeedSequence(seed) gives it (derived without one; see _streams()), so
+SeedSequence(seed) gives it (derived by hand; see _streams()), so
 identical (config, controls) inputs give bit-identical outputs on any
 platform running the same numpy release. Sweep points draw from independent
 streams whose sub-seeds are a pure function of (master seed, point index);
@@ -25,7 +25,7 @@ import numpy as np
 from numpy.typing import ArrayLike
 
 from .analytic import PointSummary, feasibility_check
-from .params import ParameterError
+from .params import ParameterError, _is_integer
 
 __all__ = [
     "FeasibilityError",
@@ -70,9 +70,9 @@ class McControls:
     trial_granularity: str = "binomial"
 
     def __post_init__(self) -> None:
-        if not 1 <= self.n_rounds <= _MAX_ROUNDS:
-            raise ParameterError(f"n_rounds must be in [1, 2**63 - 1], got {self.n_rounds!r}")
-        if not 0 <= self.seed < 2**64:
+        if not (_is_integer(self.n_rounds) and 1 <= self.n_rounds <= _MAX_ROUNDS):
+            raise ParameterError(f"n_rounds must be an integer in [1, 2**63 - 1], got {self.n_rounds!r}")
+        if not (_is_integer(self.seed) and 0 <= self.seed < 2**64):
             raise ParameterError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
         if self.trial_granularity not in _GRANULARITIES:
             raise ParameterError(
@@ -95,9 +95,9 @@ class RateEstimate:
 def rng_for_seed(seed: int) -> np.random.Generator:
     """PCG64(SeedSequence(seed))'s generator, from the derivation sweeps use (_streams).
 
-    So rng_for_seed(row.seed) reproduces a row's stream. seed must lie in [0, 2**64).
+    So rng_for_seed(row.seed) reproduces a row's stream. seed must be an integer in [0, 2**64).
     """
-    if not 0 <= seed < 2**64:
+    if not (_is_integer(seed) and 0 <= seed < 2**64):
         raise ParameterError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
     return next(_streams([seed]))
 
@@ -150,15 +150,15 @@ def subseeds(master_seed: int, indices: ArrayLike) -> np.ndarray:
     Splitting function: the first uint64 state word of
     SeedSequence((master_seed, index)); rng_for_seed(sub-seed) reproduces the
     point's stream. numpy's pool hash runs once over the whole index array
-    (_seed_words). master_seed must lie in [0, 2**64) and every index in
-    [0, 2**32), so that the entropy words (master, then index) fit the
-    4-word pool; ParameterError otherwise.
+    (_seed_words). master_seed must be an integer in [0, 2**64) and every
+    index an integer in [0, 2**32), so that the entropy words (master, then
+    index) fit the 4-word pool; ParameterError otherwise.
     """
-    if not 0 <= master_seed < 2**64:
+    if not (_is_integer(master_seed) and 0 <= master_seed < 2**64):
         raise ParameterError(f"master seed must be a 64-bit unsigned integer, got {master_seed!r}")
     index = np.asarray(indices)
-    if index.size and not (index.min() >= 0 and index.max() < 2**32):
-        raise ParameterError("sub-seed indices must lie in [0, 2**32)")
+    if index.size and not (index.dtype.kind in "iu" and index.min() >= 0 and index.max() < 2**32):
+        raise ParameterError("sub-seed indices must be integers in [0, 2**32)")
     words = [master_seed & _M32] + ([master_seed >> 32] if master_seed >> 32 else [])
     entropy = [np.array([w], dtype=np.uint32) for w in words] + [index.astype(np.uint32)]
     return _seed_words(entropy, 1)[0].reshape(index.shape)
@@ -174,20 +174,14 @@ def _streams(seeds: ArrayLike) -> Iterator[np.random.Generator]:
     One pool hash gives all seeds' 4 state words w (a seed is its low and
     high 32 bits); PCG64's setseq rule (pcg_setseq_128_srandom_r) makes
     inc = 2 * w2:w3 + 1 and state = (w0:w1 + inc) * multiplier + inc, mod
-    2**128. numpy.random is imported here so that analytic runs skip it.
+    2**128. numpy.random is first loaded here, so that analytic runs skip it.
     """
-    from numpy.random.bit_generator import ISeedSequence
-
-    class NoEntropy(ISeedSequence):  # zero words: the state is set below
-        def generate_state(self, n_words: int, dtype: Any = np.uint32) -> np.ndarray:
-            return np.zeros(n_words, dtype)
-
     seeds = np.asarray(seeds, dtype=np.uint64)
     entropy = [(seeds & _M32).astype(np.uint32), (seeds >> 32).astype(np.uint32)]
     if seeds.size == 1:  # numpy's per-call overhead would dwarf one seed's hash
         entropy = [word.item() for word in entropy]
     words = _seed_words(entropy, 4)
-    rng = np.random.Generator(np.random.PCG64(NoEntropy()))
+    rng = np.random.Generator(np.random.PCG64(0))  # its state is set below
     for w0, w1, w2, w3 in zip(*(np.atleast_1d(word).tolist() for word in words)):
         inc = (w2 << 65 | w3 << 1 | 1) % 2**128
         state = ((w0 << 64 | w1) + inc) * _PCG64_MULT + inc

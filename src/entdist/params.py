@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from numbers import Integral
 
 __all__ = [
     "ParameterError",
@@ -22,7 +23,6 @@ __all__ = [
     "derive_probs",
     "t_link",
     "fiber_transmission",
-    "default_link",
     "TRAPPED_ION",
     "DIAMOND_NV",
     "QUANTUM_DOT",
@@ -49,8 +49,14 @@ def _require_positive(field: str, value: float) -> None:
     _require(value > 0.0, field, f"must be > 0, got {value!r}")
 
 
+def _is_integer(value: object) -> bool:
+    """A Python or numpy integer; a bool or a float, even an integral one, is not."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
 def _require_count(field: str, value: int) -> None:
-    """A count >= 1 that converts to a finite float, so rates and budgets stay finite."""
+    """An integer >= 1 that converts to a finite float, so rates and budgets stay finite."""
+    _require(_is_integer(value), field, f"must be an integer, got {value!r}")
     _require(value >= 1, field, f"must be >= 1, got {value!r}")
     _require(value <= sys.float_info.max, field, f"must be at most {sys.float_info.max!r}")
 
@@ -137,7 +143,6 @@ class DerivedProbs:
     p_BSA: float             # linear-optics Bell measurement success, p_d^2 / 2
     p_memory: float          # photon emitted (or absorbed) and coupled
     p_optical: float         # end-to-end photon success over half the link
-    p_m: float               # entangled-pair generation probability per clock
 
 
 def fiber_transmission(L: float, L_att: float) -> float:
@@ -150,25 +155,18 @@ def t_link(link: LinkParams) -> float:
     return link.n * link.L / link.c
 
 
-def derive_probs(link: LinkParams, mem: MemorySpec | AfcSpec, p_m: float = 1.0) -> DerivedProbs:
+def derive_probs(link: LinkParams, mem: MemorySpec | AfcSpec) -> DerivedProbs:
     """Derive the full probability chain for one link/memory combination.
 
-    Pure and deterministic. Raises ParameterError naming the offending field
-    when any input violates its invariant.
+    Pure and deterministic; the validated link and memory need no checks.
     """
-    _require_probability("p_m", p_m)
     trans = fiber_transmission(link.L, link.L_att)
     p_bsa = link.p_d**2 / 2.0
     if isinstance(mem, AfcSpec):
         base = mem.p_AFC
     else:
         base = mem.emission_fraction * mem.collection_efficiency
-    return DerivedProbs(p_BSA=p_bsa, p_memory=base, p_optical=base * trans, p_m=p_m)
-
-
-def default_link(L_km: float) -> LinkParams:
-    """Link at distance L_km with the standard fiber and detector constants."""
-    return LinkParams(L=L_km)
+    return DerivedProbs(p_BSA=p_bsa, p_memory=base, p_optical=base * trans)
 
 
 # Memory performance presets (cycle time, emission fraction, collection

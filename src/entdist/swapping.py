@@ -20,7 +20,6 @@ __all__ = [
     "SwapBudget",
     "swap_budget",
     "chain_factor",
-    "ceil_trials",
 ]
 
 Heralding = Literal["perfect", "imperfect"]
@@ -66,8 +65,8 @@ def swap_budget(p: SwapParams, heralding: Heralding = "perfect") -> SwapBudget:
 
     Perfect heralding consumes exactly one announced pair per trial; imperfect
     heralding inflates the trial count by 1 / (p_pass * p_AFC) and squares the
-    same factor into the per-trial success. K_swap stays real-valued; use
-    ceil_trials when an integer schedule is needed. Raises ParameterError
+    same factor into the per-trial success. K_swap stays real-valued;
+    math.ceil(budget.K_swap) is the integer schedule. Raises ParameterError
     for a K_swap past double precision.
     """
     base = p.emit**2 * p.p_BSA
@@ -93,8 +92,3 @@ def swap_budget(p: SwapParams, heralding: Heralding = "perfect") -> SwapBudget:
 def chain_factor(p: SwapParams) -> float:
     """Rate penalty of imperfect heralding after swapping over i links."""
     return (p.p_pass * p.p_AFC) ** (p.i - 1)
-
-
-def ceil_trials(budget: SwapBudget) -> int:
-    """Integer trial count for a real-valued budget."""
-    return math.ceil(budget.K_swap)

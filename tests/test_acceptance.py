@@ -21,13 +21,8 @@ from entdist.analytic import (
     SchemeConfig,
     SchemeKind,
     analytic_rate,
-    capacity,
     evaluate,
     feasibility_check,
-    is_rephasing_capped,
-    rate_ratio,
-    single_trial_success,
-    trials_per_round,
 )
 from entdist.harness import PRESETS, build_scenario, rows_to_csv, run_scenario
 from entdist.montecarlo import (
@@ -44,7 +39,6 @@ from entdist.params import (
     LinkParams,
     MemorySpec,
     QUANTUM_DOT,
-    default_link,
 )
 from entdist.swapping import SwapParams, chain_factor, swap_budget
 
@@ -53,8 +47,8 @@ from oracles import closed_form_ratio
 ACCEPTANCE_SEED = 3
 REDUCED_ROUNDS = 50_000
 
-LINK10 = default_link(10.0)
-LINK50 = default_link(50.0)
+LINK10 = LinkParams(L=10.0)
+LINK50 = LinkParams(L=50.0)
 
 
 def _report(criterion: int, message: str) -> None:
@@ -132,7 +126,7 @@ def test_criterion_2_headline_ratio():
     afc = SchemeConfig(SchemeKind.AFC_MS, LINK10, AFC_REALISTIC, p_m=0.5)
     spin = SchemeConfig(SchemeKind.MS, LINK10, QUANTUM_DOT, p_m=0.5)
     specialized = closed_form_ratio(afc, spin)
-    generic = rate_ratio(afc, spin)
+    generic = evaluate(afc).rate / evaluate(spin).rate
     for value in (specialized, generic):
         assert abs(value - 110.0) <= 1.0, f"ratio {value} outside 110 +- 1"
     assert specialized == pytest.approx(generic, rel=1e-12)
@@ -174,7 +168,7 @@ def _sr_points(rounds):
                "nv": MemorySpec("nv", 100e-9, 0.5, 0.5, N=3),
                "quantum-dot": QUANTUM_DOT}[kind]
         for index, L in enumerate([5.0, 20.0, 35.0, 50.0]):
-            cfg = SchemeConfig(SchemeKind.SR, default_link(L), mem, N_A=3, N_B=3)
+            cfg = SchemeConfig(SchemeKind.SR, LinkParams(L=L), mem, N_A=3, N_B=3)
             mc = McControls(n_rounds=rounds, seed=subseed(ACCEPTANCE_SEED, 1000 + index))
             out.append((cfg, estimate_rate(evaluate(cfg), mc)))
     return out
@@ -187,8 +181,8 @@ def _check_mc_agreement(rounds=None):
         points = build_scenario(preset, rounds=rounds, seed=ACCEPTANCE_SEED).points
         for cfg, row in zip(points, rows):
             assert (cfg.kind.value, cfg.link.L, cfg.p_m) == (row.scheme, row.L_km, row.p_m)
-            p = single_trial_success(cfg)
-            exact = _capped_binomial_mean(row.K, p, capacity(cfg)) / row.t_round_s
+            point = evaluate(cfg)
+            exact = _capped_binomial_mean(row.K, point.p_single, point.capacity) / row.t_round_s
             if cfg.kind.is_midpoint_source:
                 reference = exact
             else:
@@ -202,7 +196,7 @@ def _check_mc_agreement(rounds=None):
             # K t_clock << t_link approximation gap (vs the exact expectation)
             # is what broke it, never on a fig2 point or a capped budget.
             assert not preset.startswith("fig2"), (preset, row)
-            assert not is_rephasing_capped(cfg), (preset, row)
+            assert not point.capped, (preset, row)
             gap = abs(reference - exact)
             assert gap > 0.005 * reference, (preset, row, gap)
             exact_tol = max(3.0 * row.mc_stderr, 0.005 * exact)
@@ -210,10 +204,10 @@ def _check_mc_agreement(rounds=None):
             assert abs(row.mc_rate - reference) <= tolerance + gap, (preset, row)
             explained += 1
     for cfg, estimate in _sr_points(rounds or 50_000):
-        exact = (_capped_binomial_mean(trials_per_round(cfg), single_trial_success(cfg),
-                                       capacity(cfg)) / (2 * cfg.link.n * cfg.link.L / cfg.link.c
-                                                         + cfg.N_A * cfg.memory.t_clock))
-        reference = analytic_rate(cfg)
+        point = evaluate(cfg)
+        exact = (_capped_binomial_mean(point.K, point.p_single, point.capacity)
+                 / (2 * cfg.link.n * cfg.link.L / cfg.link.c + cfg.N_A * cfg.memory.t_clock))
+        reference = point.rate
         tolerance = max(3.0 * estimate.stderr, 0.005 * reference)
         checked += 1
         if abs(estimate.rate - reference) <= tolerance:
@@ -320,12 +314,12 @@ def test_criterion_6b_rates_monotone_in_distance():
             assert a >= b, label
 
     for make, label in [
-        (lambda L: SchemeConfig(SchemeKind.MM, default_link(L), QUANTUM_DOT), "mm"),
-        (lambda L: SchemeConfig(SchemeKind.SR, default_link(L), QUANTUM_DOT, N_A=3, N_B=3), "sr"),
-        (lambda L: SchemeConfig(SchemeKind.MS, default_link(L), QUANTUM_DOT, p_m=0.5), "ms"),
-        (lambda L: SchemeConfig(SchemeKind.AFC_MM, default_link(L), AFC_REALISTIC, p_m=0.5), "afc-mm"),
-        (lambda L: SchemeConfig(SchemeKind.AFC_MM, default_link(L), AFC_REALISTIC, p_m=0.02), "afc-mm capped"),
-        (lambda L: SchemeConfig(SchemeKind.AFC_MS, default_link(L), AFC_OPTIMISTIC, p_m=0.5,
+        (lambda L: SchemeConfig(SchemeKind.MM, LinkParams(L=L), QUANTUM_DOT), "mm"),
+        (lambda L: SchemeConfig(SchemeKind.SR, LinkParams(L=L), QUANTUM_DOT, N_A=3, N_B=3), "sr"),
+        (lambda L: SchemeConfig(SchemeKind.MS, LinkParams(L=L), QUANTUM_DOT, p_m=0.5), "ms"),
+        (lambda L: SchemeConfig(SchemeKind.AFC_MM, LinkParams(L=L), AFC_REALISTIC, p_m=0.5), "afc-mm"),
+        (lambda L: SchemeConfig(SchemeKind.AFC_MM, LinkParams(L=L), AFC_REALISTIC, p_m=0.02), "afc-mm capped"),
+        (lambda L: SchemeConfig(SchemeKind.AFC_MS, LinkParams(L=L), AFC_OPTIMISTIC, p_m=0.5,
                                 ms_sync_factor=1), "afc-ms factor 1"),
     ]:
         assert_monotone([analytic_rate(make(L)) for L in grid], label)
@@ -334,9 +328,9 @@ def test_criterion_6b_rates_monotone_in_distance():
     # denominator that the capped fallback K p / t_round does not carry, so
     # the factor-2 AFC-MS curve is monotone within each budget regime but
     # steps upward where the rephasing cap starts to bind.
-    factor2 = [SchemeConfig(SchemeKind.AFC_MS, default_link(L), AFC_OPTIMISTIC, p_m=0.5)
+    factor2 = [SchemeConfig(SchemeKind.AFC_MS, LinkParams(L=L), AFC_OPTIMISTIC, p_m=0.5)
                for L in grid]
-    capped_flags = [is_rephasing_capped(cfg) for cfg in factor2]
+    capped_flags = [evaluate(cfg).capped for cfg in factor2]
     rates = [analytic_rate(cfg) for cfg in factor2]
     for (flag_a, rate_a), (flag_b, rate_b) in zip(
         zip(capped_flags, rates), zip(capped_flags[1:], rates[1:])
@@ -380,7 +374,7 @@ def test_criterion_6c_rates_monotone_in_efficiencies():
             p_pass=rng.uniform(0.05, 1.0),
             t_clock_prime=10e-9,
         )
-        link = default_link(rng.uniform(1.0, 50.0))
+        link = LinkParams(L=rng.uniform(1.0, 50.0))
         p_m = rng.uniform(0.05, 1.0)
         for scheme, factor in [(SchemeKind.AFC_MM, 2), (SchemeKind.AFC_MS, 1)]:
             base = SchemeConfig(scheme, link, afc, p_m=p_m, ms_sync_factor=factor)
@@ -394,16 +388,16 @@ def test_criterion_6c_rates_monotone_in_efficiencies():
 
 def test_criterion_6d_capacity_never_exceeded():
     cases = [
-        SchemeConfig(SchemeKind.MS, default_link(5.0), replace(QUANTUM_DOT, N=1), p_m=1.0),
-        SchemeConfig(SchemeKind.MS, default_link(5.0), QUANTUM_DOT, p_m=1.0),
-        SchemeConfig(SchemeKind.AFC_MS, default_link(5.0), AFC_REALISTIC, p_m=1.0),
-        SchemeConfig(SchemeKind.AFC_MM, default_link(10.0),
+        SchemeConfig(SchemeKind.MS, LinkParams(L=5.0), replace(QUANTUM_DOT, N=1), p_m=1.0),
+        SchemeConfig(SchemeKind.MS, LinkParams(L=5.0), QUANTUM_DOT, p_m=1.0),
+        SchemeConfig(SchemeKind.AFC_MS, LinkParams(L=5.0), AFC_REALISTIC, p_m=1.0),
+        SchemeConfig(SchemeKind.AFC_MM, LinkParams(L=10.0),
                      replace(AFC_REALISTIC, N_AFC=1), p_m=1.0),
     ]
     for index, cfg in enumerate(cases):
         rng = rng_for_seed(subseed(ACCEPTANCE_SEED, 2000 + index))
         counts = simulate_rounds(evaluate(cfg), rng, 30_000)
-        assert len(counts) <= capacity(cfg) + 1, cfg
+        assert len(counts) <= evaluate(cfg).capacity + 1, cfg
         assert counts.sum() == 30_000, cfg
     _report(6, "per-round successes never exceed the memory/mode capacity")
 

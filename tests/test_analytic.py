@@ -9,16 +9,9 @@ from entdist.analytic import (
     SchemeConfig,
     SchemeKind,
     analytic_rate,
-    capacity,
     evaluate,
-    exact_rate,
     feasibility_check,
-    is_rephasing_capped,
-    latch_probability,
-    rate_ratio,
-    rephasing_cap_trials,
     round_time,
-    single_trial_success,
     trials_per_round,
 )
 from entdist.montecarlo import McControls, estimate_rate
@@ -30,10 +23,10 @@ from entdist.params import (
     MemorySpec,
     ParameterError,
     QUANTUM_DOT,
-    default_link,
+    derive_probs,
 )
 
-from oracles import closed_form_ratio
+from oracles import closed_form_ratio, latch_probability
 
 # Frozen expected values (40-digit evaluation of the defining formulas,
 # rounded to nearest double).
@@ -48,8 +41,8 @@ RATIO_AFCMS_MS = 110.41666666666667
 BUDGET_USED_L50 = 0.0003011667778519013
 BUDGET_USED_L190 = 0.0010016337558372249
 
-LINK10 = default_link(10.0)
-LINK50 = default_link(50.0)
+LINK10 = LinkParams(L=10.0)
+LINK50 = LinkParams(L=50.0)
 
 
 def mm(link=LINK10, memory=QUANTUM_DOT, **kw):
@@ -99,30 +92,33 @@ class TestConfigValidation:
 
 class TestSingleTrialSuccess:
     def test_mm_value(self):
-        assert single_trial_success(mm()) == pytest.approx(P_SINGLE_MM_QD_L10, rel=1e-12)
+        assert evaluate(mm()).p_single == pytest.approx(P_SINGLE_MM_QD_L10, rel=1e-12)
 
     def test_sr_equals_mm(self):
-        assert single_trial_success(sr()) == single_trial_success(mm())
+        assert evaluate(sr()).p_single == evaluate(mm()).p_single
 
     def test_ms_joint_probability(self):
         # p_m (p_BSA p_optical)^2 with both sides latching on the same trial.
-        probs = ms().derived()
+        probs = derive_probs(LINK10, QUANTUM_DOT)
         expected = 0.5 * (probs.p_BSA * probs.p_optical) ** 2
-        assert single_trial_success(ms()) == pytest.approx(expected, rel=1e-15)
+        assert evaluate(ms()).p_single == pytest.approx(expected, rel=1e-15)
 
     def test_afc_ms_value(self):
-        assert single_trial_success(afc_ms()) == pytest.approx(P_SINGLE_AFCMS_L10, rel=1e-12)
+        assert evaluate(afc_ms()).p_single == pytest.approx(P_SINGLE_AFCMS_L10, rel=1e-12)
 
     def test_zero_detector_kills_bsa_schemes(self):
         dead = replace(LINK10, p_d=0.0)
-        assert single_trial_success(mm(link=dead)) == 0.0
-        assert single_trial_success(sr(link=dead)) == 0.0
-        assert single_trial_success(afc_mm(link=dead)) == 0.0
+        assert evaluate(mm(link=dead)).p_single == 0.0
+        assert evaluate(sr(link=dead)).p_single == 0.0
+        assert evaluate(afc_mm(link=dead)).p_single == 0.0
 
     def test_zero_pair_source_kills_source_schemes(self):
-        assert single_trial_success(ms(p_m=0.0)) == 0.0
-        assert single_trial_success(afc_mm(p_m=0.0)) == 0.0
-        assert single_trial_success(afc_ms(p_m=0.0)) == 0.0
+        # MS has no finite budget at p_m = 0 (see TestTrialBudgets), so its
+        # p_single is shown to vanish linearly with p_m instead.
+        assert evaluate(ms(p_m=1e-300)).p_single == pytest.approx(
+            1e-300 * evaluate(ms(p_m=1.0)).p_single, rel=1e-12)
+        assert evaluate(afc_mm(p_m=0.0)).p_single == 0.0
+        assert evaluate(afc_ms(p_m=0.0)).p_single == 0.0
 
 
 class TestTrialBudgets:
@@ -136,15 +132,16 @@ class TestTrialBudgets:
     def test_afc_mm_budget(self):
         cfg = afc_mm()
         assert trials_per_round(cfg) == 378
-        assert not is_rephasing_capped(cfg)
+        assert not evaluate(cfg).capped
 
     def test_afc_ms_budget(self):
         assert trials_per_round(afc_ms()) == 527
 
     def test_rephasing_cap(self):
-        assert rephasing_cap_trials(AFC_REALISTIC) == 5100
+        # ceil(t_rephase / t_clock_prime) = 5100 trials, for either AFC scheme.
+        assert evaluate(afc_ms(p_m=0.02)).K == 5100
         cfg = afc_mm(p_m=0.02)  # uncapped budget would be 9434 trials
-        assert is_rephasing_capped(cfg)
+        assert evaluate(cfg).capped
         assert trials_per_round(cfg) == 5100
 
     def test_zero_latch_probability_is_unbounded_for_ms(self):
@@ -157,22 +154,18 @@ class TestTrialBudgets:
 
     def test_overflowing_inputs_raise_parameter_errors(self):
         with pytest.raises(ParameterError, match="t_clock_prime"):
-            rephasing_cap_trials(replace(AFC_REALISTIC, t_clock_prime=5e-324))
+            evaluate(afc_mm(memory=replace(AFC_REALISTIC, t_clock_prime=5e-324), p_m=0.0))
         # t_link underflows to 0 at L = 5e-324 km; at 1e-310 km the rates overflow.
         with pytest.raises(ParameterError, match="L > 0"):
-            analytic_rate(mm(link=default_link(5e-324)))
+            analytic_rate(mm(link=LinkParams(L=5e-324)))
         with pytest.raises(ParameterError, match="double precision"):
-            analytic_rate(mm(link=default_link(1e-310)))
+            analytic_rate(mm(link=LinkParams(L=1e-310)))
         with pytest.raises(ParameterError, match="double precision"):
-            exact_rate(mm(memory=replace(QUANTUM_DOT, t_clock=5e-324), link=default_link(0.0)))
+            evaluate(mm(memory=replace(QUANTUM_DOT, t_clock=5e-324), link=LinkParams(L=0.0))).exact_rate
 
     def test_zero_latch_probability_hits_cap_for_afc(self):
         # The rephasing period bounds the budget even when nothing latches.
         assert trials_per_round(afc_mm(p_m=0.0)) == 5100
-
-    def test_latch_probability_undefined_for_mm(self):
-        with pytest.raises(NotApplicableError):
-            latch_probability(mm())
 
 
 class TestRoundTime:
@@ -194,9 +187,9 @@ class TestRoundTime:
 
 class TestRates:
     def test_capped_rate_equals_exact_rate(self):
-        cfg = afc_mm(p_m=0.02)
-        assert is_rephasing_capped(cfg)
-        assert analytic_rate(cfg) == exact_rate(cfg)
+        point = evaluate(afc_mm(p_m=0.02))
+        assert point.capped
+        assert point.rate == point.exact_rate
 
     def test_sync_factor_scales_midpoint_source_rates(self):
         assert analytic_rate(ms(ms_sync_factor=1)) == pytest.approx(
@@ -210,22 +203,23 @@ class TestRates:
         # Without the ceiling, K p_single collapses to the closed-form numerator.
         cfg = afc_mm()
         k_real = cfg.memory.N_AFC / latch_probability(cfg)
-        per_round = k_real * single_trial_success(cfg)
+        per_round = k_real * evaluate(cfg).p_single
         closed_numerator = analytic_rate(cfg) * (cfg.link.n * cfg.link.L / cfg.link.c)
         assert per_round == pytest.approx(closed_numerator, rel=1e-12)
 
     def test_exact_rate_tracks_budget_and_round_time(self):
         cfg = ms()
-        expected = trials_per_round(cfg) * single_trial_success(cfg) / round_time(cfg)
-        assert exact_rate(cfg) == expected
+        expected = trials_per_round(cfg) * evaluate(cfg).p_single / round_time(cfg)
+        assert evaluate(cfg).exact_rate == expected
 
     @pytest.mark.parametrize("build", [mm, sr, ms, afc_mm, afc_ms])
     def test_closed_form_needs_positive_length(self, build):
-        cfg = build(link=default_link(0.0))
+        cfg = build(link=LinkParams(L=0.0))
         with pytest.raises(ParameterError, match="L > 0"):
             analytic_rate(cfg)
         assert math.isfinite(round_time(cfg)) and round_time(cfg) > 0.0
-        assert math.isfinite(exact_rate(cfg)) and exact_rate(cfg) >= 0.0
+        exact = evaluate(cfg).exact_rate
+        assert math.isfinite(exact) and exact >= 0.0
         estimate = estimate_rate(evaluate(cfg), McControls(n_rounds=100, seed=1))
         assert math.isfinite(estimate.rate) and estimate.rate >= 0.0
 
@@ -234,26 +228,22 @@ class TestRates:
         summary = evaluate(cfg)
         assert summary.K == 527
         assert summary.rate == analytic_rate(cfg)
-        assert summary.p_single == single_trial_success(cfg)
+        assert summary.p_single == pytest.approx(P_SINGLE_AFCMS_L10, rel=1e-12)
         assert summary.t_round == round_time(cfg)
-        assert summary.capacity == capacity(cfg)
-        assert summary.capped == is_rephasing_capped(cfg)
+        assert summary.capacity == AFC_REALISTIC.N_AFC
+        assert not summary.capped
         assert summary.feasible == feasibility_check(cfg).ok
-        assert summary.exact_rate == exact_rate(cfg)
+        assert summary.exact_rate == 527 * summary.p_single / summary.t_round
+
+
+def rate_ratio(a, b):
+    """The generic ratio of two closed-form rates, each evaluated on its own."""
+    return evaluate(a).rate / evaluate(b).rate
 
 
 class TestRateRatios:
     def test_identical_configs_give_unity(self):
         assert rate_ratio(mm(), mm()) == 1.0
-
-    def test_requires_shared_link(self):
-        with pytest.raises(ParameterError, match="link"):
-            rate_ratio(mm(link=LINK10), mm(link=LINK50))
-
-    def test_zero_denominator(self):
-        # p_m = 0 caps the budget and zeroes every trial, hence a zero rate.
-        with pytest.raises(ParameterError, match="zero rate"):
-            rate_ratio(afc_mm(), afc_mm(p_m=0.0))
 
     def test_ms_over_mm(self):
         a, b = ms(p_m=1.0), mm()
@@ -300,12 +290,12 @@ class TestFeasibility:
         assert report.limit_s == 1e-3
 
     def test_violation_at_190km(self):
-        report = feasibility_check(afc_mm(link=default_link(190.0)))
+        report = feasibility_check(afc_mm(link=LinkParams(L=190.0)))
         assert not report.ok
         assert report.used_s == pytest.approx(BUDGET_USED_L190, rel=1e-12)
 
     def test_zero_distance_boundary(self):
-        report = feasibility_check(afc_mm(link=default_link(0.0)))
+        report = feasibility_check(afc_mm(link=LinkParams(L=0.0)))
         assert report.ok
         assert report.used_s == AFC_REALISTIC.t_rephase
 
@@ -316,11 +306,11 @@ class TestFeasibility:
 
 class TestCapacity:
     def test_per_scheme_capacity(self):
-        assert capacity(mm()) == 3
-        assert capacity(sr(N_A=5, N_B=1)) == 5
-        assert capacity(ms()) == 3
-        assert capacity(afc_mm()) == 100
-        assert capacity(afc_ms(memory=AFC_OPTIMISTIC)) == 1060
+        assert evaluate(mm()).capacity == 3
+        assert evaluate(sr(N_A=5, N_B=1)).capacity == 5
+        assert evaluate(ms()).capacity == 3
+        assert evaluate(afc_mm()).capacity == 100
+        assert evaluate(afc_ms(memory=AFC_OPTIMISTIC)).capacity == 1060
 
 
 def _random_spin_config(rng):
@@ -353,11 +343,11 @@ def test_sr_is_always_slower_than_mm():
 def test_rates_monotone_in_distance_for_uncapped_schemes():
     distances = [1.0, 2.0, 5.0, 10.0, 20.0, 35.0, 50.0]
     configs = [
-        lambda L: mm(link=default_link(L)),
-        lambda L: sr(link=default_link(L)),
-        lambda L: ms(link=default_link(L)),
-        lambda L: afc_mm(link=default_link(L), p_m=1.0),
-        lambda L: afc_ms(link=default_link(L), p_m=1.0),
+        lambda L: mm(link=LinkParams(L=L)),
+        lambda L: sr(link=LinkParams(L=L)),
+        lambda L: ms(link=LinkParams(L=L)),
+        lambda L: afc_mm(link=LinkParams(L=L), p_m=1.0),
+        lambda L: afc_ms(link=LinkParams(L=L), p_m=1.0),
     ]
     for make in configs:
         rates = [analytic_rate(make(L)) for L in distances]

@@ -1,10 +1,14 @@
+import ast
 import dataclasses
+import importlib
 import json
 import re
+import types
 from pathlib import Path
 
 import pytest
 
+import entdist
 from entdist.analytic import SchemeConfig, SchemeKind, analytic_rate
 from entdist.harness import (
     CSV_HEADER,
@@ -18,11 +22,12 @@ from entdist.harness import (
     rows_to_json,
     run_scenario,
 )
-from entdist.params import AfcSpec, MemorySpec, QUANTUM_DOT, default_link
+from entdist.params import AfcSpec, LinkParams, MemorySpec, QUANTUM_DOT
 
 SWEEP_L = [5.0, 10.0, 15.0, 20.0, 25.0, 30.0, 35.0, 40.0, 45.0, 50.0]
 SWEEP_PM = [0.02, 0.5, 1.0]
 README = Path(__file__).resolve().parents[1] / "README.md"
+SPANS_PY = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
 
 def _series_params(scenario):
@@ -261,7 +266,7 @@ def test_multimode_to_single_pair_ratio_band():
     for row in afc_rows:
         if row.p_m not in (0.5, 1.0):
             continue
-        ms_cfg = SchemeConfig(SchemeKind.MS, default_link(row.L_km), QUANTUM_DOT, p_m=row.p_m)
+        ms_cfg = SchemeConfig(SchemeKind.MS, LinkParams(L=row.L_km), QUANTUM_DOT, p_m=row.p_m)
         ratio = row.analytic_rate / analytic_rate(ms_cfg)
         assert 50.0 <= ratio <= 200.0
 
@@ -282,3 +287,25 @@ class TestReadme:
 
     def test_output_schema_header_is_the_csv_header(self):
         assert readme_section("Output schema").split("```")[1].strip() == CSV_HEADER
+
+    def test_library_api_lists_every_name_that_entdist_binds(self):
+        listed = []  # (name, module) per "* module: `name`, ..." line
+        for line in readme_section("Library API").splitlines():
+            if line.startswith("* "):
+                module, names = line[2:].split(":", 1)
+                listed += [(name, module) for name in re.findall(r"`([^`]+)`", names)]
+        bound = [name for name, value in vars(entdist).items()
+                 if not name.startswith("_") and not isinstance(value, types.ModuleType)]
+        assert sorted(name for name, _ in listed) == sorted(bound)
+        for name, module in listed:
+            assert getattr(importlib.import_module(f"entdist.{module}"), name) is getattr(entdist, name)
+
+
+def test_benchmark_span_names_are_library_functions():
+    # The benchmark's tracer skips a missing name; only its smoke run would notice.
+    tables = {target.id: ast.literal_eval(node.value)
+              for node in ast.parse(SPANS_PY.read_text()).body if isinstance(node, ast.Assign)
+              for target in node.targets if getattr(target, "id", None) in ("SPANS", "COUNTS")}
+    assert set(tables) == {"SPANS", "COUNTS"}
+    for module, attr in tables["SPANS"] + tables["COUNTS"]:
+        assert callable(getattr(importlib.import_module(f"entdist.{module}"), attr, None)), (module, attr)

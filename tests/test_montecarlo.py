@@ -13,12 +13,8 @@ from entdist.analytic import (
     NotApplicableError,
     SchemeConfig,
     SchemeKind,
-    capacity,
     evaluate,
-    exact_rate,
-    latch_probability,
     round_time,
-    single_trial_success,
     trials_per_round,
 )
 from entdist import montecarlo
@@ -37,14 +33,14 @@ from entdist.params import (
     AFC_OPTIMISTIC,
     AFC_REALISTIC,
     AfcSpec,
+    LinkParams,
     ParameterError,
     QUANTUM_DOT,
-    default_link,
 )
 
-from oracles import simulate_latches
+from oracles import latch_probability, simulate_latches
 
-LINK10 = default_link(10.0)
+LINK10 = LinkParams(L=10.0)
 
 MM_QD = SchemeConfig(SchemeKind.MM, LINK10, QUANTUM_DOT)
 MS_QD = SchemeConfig(SchemeKind.MS, LINK10, QUANTUM_DOT, p_m=0.5)
@@ -153,7 +149,7 @@ RNG_SEEDS = ([0, 1, 2**32 - 1, 2**32, 2**64 - 1]
 
 
 class TestRngForSeed:
-    """rng_for_seed derives PCG64's state without a SeedSequence; numpy's own is the oracle."""
+    """rng_for_seed derives PCG64's state by hand; numpy's SeedSequence is the oracle."""
 
     @pytest.mark.parametrize("seed", RNG_SEEDS)
     def test_matches_pcg64_of_seed_sequence(self, seed):
@@ -178,14 +174,14 @@ class TestRoundOutcomes:
     def test_certain_success_fills_capacity_every_round(self):
         perfect = AfcSpec(N_AFC=3, t_rephase=51e-6, t_spin_coherence=1e-3,
                           p_AFC=1.0, p_pass=1.0, t_clock_prime=1e-8)
-        cfg = SchemeConfig(SchemeKind.AFC_MS, default_link(0.0), perfect, p_m=1.0)
-        assert single_trial_success(cfg) == 1.0
+        cfg = SchemeConfig(SchemeKind.AFC_MS, LinkParams(L=0.0), perfect, p_m=1.0)
+        assert evaluate(cfg).p_single == 1.0
         counts = simulate_rounds(evaluate(cfg), rng_for_seed(0), 500)
         assert counts.tolist() == [0, 0, 0, 500]
 
     def test_mean_matches_brute_force_enumeration(self):
         # Independent oracle: enumerate the 2^3 outcome space of an MM round.
-        p = single_trial_success(MM_QD)
+        p = evaluate(MM_QD).p_single
         expected = brute_force_mean_successes(3, p)
         assert expected == pytest.approx(3 * p, rel=1e-12)
         counts = simulate_rounds(evaluate(MM_QD), rng_for_seed(17), 200_000)
@@ -193,13 +189,13 @@ class TestRoundOutcomes:
         assert abs(mean - expected) <= 3.0 * stderr
 
     def test_counts_never_exceed_capacity(self):
-        tight = SchemeConfig(SchemeKind.MS, default_link(5.0),
+        tight = SchemeConfig(SchemeKind.MS, LinkParams(L=5.0),
                              replace(QUANTUM_DOT, N=1), p_m=1.0)
         counts = simulate_rounds(evaluate(tight), rng_for_seed(23), 50_000)
-        assert len(counts) - 1 <= capacity(tight) == 1
+        assert len(counts) - 1 <= evaluate(tight).capacity == 1
         assert counts.sum() == 50_000
         # The cap must actually bind somewhere for this config.
-        k, p = trials_per_round(tight), single_trial_success(tight)
+        k, p = trials_per_round(tight), evaluate(tight).p_single
         uncapped_mean = k * p
         assert histogram_mean_and_stderr(counts)[0] < uncapped_mean
 
@@ -222,7 +218,7 @@ class TestGranularities:
         result = stats.chi2_contingency(table[:, occupied])
         assert result.pvalue > 0.01
         # Each mode also matches the exact capped-binomial law.
-        k, p = trials_per_round(MM_QD), single_trial_success(MM_QD)
+        k, p = trials_per_round(MM_QD), evaluate(MM_QD).p_single
         pmf = stats.binom.pmf(support, k, p)
         for observed in table:
             merged_obs = np.array([observed[0], observed[1], observed[2:].sum()])
@@ -233,7 +229,7 @@ class TestGranularities:
     def test_per_trial_chunking_handles_large_budgets(self):
         counts = simulate_rounds(evaluate(AFC_MS), rng_for_seed(41), 9000, "per-trial")
         assert counts.sum() == 9000
-        k, p = trials_per_round(AFC_MS), single_trial_success(AFC_MS)
+        k, p = trials_per_round(AFC_MS), evaluate(AFC_MS).p_single
         mean, stderr = histogram_mean_and_stderr(counts)
         assert abs(mean - k * p) <= 4.0 * stderr
 
@@ -256,10 +252,10 @@ class TestHistogramSampler:
     def test_certain_outcomes_give_one_hot_histograms(self, granularity, p_m, cell):
         perfect = AfcSpec(N_AFC=3, t_rephase=51e-6, t_spin_coherence=1e-3,
                           p_AFC=1.0, p_pass=1.0, t_clock_prime=1e-8)
-        cfg = SchemeConfig(SchemeKind.AFC_MS, default_link(0.0), perfect, p_m=p_m)
-        assert single_trial_success(cfg) == p_m
+        cfg = SchemeConfig(SchemeKind.AFC_MS, LinkParams(L=0.0), perfect, p_m=p_m)
+        assert evaluate(cfg).p_single == p_m
         counts = simulate_rounds(evaluate(cfg), rng_for_seed(0), 700, granularity)
-        expected = np.zeros(capacity(cfg) + 1, dtype=np.int64)
+        expected = np.zeros(evaluate(cfg).capacity + 1, dtype=np.int64)
         expected[cell] = 700
         assert np.array_equal(counts, expected)
 
@@ -268,23 +264,25 @@ class TestHistogramSampler:
         (SchemeKind.AFC_MS, 50.0),    # fig6b: K > capacity
     ])
     def test_optimistic_comb_points_match_exact_expectation(self, kind, L):
-        cfg = SchemeConfig(kind, default_link(L), AFC_OPTIMISTIC, p_m=1.0)
-        k, cap = trials_per_round(cfg), capacity(cfg)
+        cfg = SchemeConfig(kind, LinkParams(L=L), AFC_OPTIMISTIC, p_m=1.0)
+        point = evaluate(cfg)
+        k, cap = point.K, point.capacity
         assert k >= cap == 1060
-        counts = simulate_rounds(evaluate(cfg), rng_for_seed(71), 500_000)
+        counts = simulate_rounds(point, rng_for_seed(71), 500_000)
         assert len(counts) == cap + 1
         assert counts.sum() == 500_000
         mean, stderr = histogram_mean_and_stderr(counts)
-        assert abs(mean - k * single_trial_success(cfg)) <= 4.0 * stderr
+        assert abs(mean - k * point.p_single) <= 4.0 * stderr
 
     def test_cap_binding_point_fits_scipy_law(self):
         # Flaky-tolerant goodness of fit at p > 0.01, pinned by the seed.
-        tight = SchemeConfig(SchemeKind.MS, default_link(5.0),
+        tight = SchemeConfig(SchemeKind.MS, LinkParams(L=5.0),
                              replace(QUANTUM_DOT, N=1), p_m=1.0)
-        k, p, cap = trials_per_round(tight), single_trial_success(tight), capacity(tight)
+        point = evaluate(tight)
+        k, p, cap = point.K, point.p_single, point.capacity
         assert k > cap
         n = 50_000
-        counts = simulate_rounds(evaluate(tight), rng_for_seed(73), n)
+        counts = simulate_rounds(point, rng_for_seed(73), n)
         expected = capped_binomial_pmf(k, p, cap) * n
         assert stats.binom.sf(cap - 1, k, p) > 0.1   # the cap cell folds a real tail
         assert stats.chisquare(counts, expected).pvalue > 0.01
@@ -305,16 +303,16 @@ class TestHistogramSampler:
     def test_huge_budget_stays_capacity_sized(self):
         # MS at p_m = 1e-9 needs K ~ 6.5e10 trials per round; any sampler that
         # touched K cells would exhaust memory here.
-        cfg = SchemeConfig(SchemeKind.MS, default_link(50.0), QUANTUM_DOT, p_m=1e-9)
+        cfg = SchemeConfig(SchemeKind.MS, LinkParams(L=50.0), QUANTUM_DOT, p_m=1e-9)
         assert trials_per_round(cfg) > 6e10
         counts = simulate_rounds(evaluate(cfg), rng_for_seed(79), 500_000)
-        assert len(counts) <= capacity(cfg) + 1
+        assert len(counts) <= evaluate(cfg).capacity + 1
         assert counts.sum() == 500_000
         estimate = estimate_rate(evaluate(cfg), McControls(n_rounds=500_000, seed=79))
-        assert abs(estimate.rate - exact_rate(cfg)) <= 4.0 * estimate.stderr
+        assert abs(estimate.rate - evaluate(cfg).exact_rate) <= 4.0 * estimate.stderr
 
     def test_per_trial_refuses_budgets_beyond_its_block(self):
-        cfg = SchemeConfig(SchemeKind.MS, default_link(50.0), QUANTUM_DOT, p_m=1e-9)
+        cfg = SchemeConfig(SchemeKind.MS, LinkParams(L=50.0), QUANTUM_DOT, p_m=1e-9)
         with pytest.raises(ParameterError, match="per-trial"):
             simulate_rounds(evaluate(cfg), rng_for_seed(0), 10, "per-trial")
         with pytest.raises(ParameterError, match="per-trial"):
@@ -339,7 +337,7 @@ class TestLatchDiagnostics:
         n = 400_000
         counts = simulate_latches(MS_QD, rng_for_seed(51), n)
         p_side = latch_probability(MS_QD)
-        p_joint = single_trial_success(MS_QD)
+        p_joint = evaluate(MS_QD).p_single
         for observed, p in ((counts.left, p_side), (counts.right, p_side), (counts.both, p_joint)):
             sigma = math.sqrt(p * (1.0 - p) / n)
             assert abs(observed / n - p) <= 4.0 * sigma
@@ -347,7 +345,7 @@ class TestLatchDiagnostics:
     def test_joint_probability_factorizes_for_afc_ms(self):
         n = 200_000
         counts = simulate_latches(AFC_MS, rng_for_seed(53), n)
-        p_joint = single_trial_success(AFC_MS)
+        p_joint = evaluate(AFC_MS).p_single
         sigma = math.sqrt(p_joint * (1.0 - p_joint) / n)
         assert abs(counts.both / n - p_joint) <= 4.0 * sigma
 
@@ -366,7 +364,7 @@ class TestEstimateRate:
 
     def test_estimate_matches_exact_expectation(self):
         estimate = estimate_rate(evaluate(AFC_MS), McControls(n_rounds=50_000, seed=67))
-        assert abs(estimate.rate - exact_rate(AFC_MS)) <= 3.0 * estimate.stderr
+        assert abs(estimate.rate - evaluate(AFC_MS).exact_rate) <= 3.0 * estimate.stderr
 
     def test_elapsed_accounting(self):
         mc = McControls(n_rounds=1234, seed=5)
@@ -377,7 +375,7 @@ class TestEstimateRate:
         assert estimate.seed == 5
 
     def test_infeasible_afc_config_raises_before_simulating(self):
-        far = SchemeConfig(SchemeKind.AFC_MM, default_link(190.0), AFC_REALISTIC, p_m=0.5)
+        far = SchemeConfig(SchemeKind.AFC_MM, LinkParams(L=190.0), AFC_REALISTIC, p_m=0.5)
         with pytest.raises(FeasibilityError, match="spin coherence"):
             estimate_rate(evaluate(far), McControls(n_rounds=10))
 
@@ -393,7 +391,7 @@ class TestEstimateRate:
         # 3 pairs in each of 2**63 - 1 rounds overflow int64 successes.
         perfect = AfcSpec(N_AFC=3, t_rephase=51e-6, t_spin_coherence=1e-3,
                           p_AFC=1.0, p_pass=1.0, t_clock_prime=1e-8)
-        point = evaluate(SchemeConfig(SchemeKind.AFC_MS, default_link(0.0), perfect, p_m=1.0))
+        point = evaluate(SchemeConfig(SchemeKind.AFC_MS, LinkParams(L=0.0), perfect, p_m=1.0))
         estimate = estimate_rate(point, McControls(n_rounds=2**63 - 1))
         assert estimate.successes == 3 * (2**63 - 1)
         assert estimate.rate == pytest.approx(3 / point.t_round, rel=1e-12)

@@ -1,8 +1,11 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 
+from entdist.analytic import SchemeConfig, SchemeKind
+from entdist.montecarlo import McControls, rng_for_seed, subseed, subseeds
 from entdist.params import (
     AFC_OPTIMISTIC,
     AFC_REALISTIC,
@@ -13,11 +16,11 @@ from entdist.params import (
     ParameterError,
     QUANTUM_DOT,
     TRAPPED_ION,
-    default_link,
     derive_probs,
     fiber_transmission,
     t_link,
 )
+from entdist.swapping import SwapParams
 
 # Frozen expected values, evaluated at 40-digit precision from the defining
 # expressions (n L / c, base * exp(-L / 2 L_att)) and rounded to nearest double.
@@ -27,7 +30,7 @@ P_OPT_PRIME_L10 = 0.42225283904353467
 
 
 def test_bell_measurement_probability_from_detector_efficiency():
-    probs = derive_probs(default_link(10.0), QUANTUM_DOT)
+    probs = derive_probs(LinkParams(L=10.0), QUANTUM_DOT)
     assert probs.p_BSA == pytest.approx(0.32, rel=1e-15)
 
 
@@ -36,24 +39,24 @@ def test_bell_measurement_probability_from_detector_efficiency():
     [(TRAPPED_ION, 0.05), (DIAMOND_NV, 0.25), (QUANTUM_DOT, 0.45)],
 )
 def test_memory_presets_emit_and_couple_products(mem, expected):
-    probs = derive_probs(default_link(10.0), mem)
+    probs = derive_probs(LinkParams(L=10.0), mem)
     assert probs.p_memory == expected
 
 
 def test_zero_distance_has_unit_attenuation():
-    probs = derive_probs(default_link(0.0), QUANTUM_DOT)
+    probs = derive_probs(LinkParams(L=0.0), QUANTUM_DOT)
     assert probs.p_optical == 0.45
 
 
 def test_afc_end_to_end_probability():
-    probs = derive_probs(default_link(10.0), AFC_REALISTIC)
+    probs = derive_probs(LinkParams(L=10.0), AFC_REALISTIC)
     assert probs.p_optical == pytest.approx(P_OPT_PRIME_L10, rel=1e-12)
     assert probs.p_memory == 0.53
 
 
 def test_derived_probability_ordering():
     for mem in (TRAPPED_ION, DIAMOND_NV, QUANTUM_DOT, AFC_REALISTIC, AFC_OPTIMISTIC):
-        probs = derive_probs(default_link(37.0), mem, p_m=0.5)
+        probs = derive_probs(LinkParams(L=37.0), mem)
         assert 0.0 <= probs.p_optical <= probs.p_memory <= 1.0
         assert probs.p_BSA <= 0.5
 
@@ -61,7 +64,7 @@ def test_derived_probability_ordering():
 def test_optical_probability_monotone_decreasing_in_distance():
     previous = None
     for L in [0.0, 1.0, 5.0, 20.0, 50.0, 120.0]:
-        value = derive_probs(default_link(L), QUANTUM_DOT).p_optical
+        value = derive_probs(LinkParams(L=L), QUANTUM_DOT).p_optical
         if previous is not None:
             assert value < previous
         previous = value
@@ -70,19 +73,19 @@ def test_optical_probability_monotone_decreasing_in_distance():
 def test_half_attenuation_identity():
     # Transmission halves after one absorption half-length 2 L_att ln 2.
     L_half = 2.0 * 22.0 * math.log(2.0)
-    probs = derive_probs(default_link(L_half), QUANTUM_DOT)
+    probs = derive_probs(LinkParams(L=L_half), QUANTUM_DOT)
     assert probs.p_optical == pytest.approx(0.45 / 2.0, rel=1e-12)
 
 
 def test_travel_time_values():
-    assert t_link(default_link(10.0)) == pytest.approx(T_LINK_10, rel=1e-12)
-    assert t_link(default_link(50.0)) == pytest.approx(T_LINK_50, rel=1e-12)
-    assert t_link(default_link(0.0)) == 0.0
+    assert t_link(LinkParams(L=10.0)) == pytest.approx(T_LINK_10, rel=1e-12)
+    assert t_link(LinkParams(L=50.0)) == pytest.approx(T_LINK_50, rel=1e-12)
+    assert t_link(LinkParams(L=0.0)) == 0.0
 
 
 def test_travel_time_is_half_millisecond_scale_at_50km():
     # 50 km of fiber is roughly a quarter millisecond one way.
-    assert t_link(default_link(50.0)) == pytest.approx(250e-6, rel=0.01)
+    assert t_link(LinkParams(L=50.0)) == pytest.approx(250e-6, rel=0.01)
 
 
 @pytest.mark.parametrize(
@@ -132,12 +135,13 @@ def test_afc_validation_names_offending_field(kwargs, field):
 
 
 def test_pair_source_probability_validated():
+    # A config validates p_m; the probability chain does not depend on it.
     with pytest.raises(ParameterError, match="p_m"):
-        derive_probs(default_link(10.0), QUANTUM_DOT, p_m=1.1)
+        SchemeConfig(SchemeKind.MS, LinkParams(L=10.0), QUANTUM_DOT, p_m=1.1)
 
 
 def test_parameter_types_are_immutable():
-    link = default_link(10.0)
+    link = LinkParams(L=10.0)
     with pytest.raises(dataclasses.FrozenInstanceError):
         link.L = 20.0
     with pytest.raises(dataclasses.FrozenInstanceError):
@@ -147,3 +151,39 @@ def test_parameter_types_are_immutable():
 def test_fiber_transmission_basic_points():
     assert fiber_transmission(0.0, 22.0) == 1.0
     assert fiber_transmission(44.0, 22.0) == pytest.approx(math.exp(-1.0), rel=1e-15)
+
+
+LINK10 = LinkParams(L=10.0)
+
+
+@pytest.mark.parametrize("build, field", [
+    (lambda: dataclasses.replace(QUANTUM_DOT, N=2.5), "N"),
+    (lambda: dataclasses.replace(QUANTUM_DOT, N=3.0), "N"),
+    (lambda: dataclasses.replace(QUANTUM_DOT, N=True), "N"),
+    (lambda: dataclasses.replace(AFC_REALISTIC, N_AFC=100.5), "N_AFC"),
+    (lambda: SchemeConfig(SchemeKind.SR, LINK10, QUANTUM_DOT, N_A=2.5, N_B=3.5), "N_A"),
+    (lambda: SchemeConfig(SchemeKind.SR, LINK10, QUANTUM_DOT, N_A=5, N_B=True), "N_B"),
+    (lambda: SwapParams(J=2.5), "J"),
+    (lambda: SwapParams(J=10, i=1.5), "i"),
+    (lambda: McControls(1000.5), "n_rounds"),
+    (lambda: McControls(True), "n_rounds"),
+    (lambda: McControls(1000, seed=1.5), "seed"),
+    (lambda: McControls(1000, seed=False), "seed"),
+    (lambda: rng_for_seed(1.5), "seed"),
+    (lambda: subseed(1, 0.5), "sub-seed indices"),
+    (lambda: subseeds(1, [True, False]), "sub-seed indices"),
+    (lambda: subseeds(1.5, [0]), "master seed"),
+])
+def test_counts_and_controls_must_be_integers(build, field):
+    with pytest.raises(ParameterError, match=f"^{field} must be"):
+        build()
+
+
+def test_numpy_integers_are_counts_and_controls():
+    assert dataclasses.replace(QUANTUM_DOT, N=np.int64(3)).N == 3
+    assert dataclasses.replace(AFC_REALISTIC, N_AFC=np.uint32(100)).N_AFC == 100
+    assert SwapParams(J=np.int32(10), i=np.int64(2)).J == 10
+    assert McControls(np.int64(1000), seed=np.uint64(2**64 - 1)).seed == 2**64 - 1
+    assert rng_for_seed(np.uint64(7)).random() == rng_for_seed(7).random()
+    assert subseed(np.uint64(5), np.int64(3)) == subseed(5, 3)
+    assert subseeds(5, np.arange(4, dtype=np.uint32)).tolist() == subseeds(5, [0, 1, 2, 3]).tolist()

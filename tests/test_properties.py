@@ -14,20 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entdist import analytic, harness
-from entdist.analytic import (
-    NotApplicableError,
-    SchemeConfig,
-    SchemeKind,
-    analytic_rate,
-    capacity,
-    evaluate,
-    exact_rate,
-    feasibility_check,
-    is_rephasing_capped,
-    round_time,
-    single_trial_success,
-    trials_per_round,
-)
+from entdist.analytic import NotApplicableError, SchemeConfig, SchemeKind, evaluate
 from entdist.harness import (
     CSV_HEADER,
     ConfigError,
@@ -46,6 +33,8 @@ from entdist.params import (
     ParameterError,
     QUANTUM_DOT,
 )
+
+from oracles import scheme_point
 
 NAMED_ERRORS = (ParameterError, NotApplicableError)
 COLUMNS = [field.name for field in fields(ResultRow)]
@@ -108,6 +97,13 @@ def outcome(compute):
         return "error", type(exc)
 
 
+def close(got, expected):
+    """Outcomes of the same kind whose values agree within 1e-12 relative error."""
+    if got[0] == "error" or expected[0] == "error":
+        return got == expected
+    return math.isclose(got[1], expected[1], rel_tol=1e-12)
+
+
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
 @given(cfg=configs())
 def test_evaluate_matches_the_public_functions(cfg):
@@ -128,18 +124,19 @@ def test_evaluate_matches_the_public_functions(cfg):
             point = evaluated[1]
             rate, exact = outcome(lambda: point.rate), outcome(lambda: point.exact_rate)
             assert calls == 1
+    # The oracle restates the scheme definitions without the library's tables.
+    expected = outcome(lambda: scheme_point(cfg))
     if evaluated[0] == "error":
-        assert outcome(lambda: trials_per_round(cfg)) == evaluated
-        assert outcome(lambda: round_time(cfg)) == evaluated
+        assert expected == evaluated
         return
-    assert point.p_single == single_trial_success(cfg)
-    assert point.K == trials_per_round(cfg)
-    assert point.capacity == capacity(cfg)
-    assert point.t_round == round_time(cfg) and math.isfinite(point.t_round)
-    assert point.capped == is_rephasing_capped(cfg)
-    assert point.feasible == (feasibility_check(cfg).ok if cfg.kind.is_afc else True)
-    assert rate == outcome(lambda: analytic_rate(cfg))
-    assert exact == outcome(lambda: exact_rate(cfg))
+    assert expected[0] == "value"
+    oracle = expected[1]
+    assert (point.K, point.capacity, point.capped, point.feasible) == (
+        oracle.K, oracle.capacity, oracle.capped, oracle.feasible)
+    assert math.isclose(point.p_single, oracle.p_single, rel_tol=1e-12)
+    assert math.isclose(point.t_round, oracle.t_round, rel_tol=1e-12) and math.isfinite(point.t_round)
+    assert close(rate, outcome(lambda: oracle.rate))
+    assert close(exact, outcome(lambda: oracle.exact_rate))
     for kind, value in (rate, exact):
         if kind == "value":
             assert math.isfinite(value) and value >= 0.0

@@ -1,7 +1,9 @@
+import math
+
 import pytest
 
 from entdist.params import ParameterError
-from entdist.swapping import SwapParams, ceil_trials, chain_factor, swap_budget
+from entdist.swapping import SwapParams, chain_factor, swap_budget
 
 # Frozen expected values at the reference operating point
 # (J=1000, p_emit=0.53, p_BSA=0.32, p_pass=0.9, p_AFC=0.53).
@@ -93,6 +95,7 @@ def test_validation():
 
 
 def test_integer_trials_helper_rounds_up():
+    # The integer schedule of a real-valued budget is math.ceil(K_swap).
     budget = swap_budget(REFERENCE, "imperfect")
-    assert ceil_trials(budget) == 2097
-    assert ceil_trials(swap_budget(REFERENCE, "perfect")) == 1000
+    assert math.ceil(budget.K_swap) == 2097
+    assert math.ceil(swap_budget(REFERENCE, "perfect").K_swap) == 1000
