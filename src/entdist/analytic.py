@@ -26,6 +26,7 @@ from .params import (
     LinkParams,
     MemorySpec,
     ParameterError,
+    _is_integer,
     _require_count,
     derive_probs,
     fiber_transmission,
@@ -105,20 +106,15 @@ class SchemeConfig:
                 raise ParameterError(f"memory must be a MemorySpec for {self.kind.display}")
         if not 0.0 <= self.p_m <= 1.0:
             raise ParameterError(f"p_m must be in [0, 1], got {self.p_m!r}")
-        if self.ms_sync_factor not in (1, 2):
+        if not (_is_integer(self.ms_sync_factor) and self.ms_sync_factor in (1, 2)):
             raise ParameterError(f"ms_sync_factor must be 1 or 2, got {self.ms_sync_factor!r}")
         if self.kind is SchemeKind.SR:
             if self.N_A is None or self.N_B is None:
                 raise ParameterError("N_A and N_B are required for SR")
-            if self.N_A < 1 or self.N_B < 1:
-                raise ParameterError(f"N_A and N_B must be >= 1, got {self.N_A!r}, {self.N_B!r}")
             _require_count("N_A", self.N_A)
             _require_count("N_B", self.N_B)
             if self.N_A + self.N_B != 2 * self.memory.N:
-                raise ParameterError(
-                    f"N_A + N_B must equal 2N = {2 * self.memory.N}, "
-                    f"got {self.N_A + self.N_B}"
-                )
+                raise ParameterError(f"N_A + N_B must equal 2N = {2 * self.memory.N}, got {self.N_A + self.N_B}")
         elif self.N_A is not None or self.N_B is not None:
             raise ParameterError("N_A / N_B are only meaningful for SR")
 

@@ -48,6 +48,7 @@ _GRANULARITIES = ("binomial", "per-trial")
 _MAX_CELLS = 4_000_000
 # numpy's multinomial takes the round count as a C long.
 _MAX_ROUNDS = 2**63 - 1
+_LAW_BATCH_CELLS = 4096  # cells of one block of laws: small, so peak memory does not grow
 
 
 class FeasibilityError(RuntimeError):
@@ -72,8 +73,7 @@ class McControls:
     def __post_init__(self) -> None:
         if not (_is_integer(self.n_rounds) and 1 <= self.n_rounds <= _MAX_ROUNDS):
             raise ParameterError(f"n_rounds must be an integer in [1, 2**63 - 1], got {self.n_rounds!r}")
-        if not (_is_integer(self.seed) and 0 <= self.seed < 2**64):
-            raise ParameterError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
+        _require_seed(self.seed)
         if self.trial_granularity not in _GRANULARITIES:
             raise ParameterError(
                 f"trial_granularity must be one of {_GRANULARITIES}, got {self.trial_granularity!r}"
@@ -97,9 +97,13 @@ def rng_for_seed(seed: int) -> np.random.Generator:
 
     So rng_for_seed(row.seed) reproduces a row's stream. seed must be an integer in [0, 2**64).
     """
-    if not (_is_integer(seed) and 0 <= seed < 2**64):
-        raise ParameterError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
+    _require_seed(seed)
     return next(_streams([seed]))
+
+
+def _require_seed(seed: int, name: str = "seed") -> None:
+    if not ((type(seed) is int or _is_integer(seed)) and 0 <= seed < 2**64):  # int first: it is fast
+        raise ParameterError(f"{name} must be a 64-bit unsigned integer, got {seed!r}")
 
 
 def subseed(master_seed: int, index: int) -> int:
@@ -154,8 +158,7 @@ def subseeds(master_seed: int, indices: ArrayLike) -> np.ndarray:
     index an integer in [0, 2**32), so that the entropy words (master, then
     index) fit the 4-word pool; ParameterError otherwise.
     """
-    if not (_is_integer(master_seed) and 0 <= master_seed < 2**64):
-        raise ParameterError(f"master seed must be a 64-bit unsigned integer, got {master_seed!r}")
+    _require_seed(master_seed, "master seed")
     index = np.asarray(indices)
     if index.size and not (index.dtype.kind in "iu" and index.min() >= 0 and index.max() < 2**32):
         raise ParameterError("sub-seed indices must be integers in [0, 2**32)")
@@ -190,37 +193,59 @@ def _streams(seeds: ArrayLike) -> Iterator[np.random.Generator]:
         yield rng
 
 
-def _capped_binomial_law(k: int, p: float, cap: int) -> np.ndarray:
-    """Law of min(Binomial(k, p), cap) over 0..min(k, cap), summing to 1.
+def _capped_binomial_laws(points: Sequence[PointSummary]) -> Iterator[np.ndarray]:
+    """Law of min(Binomial(K, p), capacity) over 0..min(K, capacity) of each point, in order.
 
-    Only the window mean +- (40 sd + 40) is evaluated: by Bernstein's
-    inequality the mass outside it is below 2e-26 for any k and p, which is
-    under double-precision resolution, so the work is O(min(k, cap)) even for
-    k in the tens of billions or k * p far above cap.
+    Only the window mean +- t, t = 11 sd + 40, is evaluated (one cell at p in
+    {0, 1} or above the capacity): Bernstein bounds the mass outside it by
+    2 exp(-t^2 / (2 (sd^2 + t/3))) <= 2 exp(-60) < 2e-26, under double
+    precision, as t^2 - 120 sd^2 - 40 t = sd^2 + 440 sd >= 0. So the work is
+    O(min(K, capacity)) for any K and p. Windows are right-padded rows of
+    blocks of at most _LAW_BATCH_CELLS cells (a wider one alone); each law is
+    cut from its row as it is yielded. Along a row, log weights sum
+    pmf(j) / pmf(j - 1) from the left and tails sum from the right, so the
+    padding adds exact zeros: a law has the same bits in any batch.
     """
-    top = min(k, cap)
-    q = np.zeros(top + 1)
-    if p == 0.0 or p == 1.0:
-        q[0 if p == 0.0 else top] = 1.0
-        return q
-    mean = k * p
-    spread = 40.0 * math.sqrt(mean * (1.0 - p)) + 40.0
-    lo = max(0, math.floor(mean - spread))
-    hi = min(k, math.ceil(mean + spread))
-    if lo >= top:
-        q[top] = 1.0
-        return q
-    # log of pmf(j) / pmf(lo) by the ratio recursion; the constant log pmf(lo)
-    # cancels when the window is normalised.
-    j = np.arange(lo + 1, hi + 1, dtype=float)
-    steps = np.log((k - j + 1.0) / j) + (math.log(p) - math.log1p(-p))
-    log_w = np.concatenate(([0.0], np.cumsum(steps)))
-    w = np.exp(log_w - log_w.max())
-    w /= w.sum()
-    below = min(hi + 1, top) - lo
-    q[lo:lo + below] = w[:below]
-    q[top] = w[below:].sum()
-    return q
+    k, p, cap = (np.array([getattr(point, name) for point in points], dtype=float)[:, None]
+                 for name in ("K", "p_single", "capacity"))
+    top, mean = np.minimum(k, cap), k * p
+    spread = 11.0 * np.sqrt(mean * (1.0 - p)) + 40.0
+    first = np.maximum(np.floor(mean - spread), 0.0)
+    inner = (0.0 < p) & (p < 1.0) & (first < top)
+    lo = np.where(inner, first, np.where(p == 0.0, 0.0, top))
+    hi = np.where(inner, np.minimum(k, np.ceil(mean + spread)), lo)
+    last = (np.minimum(hi, top) - lo).astype(np.intp)  # the cap cell, or the window's end
+    cells, tops, los, ends = (c[:, 0].astype(np.intp).tolist() for c in (hi - lo + 1, top, lo, last + 1))
+    start = 0
+    while start < len(cells):
+        stop, width = start + 1, cells[start]
+        while stop < len(cells) and (stop - start + 1) * max(width, cells[stop]) <= _LAW_BATCH_CELLS:
+            stop, width = stop + 1, max(width, cells[stop])
+        b, cell = slice(start, stop), np.arange(1, width)
+        with np.errstate(divide="ignore"):  # log 0 = -inf at p in {0, 1} and in the padding
+            odds = np.where(inner[b], np.log(p[b]) - np.log1p(-p[b]), 0.0)
+            j = lo[b] + cell
+            steps = np.log(np.where(cell <= hi[b] - lo[b], (k[b] - j + 1.0) / j, 0.0)) + odds
+        log_w = np.zeros((stop - start, width))  # log pmf(lo) cancels when the window is normalised
+        np.cumsum(steps, axis=1, out=log_w[:, 1:])
+        w = np.exp(log_w - log_w.max(axis=1, keepdims=True))
+        tail = np.cumsum(w[:, ::-1], axis=1)[:, ::-1]  # tail[:, i] = w[:, i:].sum()
+        np.put_along_axis(w, last[b], np.take_along_axis(tail, last[b], axis=1), axis=1)
+        w /= tail[:, :1]
+        for law_top, law_lo, n, row in zip(tops[b], los[b], ends[b], w):
+            q = np.zeros(law_top + 1)
+            q[law_lo:law_lo + n] = row[:n]
+            yield q
+        start = stop
+
+
+def _histogram_top(point: PointSummary) -> int:
+    """min(K, capacity), the histogram's last cell; ParameterError past _MAX_CELLS cells."""
+    top = min(point.K, point.capacity)
+    if top + 1 > _MAX_CELLS:
+        raise ParameterError(f"the histogram of latched pairs holds at most {_MAX_CELLS} cells, "
+                             f"got min(K, capacity) + 1 = {top + 1}")
+    return top
 
 
 def simulate_rounds(
@@ -241,21 +266,14 @@ def simulate_rounds(
     K <= _MAX_CELLS trials per round.
     """
     k, p, cap = point.K, point.p_single, point.capacity
-    top = min(k, cap)
-    if top + 1 > _MAX_CELLS:
-        raise ParameterError(
-            f"the histogram of latched pairs holds at most {_MAX_CELLS} cells, "
-            f"got min(K, capacity) + 1 = {top + 1}"
-        )
+    top = _histogram_top(point)
     if granularity == "binomial":
-        return rng.multinomial(n_rounds, _capped_binomial_law(k, p, cap)).astype(np.int64, copy=False)
+        return rng.multinomial(n_rounds, next(_capped_binomial_laws([point]))).astype(np.int64, copy=False)
     if granularity != "per-trial":
         raise ParameterError(f"trial_granularity must be one of {_GRANULARITIES}, got {granularity!r}")
     if k > _MAX_CELLS:
-        raise ParameterError(
-            f"per-trial sampling holds at most {_MAX_CELLS} trials per round, "
-            f"got K = {k}; use trial_granularity 'binomial'"
-        )
+        raise ParameterError(f"per-trial sampling holds at most {_MAX_CELLS} trials per round, "
+                             f"got K = {k}; use trial_granularity 'binomial'")
     hist = np.zeros(top + 1, dtype=np.int64)
     chunk = _MAX_CELLS // max(k, 1)
     for start in range(0, n_rounds, chunk):
@@ -274,10 +292,8 @@ def estimate_rate(point: PointSummary, mc: McControls) -> RateEstimate:
     """
     if not point.feasible:
         report = feasibility_check(point.cfg)
-        raise FeasibilityError(
-            f"round budget {report.used_s:.6g} s exceeds spin coherence "
-            f"{report.limit_s:.6g} s at L = {point.cfg.link.L} km"
-        )
+        raise FeasibilityError(f"round budget {report.used_s:.6g} s exceeds spin coherence "
+                               f"{report.limit_s:.6g} s at L = {point.cfg.link.L} km")
     (successes,), (rate,), (stderr,) = estimate_series([point], [mc.seed], mc)
     return RateEstimate(successes, mc.n_rounds * point.t_round, rate, stderr, mc.n_rounds, mc.seed)
 
@@ -286,16 +302,24 @@ def estimate_series(points: Sequence[PointSummary], seeds: Sequence[int], mc: Mc
     """Columns of successes, rates and standard errors; None for infeasible points.
 
     Point i draws on the stream of rng_for_seed(seeds[i]), one reused
-    generator (_streams); mc.seed is not read. rate = successes /
-    (n_rounds * t_round); stderr is the ddof=1 deviation of the per-round
-    counts over sqrt(n_rounds), per t_round (0 for a single round).
+    generator (_streams), from one _capped_binomial_laws pass in binomial
+    mode; mc.seed is not read. Seeds and histogram sizes are checked before
+    any draw. rate = successes / (n_rounds * t_round); stderr is the ddof=1
+    deviation of the per-round counts over sqrt(n_rounds), per t_round (0
+    for a single round).
     """
+    for seed in seeds:
+        _require_seed(seed)
+    feasible = [point for point in points if point.feasible]
+    for point in feasible:
+        _histogram_top(point)
+    qs = _capped_binomial_laws(feasible) if mc.trial_granularity == "binomial" else None  # the laws q
     n_rounds, n = mc.n_rounds, len(points)
     successes, rates, stderrs = [None] * n, [None] * n, [None] * n
     for i, (point, rng) in enumerate(zip(points, _streams(seeds), strict=True)):
         if not point.feasible:
             continue
-        hist = simulate_rounds(point, rng, n_rounds, mc.trial_granularity)
+        hist = rng.multinomial(n_rounds, next(qs)) if qs else simulate_rounds(point, rng, n_rounds, "per-trial")
         latched = np.arange(len(hist))
         # int64 holds n_rounds * capacity latched pairs only up to 2**63 - 1.
         if n_rounds * (len(hist) - 1) > _MAX_ROUNDS:

@@ -81,6 +81,11 @@ class TestConfigValidation:
             sr(N_A=6, N_B=0)
         assert sr(N_A=5, N_B=1).N_A == 5
 
+    def test_sr_split_of_text_is_refused_by_name(self):
+        # Not compared with 1 first, which raised a TypeError.
+        with pytest.raises(ParameterError, match="^N_A must be an integer"):
+            sr(N_A="3", N_B=3)
+
     def test_split_rejected_outside_sr(self):
         with pytest.raises(ParameterError, match="N_A"):
             SchemeConfig(SchemeKind.MM, LINK10, QUANTUM_DOT, N_A=3, N_B=3)
@@ -88,6 +93,13 @@ class TestConfigValidation:
     def test_sync_factor_must_be_one_or_two(self):
         with pytest.raises(ParameterError, match="ms_sync_factor"):
             ms(ms_sync_factor=3)
+
+    @pytest.mark.parametrize("factor", [True, 1.0, 2.0])
+    def test_sync_factor_must_be_an_integer(self, factor):
+        with pytest.raises(ParameterError, match="ms_sync_factor"):
+            ms(ms_sync_factor=factor)
+        with pytest.raises(ParameterError, match="ms_sync_factor"):
+            afc_ms(ms_sync_factor=factor)
 
 
 class TestSingleTrialSuccess:
@@ -143,6 +155,15 @@ class TestTrialBudgets:
         cfg = afc_mm(p_m=0.02)  # uncapped budget would be 9434 trials
         assert evaluate(cfg).capped
         assert trials_per_round(cfg) == 5100
+
+    def test_budget_ending_as_the_first_photon_rephases_is_uncapped(self):
+        # K t_clock' == t_rephase exactly; one ulp less rephasing time caps it.
+        k = evaluate(afc_mm()).K
+        tick = 2.0**-27  # a power of two, so that k * tick is exact
+        memory = replace(AFC_REALISTIC, t_clock_prime=tick, t_rephase=k * tick)
+        point = evaluate(afc_mm(memory=memory))
+        assert (point.K, point.capped) == (k, False)
+        assert evaluate(afc_mm(memory=replace(memory, t_rephase=math.nextafter(k * tick, 0.0)))).capped
 
     def test_zero_latch_probability_is_unbounded_for_ms(self):
         # 1e-320 is a nonzero latch probability whose budget N / p overflows.

@@ -11,6 +11,7 @@ from scipy import stats
 
 from entdist.analytic import (
     NotApplicableError,
+    PointSummary,
     SchemeConfig,
     SchemeKind,
     evaluate,
@@ -21,8 +22,9 @@ from entdist import montecarlo
 from entdist.montecarlo import (
     FeasibilityError,
     McControls,
-    _capped_binomial_law,
+    _capped_binomial_laws,
     estimate_rate,
+    estimate_series,
     rng_for_seed,
     simulate_rounds,
     subseed,
@@ -246,6 +248,25 @@ def capped_binomial_pmf(k, p, cap):
     return np.append(stats.binom.pmf(np.arange(top), k, p), stats.binom.sf(top - 1, k, p))
 
 
+def law_point(k, p, cap):
+    """A feasible point with only the fields the law reads set."""
+    return PointSummary(k, p, cap, 1.0, False, True, 0.0)
+
+
+def capped_law(k, p, cap):
+    """The law of min(Binomial(k, p), cap), built alone."""
+    return next(_capped_binomial_laws([law_point(k, p, cap)]))
+
+
+SCIPY_LAW_CASES = [
+    (1060, 0.73, 1060),           # K == capacity
+    (2640, 0.5, 1060),            # capacity 10 sd below the mean
+    (5000, 0.2, 1000),            # capacity at the mean
+    (10**9, 0.5, 100),            # K p far above capacity
+    (64_904_561_380, 1e-10, 3),   # K of the MS budget at p_m = 1e-9
+]
+
+
 class TestHistogramSampler:
     @pytest.mark.parametrize("granularity", ["binomial", "per-trial"])
     @pytest.mark.parametrize("p_m, cell", [(0.0, 0), (1.0, 3)])
@@ -287,15 +308,9 @@ class TestHistogramSampler:
         assert stats.binom.sf(cap - 1, k, p) > 0.1   # the cap cell folds a real tail
         assert stats.chisquare(counts, expected).pvalue > 0.01
 
-    @pytest.mark.parametrize("k, p, cap", [
-        (1060, 0.73, 1060),           # K == capacity
-        (2640, 0.5, 1060),            # capacity 10 sd below the mean
-        (5000, 0.2, 1000),            # capacity at the mean
-        (10**9, 0.5, 100),            # K p far above capacity
-        (64_904_561_380, 1e-10, 3),   # K of the MS budget at p_m = 1e-9
-    ])
+    @pytest.mark.parametrize("k, p, cap", SCIPY_LAW_CASES)
     def test_capped_law_matches_scipy(self, k, p, cap):
-        q = _capped_binomial_law(k, p, cap)
+        q = capped_law(k, p, cap)
         assert len(q) == min(k, cap) + 1
         assert q.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.allclose(q, capped_binomial_pmf(k, p, cap), rtol=0, atol=1e-12)
@@ -324,12 +339,43 @@ class TestHistogramSampler:
         def never_called(*args):
             raise AssertionError("the histogram law was built")
 
-        monkeypatch.setattr(montecarlo, "_capped_binomial_law", never_called)
+        monkeypatch.setattr(montecarlo, "_capped_binomial_laws", never_called)
         huge = {"scheme": "ms", "memory.N": 10**9, "L_km": 10.0, "p_m": 1.0}
         with pytest.raises(ParameterError, match="4000000 cells"):
             run_scenario("custom", overrides=huge, rounds=100)
         (row,) = run_scenario("custom", overrides=huge, with_mc=False)
         assert row.K > 10**9 and row.analytic_rate > 0.0 and row.mc_rate is None
+
+    def test_laws_have_the_same_bits_alone_and_in_any_batch(self):
+        # K = 3 (the MM and SR budgets), certain outcomes, a window wholly
+        # above the capacity, the scipy cases and AFC windows, shuffled into
+        # mixed batches; each law must not see its neighbours.
+        afc = [evaluate(cfg) for cfg in build_scenario("fig6b").points[::3]]
+        afc += [evaluate(SchemeConfig(SchemeKind.AFC_MM, LinkParams(L=L), AFC_REALISTIC, p_m=p_m))
+                for L in (5.0, 50.0, 150.0) for p_m in (0.02, 0.5, 1.0)]
+        cases = [(3, 0.01, 3), (3, 0.6, 3), (3, 0.0, 3), (3, 1.0, 3), (40, 0.0, 7), (40, 1.0, 7),
+                 (10**6, 0.5, 20), (2**60 + 1, 0.0, 3), (2**60 + 1, 1e-17, 3),  # K + 1 == K in floats
+                 *SCIPY_LAW_CASES, *((p.K, p.p_single, p.capacity) for p in afc)]
+        alone = [capped_law(*case) for case in cases]
+        for case, q in zip(cases, alone):
+            assert len(q) == min(case[0], case[2]) + 1
+            assert np.allclose(q, capped_binomial_pmf(*case), rtol=0, atol=1e-12)
+        for shuffle_seed in range(3):
+            order = list(range(len(cases))) * 2
+            random.Random(shuffle_seed).shuffle(order)
+            batch = _capped_binomial_laws([law_point(*cases[i]) for i in order])
+            for i, q in zip(order, batch, strict=True):
+                assert q.tobytes() == alone[i].tobytes(), cases[i]
+
+    def test_fig6b_rows_reproduce_one_point_at_a_time(self):
+        # Sweeps build the laws of a whole scenario in batches; estimate_rate
+        # builds one. The Monte Carlo bytes must not tell the two apart.
+        scenario = build_scenario("fig6b")
+        assert scenario.mc.n_rounds == 500_000
+        rows = run_scenario("fig6b")
+        for cfg, row in zip(scenario.points, rows, strict=True):
+            estimate = estimate_rate(evaluate(cfg), replace(scenario.mc, seed=row.seed))
+            assert (row.mc_rate.hex(), row.mc_stderr.hex()) == (estimate.rate.hex(), estimate.stderr.hex())
 
 
 class TestLatchDiagnostics:
@@ -425,6 +471,14 @@ class TestSweep:
     def test_empty_value_lists_rejected(self):
         with pytest.raises(ConfigError, match="empty"):
             run_scenario("custom", overrides=mm_qd_series([10.0], []), rounds=10)
+
+
+@pytest.mark.parametrize("seed", [1.5, -1, 2**64, True])
+def test_estimate_series_refuses_seeds_rng_for_seed_refuses(seed):
+    point = evaluate(MM_QD)
+    for call in (lambda: rng_for_seed(seed), lambda: estimate_series([point, point], [7, seed], McControls(10))):
+        with pytest.raises(ParameterError, match=r"^seed must be a 64-bit unsigned integer, got "):
+            call()
 
 
 MULTI_SERIES = json.loads((Path(__file__).resolve().parent / "data" / "multi_series_scenario.json").read_text())
