@@ -22,11 +22,10 @@ from __future__ import annotations
 import copy
 import json
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from itertools import pairwise
 from json.encoder import encode_basestring_ascii
 from math import isfinite
-from operator import attrgetter
 from pathlib import Path
 from types import NoneType
 from typing import Any, Callable, Iterator, Mapping, NamedTuple, Sequence
@@ -168,9 +167,8 @@ class Scenario:
         return tuple(configs[j] for j in _row_order(self.series))
 
 
-@dataclass(frozen=True, slots=True)
-class ResultRow:
-    """One sweep point, analytic and Monte Carlo side by side.
+class ResultRow(NamedTuple):
+    """One sweep point, analytic and Monte Carlo side by side; the fields are the CSV columns.
 
     mc_rate / mc_stderr are None for analytic-only runs and for infeasible
     AFC points (feasible is False there).
@@ -188,8 +186,7 @@ class ResultRow:
     seed: int
 
 
-_COLUMNS = tuple(field.name for field in fields(ResultRow))
-_row_values = attrgetter(*_COLUMNS)
+_COLUMNS = ResultRow._fields
 CSV_HEADER = ",".join(_COLUMNS)
 
 
@@ -305,7 +302,7 @@ def _resolve_series(series: Mapping[str, Any]) -> _Series:
     first = LinkParams(L=L_values[0], **link_fields)
     configs = [SchemeConfig(link=first, memory=memory, p_m=p_m, **scheme) for p_m in p_m_values]
     links = [first, *(LinkParams(L=L, **link_fields) for L in L_values[1:])]
-    return _Series(configs[0], tuple(sorted(links, key=attrgetter("L"))), tuple(sorted(p_m_values)))
+    return _Series(configs[0], tuple(sorted(links, key=lambda link: link.L)), tuple(sorted(p_m_values)))
 
 
 def _apply_overrides(scenario: dict[str, Any], overrides: Mapping[str, Any]) -> None:
@@ -423,14 +420,15 @@ def run_scenario(
         _, mc_rate[:simulated], mc_stderr[:simulated] = estimate_series(evaluated, seeds[:simulated], scenario.mc)
     if failed < n:
         raise rates[failed]
-    return list(map(ResultRow, points["scheme"], points["L_km"], points["p_m"], rates,
-                    mc_rate, mc_stderr, points["K"], points["t_round"], points["feasible"], seeds))
+    columns = (points["scheme"], points["L_km"], points["p_m"], rates, mc_rate, mc_stderr,
+               points["K"], points["t_round"], points["feasible"], seeds)
+    return list(map(ResultRow._make, zip(*columns)))
 
 
 class _Format(NamedTuple):
     """How one output format spells each cell and joins a row's cells."""
 
-    by_type: dict[type, Callable[[Any], str]]  # C-level encoder of a one-type column
+    by_type: dict[type, Callable[[Any], str]]  # C-level encoder of a one-type, non-number column
     cell: Callable[[Any], str]                  # any value, one at a time
     row: Callable[[tuple[str, ...]], str]       # fills the row template
     finite_only: bool                           # refuse nan and +/-inf
@@ -465,8 +463,6 @@ def _json_cell(value: Any) -> str:
 _JSON_CONSTANTS = {None: "null", False: "false", True: "true"}
 _CSV = _Format(
     by_type={
-        float: float.__repr__,
-        int: int.__repr__,
         bool: {False: "false", True: "true"}.__getitem__,
         str: str,
         NoneType: {None: ""}.__getitem__,
@@ -477,8 +473,6 @@ _CSV = _Format(
 )
 _JSON = _Format(
     by_type={
-        float: float.__repr__,
-        int: int.__repr__,
         bool: _JSON_CONSTANTS.__getitem__,
         str: encode_basestring_ascii,
         NoneType: _JSON_CONSTANTS.__getitem__,
@@ -490,25 +484,31 @@ _JSON = _Format(
 )
 
 
+_ENCODE_ROWS = 1024  # rows per block: whole columns of 3,600 rows raised peak RSS by about 1 MB
+
+
 def _encode_rows(rows: Sequence[ResultRow], fmt: _Format) -> Iterator[str]:
     """Each row's text in `fmt`, encoded a column at a time.
 
-    A column whose values all have one type is encoded with one map of that
-    type's encoder; mixed columns (mc_rate is a float or None) and any other
-    type go value by value through fmt.cell, which has the same rules. The
-    maps run lazily, row by row, so a refused value is the first in row
-    order, as with json.dumps.
+    A column of exact ints, or of exact floats that the format accepts, is
+    one C-level list repr (the same text as int.__repr__ / float.__repr__,
+    split back into cells). Any other column whose values all have one type
+    is one map of that type's encoder; mixed columns (mc_rate is a float or
+    None), refused floats and any other type go value by value through
+    fmt.cell, which has the same rules. The maps run lazily, row by row, so
+    a refused value is the first in row order, as with json.dumps. Rows go
+    _ENCODE_ROWS at a time, so only that many rows' cells are held at once.
     """
-    encoded = []
-    for column in zip(*map(_row_values, rows)):
-        kinds = set(map(type, column))
-        encode = fmt.cell
-        if len(kinds) == 1:
-            kind = kinds.pop()
-            if kind is not float or not fmt.finite_only or all(map(isfinite, column)):
-                encode = fmt.by_type.get(kind, fmt.cell)
-        encoded.append(map(encode, column))
-    return map(fmt.row, zip(*encoded))
+    for start in range(0, len(rows), _ENCODE_ROWS):
+        encoded = []
+        for column in zip(*rows[start:start + _ENCODE_ROWS]):
+            kinds = set(map(type, column))
+            kind = kinds.pop() if len(kinds) == 1 else None
+            if kind is int or (kind is float and (not fmt.finite_only or all(map(isfinite, column)))):
+                encoded.append(repr(list(column))[1:-1].split(", "))  # a 1-tuple's repr ends in ","
+            else:
+                encoded.append(map(fmt.by_type.get(kind, fmt.cell), column))
+        yield from map(fmt.row, zip(*encoded))
 
 
 def rows_to_csv(rows: Sequence[ResultRow]) -> str:

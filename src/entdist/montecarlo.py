@@ -311,8 +311,7 @@ def estimate_series(points: Sequence[PointSummary], seeds: Sequence[int], mc: Mc
     for seed in seeds:
         _require_seed(seed)
     feasible = [point for point in points if point.feasible]
-    for point in feasible:
-        _histogram_top(point)
+    cells = np.arange(max(map(_histogram_top, feasible), default=0) + 1)  # latched pairs per cell
     qs = _capped_binomial_laws(feasible) if mc.trial_granularity == "binomial" else None  # the laws q
     n_rounds, n = mc.n_rounds, len(points)
     successes, rates, stderrs = [None] * n, [None] * n, [None] * n
@@ -320,7 +319,7 @@ def estimate_series(points: Sequence[PointSummary], seeds: Sequence[int], mc: Mc
         if not point.feasible:
             continue
         hist = rng.multinomial(n_rounds, next(qs)) if qs else simulate_rounds(point, rng, n_rounds, "per-trial")
-        latched = np.arange(len(hist))
+        latched = cells[:len(hist)]
         # int64 holds n_rounds * capacity latched pairs only up to 2**63 - 1.
         if n_rounds * (len(hist) - 1) > _MAX_ROUNDS:
             hist = hist.astype(object)

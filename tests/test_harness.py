@@ -1,5 +1,4 @@
 import ast
-import dataclasses
 import importlib
 import json
 import re
@@ -14,6 +13,7 @@ from entdist.harness import (
     CSV_HEADER,
     ConfigError,
     PRESETS,
+    ResultRow,
     _CONFIG_KEYS,
     build_scenario,
     emit,
@@ -122,6 +122,12 @@ class TestRunScenario:
         assert not by_L[190.0].feasible
         assert by_L[190.0].mc_rate is None and by_L[190.0].mc_stderr is None
         assert by_L[190.0].analytic_rate > 0
+
+    def test_rows_are_immutable_and_their_fields_are_the_csv_columns(self):
+        row = run_scenario("fig2c", rounds=200)[0]
+        with pytest.raises(AttributeError):
+            row.mc_rate = 0.0
+        assert ResultRow._fields == tuple(CSV_HEADER.split(","))
 
     def test_seed_and_rounds_arguments(self):
         a = run_scenario("fig2c", rounds=200, seed=5)
@@ -248,7 +254,7 @@ class TestEmission:
         assert first.read_bytes() == second.read_bytes()
 
     def test_json_refuses_non_finite_values(self, rows):
-        broken = [dataclasses.replace(rows[0], mc_rate=float("nan"))]
+        broken = [rows[0]._replace(mc_rate=float("nan"))]
         with pytest.raises(ValueError):
             rows_to_json(broken)
 

@@ -6,7 +6,7 @@ Examples are derandomized, so every run checks the same inputs.
 
 import json
 import math
-from dataclasses import fields, replace
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -37,7 +37,7 @@ from entdist.params import (
 from oracles import scheme_point
 
 NAMED_ERRORS = (ParameterError, NotApplicableError)
-COLUMNS = [field.name for field in fields(ResultRow)]
+COLUMNS = list(ResultRow._fields)
 
 probability = st.floats(0.0, 1.0)
 duration_s = st.floats(0.0, 1.0, exclude_min=True)
@@ -311,6 +311,23 @@ def test_emitters_match_the_stdlib_reference(rows):
     assert rows_to_csv(rows) == "\n".join([CSV_HEADER, *lines]) + "\n"
 
 
+def test_emitters_match_the_stdlib_reference_across_row_blocks():
+    # Longer than two blocks of harness._ENCODE_ROWS rows; mc_rate is a float
+    # column in the first blocks and a mixed one in the last.
+    block = harness._ENCODE_ROWS
+    row = ResultRow("mm", 10.0, 0.5, 1.0, 2.0, 0.1, 3, 1e-4, True, 7)
+    rows = [row._replace(L_km=i / 7, mc_rate=None if i > 2 * block else i / 3, seed=2**64 - 1 - i)
+            for i in range(2 * block + 5)]
+    objects = [dict(zip(COLUMNS, as_values(r))) for r in rows]
+    assert rows_to_json(rows) == json.dumps(objects, indent=2, allow_nan=False) + "\n"
+    lines = [",".join(map(readme_csv_cell, as_values(r))) for r in rows]
+    assert rows_to_csv(rows) == "\n".join([CSV_HEADER, *lines]) + "\n"
+    rows[-1] = rows[-1]._replace(t_round_s=math.inf)
+    rows[block + 1] = rows[block + 1]._replace(L_km=math.nan)
+    with pytest.raises(ValueError, match="compliant: nan$"):
+        rows_to_json(rows)
+
+
 def test_emitters_of_no_rows():
     assert rows_to_json([]) == json.dumps([], indent=2) + "\n" == "[]\n"
     assert rows_to_csv([]) == CSV_HEADER + "\n"
@@ -320,7 +337,7 @@ def test_emitters_of_no_rows():
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_json_refuses_non_finite_floats_like_the_stdlib(column, value):
     row = ResultRow("mm", 10.0, 0.5, 1.0, 2.0, 0.1, 3, 1e-4, True, 7)
-    rows = [row, replace(row, **{column: value})]
+    rows = [row, row._replace(**{column: value})]
     objects = [dict(zip(COLUMNS, as_values(r))) for r in rows]
     with pytest.raises(ValueError) as reference:
         json.dumps(objects, indent=2, allow_nan=False)
@@ -330,8 +347,23 @@ def test_json_refuses_non_finite_floats_like_the_stdlib(column, value):
     assert str(emitted.value) == str(reference.value)
 
 
+@pytest.mark.parametrize("column", FLOAT_COLUMNS)
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("shape", ["one row", "among finite rows", "beside None"])
+def test_csv_writes_non_finite_floats_by_the_readme_rule(column, value, shape):
+    row = ResultRow("mm", 10.0, 0.5, 1.0, 2.0, 0.1, 3, 1e-4, True, 7)
+    broken = row._replace(**{column: value})
+    rows = {
+        "one row": [broken],
+        "among finite rows": [row, broken, row],
+        "beside None": [broken, row._replace(mc_rate=None, mc_stderr=None)],
+    }[shape]
+    lines = [",".join(map(readme_csv_cell, as_values(r))) for r in rows]
+    assert rows_to_csv(rows) == "\n".join([CSV_HEADER, *lines]) + "\n"
+
+
 def test_json_reports_the_first_non_finite_value_in_row_order():
     row = ResultRow("mm", 10.0, 0.5, 1.0, 2.0, 0.1, 3, 1e-4, True, 7)
-    rows = [replace(row, t_round_s=math.nan), replace(row, L_km=math.inf)]
+    rows = [row._replace(t_round_s=math.nan), row._replace(L_km=math.inf)]
     with pytest.raises(ValueError, match="compliant: nan$"):
         rows_to_json(rows)
