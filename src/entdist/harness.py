@@ -441,7 +441,7 @@ def _csv_cell(value: Any) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        return repr(value)
+        return float.__repr__(value)  # a subclass's repr, np.float64(1.0), is no CSV number
     return str(value)
 
 

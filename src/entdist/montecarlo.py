@@ -42,9 +42,9 @@ __all__ = [
 _DEFAULT_SEED = 42
 _GRANULARITIES = ("binomial", "per-trial")
 
-# Largest array, in cells, one sampling step allocates: the histogram of a
-# round's latched pairs, and per-trial mode's rounds x K boolean block, which
-# is chunked to fit. A histogram or a round wider than this is refused.
+# Largest array, in cells, one sampling step allocates: a sweep's law window,
+# simulate_rounds' histogram of a round's latched pairs, and per-trial mode's
+# rounds x K boolean block, which is chunked to fit. Wider ones are refused.
 _MAX_CELLS = 4_000_000
 # numpy's multinomial takes the round count as a C long.
 _MAX_ROUNDS = 2**63 - 1
@@ -60,10 +60,11 @@ class McControls:
     """Simulation controls: round count, RNG seed and sampling granularity.
 
     Both granularities produce the histogram of latched pairs per round.
-    "binomial" (the default) draws it in one multinomial step from the law
-    of min(Binomial(K, p), capacity), at a cost set by the capacity and not
-    by n_rounds; "per-trial" draws every trial individually for
-    auditability. Both sample the same distribution.
+    "binomial" (the default) draws it in one multinomial step over the
+    window that holds the mass of the law of min(Binomial(K, p), capacity),
+    at a cost set by the window and not by n_rounds; "per-trial" draws every
+    trial individually for auditability. Both sample the same distribution,
+    and the rate and its standard error are exact sums of the histogram.
     """
 
     n_rounds: int
@@ -193,18 +194,14 @@ def _streams(seeds: ArrayLike) -> Iterator[np.random.Generator]:
         yield rng
 
 
-def _capped_binomial_laws(points: Sequence[PointSummary]) -> Iterator[np.ndarray]:
-    """Law of min(Binomial(K, p), capacity) over 0..min(K, capacity) of each point, in order.
+def _law_windows(points: Sequence[PointSummary]) -> tuple[np.ndarray, ...]:
+    """Columns k, p, inner, lo, hi and last of the law windows lo..hi; lo + last is the cap cell or hi.
 
-    Only the window mean +- t, t = 11 sd + 40, is evaluated (one cell at p in
-    {0, 1} or above the capacity): Bernstein bounds the mass outside it by
+    A window is mean +- t, t = 11 sd + 40 (one cell at p in {0, 1} or above
+    the capacity): Bernstein bounds the mass outside it by
     2 exp(-t^2 / (2 (sd^2 + t/3))) <= 2 exp(-60) < 2e-26, under double
-    precision, as t^2 - 120 sd^2 - 40 t = sd^2 + 440 sd >= 0. So the work is
-    O(min(K, capacity)) for any K and p. Windows are right-padded rows of
-    blocks of at most _LAW_BATCH_CELLS cells (a wider one alone); each law is
-    cut from its row as it is yielded. Along a row, log weights sum
-    pmf(j) / pmf(j - 1) from the left and tails sum from the right, so the
-    padding adds exact zeros: a law has the same bits in any batch.
+    precision, as t^2 - 120 sd^2 - 40 t = sd^2 + 440 sd >= 0. One of more
+    than _MAX_CELLS cells raises ParameterError.
     """
     k, p, cap = (np.array([getattr(point, name) for point in points], dtype=float)[:, None]
                  for name in ("K", "p_single", "capacity"))
@@ -214,13 +211,28 @@ def _capped_binomial_laws(points: Sequence[PointSummary]) -> Iterator[np.ndarray
     inner = (0.0 < p) & (p < 1.0) & (first < top)
     lo = np.where(inner, first, np.where(p == 0.0, 0.0, top))
     hi = np.where(inner, np.minimum(k, np.ceil(mean + spread)), lo)
-    last = (np.minimum(hi, top) - lo).astype(np.intp)  # the cap cell, or the window's end
-    cells, tops, los, ends = (c[:, 0].astype(np.intp).tolist() for c in (hi - lo + 1, top, lo, last + 1))
+    if (widest := int(np.max(hi - lo, initial=0)) + 1) > _MAX_CELLS:
+        raise ParameterError(f"the law window of latched pairs holds at most {_MAX_CELLS} cells, got {widest}")
+    return k, p, inner, lo, hi, (np.minimum(hi, top) - lo).astype(np.intp)
+
+
+def _capped_binomial_laws(k: np.ndarray, p: np.ndarray, inner: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+                          last: np.ndarray) -> Iterator[tuple[list, list, np.ndarray]]:
+    """Law of min(Binomial(K, p), capacity) in each _law_windows window, as (lo, cells, w) per block.
+
+    w[r, :cells[r]] is the law from cell lo[r] on, and it is 0 elsewhere, so
+    the work is O(min(K, capacity)) for any K and p. A block holds right-
+    padded windows in at most _LAW_BATCH_CELLS cells (or one wider window).
+    Along a row, log weights sum pmf(j) / pmf(j - 1) from the left and tails
+    sum from the right, so the padding adds exact zeros: a law has the same
+    bits in any batch.
+    """
+    widths, los, ends = (c[:, 0].astype(np.intp).tolist() for c in (hi - lo + 1, lo, last + 1))
     start = 0
-    while start < len(cells):
-        stop, width = start + 1, cells[start]
-        while stop < len(cells) and (stop - start + 1) * max(width, cells[stop]) <= _LAW_BATCH_CELLS:
-            stop, width = stop + 1, max(width, cells[stop])
+    while start < len(widths):
+        stop, width = start + 1, widths[start]
+        while stop < len(widths) and (stop - start + 1) * max(width, widths[stop]) <= _LAW_BATCH_CELLS:
+            stop, width = stop + 1, max(width, widths[stop])
         b, cell = slice(start, stop), np.arange(1, width)
         with np.errstate(divide="ignore"):  # log 0 = -inf at p in {0, 1} and in the padding
             odds = np.where(inner[b], np.log(p[b]) - np.log1p(-p[b]), 0.0)
@@ -232,20 +244,24 @@ def _capped_binomial_laws(points: Sequence[PointSummary]) -> Iterator[np.ndarray
         tail = np.cumsum(w[:, ::-1], axis=1)[:, ::-1]  # tail[:, i] = w[:, i:].sum()
         np.put_along_axis(w, last[b], np.take_along_axis(tail, last[b], axis=1), axis=1)
         w /= tail[:, :1]
-        for law_top, law_lo, n, row in zip(tops[b], los[b], ends[b], w):
-            q = np.zeros(law_top + 1)
-            q[law_lo:law_lo + n] = row[:n]
-            yield q
+        yield los[b], ends[b], w
         start = stop
 
 
-def _histogram_top(point: PointSummary) -> int:
-    """min(K, capacity), the histogram's last cell; ParameterError past _MAX_CELLS cells."""
-    top = min(point.K, point.capacity)
-    if top + 1 > _MAX_CELLS:
-        raise ParameterError(f"the histogram of latched pairs holds at most {_MAX_CELLS} cells, "
-                             f"got min(K, capacity) + 1 = {top + 1}")
-    return top
+def _window_histograms(points: Sequence[PointSummary], rngs: Iterator[np.random.Generator],
+                       n_rounds: int) -> Iterator[tuple[list, np.ndarray]]:
+    """(lo, hist) per law block; hist[r, i] counts the rounds that latched lo[r] + i pairs.
+
+    Row r draws Multinomial(n_rounds, window) on the next generator of rngs.
+    numpy's multinomial draws nothing for a cell of probability 0 and stops
+    once every round is placed: the zero-filled law of all min(K, capacity)
+    + 1 cells draws the same histogram.
+    """
+    for lo, cells, laws in _capped_binomial_laws(*_law_windows(points)):
+        hist = np.zeros(laws.shape, dtype=np.int64)
+        for row, n, law, rng in zip(hist, cells, laws, rngs):  # rngs last: zip stops before it
+            row[:n] = rng.multinomial(n_rounds, law[:n])
+        yield lo, hist
 
 
 def simulate_rounds(
@@ -259,22 +275,28 @@ def simulate_rounds(
     Cell j of the returned int64 array counts the rounds that latched j
     pairs; it has min(K, capacity) + 1 cells and sums to n_rounds. More than
     _MAX_CELLS cells raise ParameterError before anything is allocated.
-    "binomial" draws the whole histogram at once as Multinomial(n_rounds, q)
-    with q the law of min(Binomial(K, p), capacity), in O(capacity) work
-    whatever K and n_rounds are. "per-trial" draws every trial of every round
-    and tallies the capped counts: the literal audit oracle, limited to
-    K <= _MAX_CELLS trials per round.
+    "binomial" draws Multinomial(n_rounds, window) over the window of the
+    law of min(Binomial(K, p), capacity) only (_window_histograms, as
+    estimate_series does), in O(capacity) work whatever K and n_rounds are,
+    and pads it with the empty cells outside. "per-trial" draws every
+    trial of every round and tallies the capped counts: the literal audit
+    oracle, limited to K <= _MAX_CELLS trials per round.
     """
     k, p, cap = point.K, point.p_single, point.capacity
-    top = _histogram_top(point)
+    top = min(k, cap)
+    if top + 1 > _MAX_CELLS:
+        raise ParameterError(f"the histogram of latched pairs holds at most {_MAX_CELLS} cells, "
+                             f"got min(K, capacity) + 1 = {top + 1}")
+    hist = np.zeros(top + 1, dtype=np.int64)
     if granularity == "binomial":
-        return rng.multinomial(n_rounds, next(_capped_binomial_laws([point]))).astype(np.int64, copy=False)
+        (lo,), window = next(_window_histograms([point], iter([rng]), n_rounds))
+        hist[lo:lo + window.shape[1]] = window[0, :top + 1 - lo]  # no round latches past the capacity
+        return hist
     if granularity != "per-trial":
         raise ParameterError(f"trial_granularity must be one of {_GRANULARITIES}, got {granularity!r}")
     if k > _MAX_CELLS:
         raise ParameterError(f"per-trial sampling holds at most {_MAX_CELLS} trials per round, "
                              f"got K = {k}; use trial_granularity 'binomial'")
-    hist = np.zeros(top + 1, dtype=np.int64)
     chunk = _MAX_CELLS // max(k, 1)
     for start in range(0, n_rounds, chunk):
         trials = rng.random((min(chunk, n_rounds - start), k)) < p
@@ -302,29 +324,30 @@ def estimate_series(points: Sequence[PointSummary], seeds: Sequence[int], mc: Mc
     """Columns of successes, rates and standard errors; None for infeasible points.
 
     Point i draws on the stream of rng_for_seed(seeds[i]), one reused
-    generator (_streams), from one _capped_binomial_laws pass in binomial
-    mode; mc.seed is not read. Seeds and histogram sizes are checked before
-    any draw. rate = successes / (n_rounds * t_round); stderr is the ddof=1
-    deviation of the per-round counts over sqrt(n_rounds), per t_round (0
-    for a single round).
+    generator (_streams), in binomial mode over its law window only
+    (_window_histograms); seeds and window widths (at most _MAX_CELLS cells)
+    are checked before any draw. A per-trial histogram is one window from
+    lo = 0. One integer product per block gives each window's exact
+    S1 = sum h_i i and S2 = sum h_i i^2 over its cells i = 0, 1, ...; with
+    n = n_rounds, successes = S1 + lo n, rate = successes / (n t_round) and
+    stderr = sqrt((n S2 - S1^2) / (n^2 (n - 1))) / t_round, the fraction
+    correctly rounded (0 for a single round).
     """
     for seed in seeds:
         _require_seed(seed)
-    feasible = [point for point in points if point.feasible]
-    cells = np.arange(max(map(_histogram_top, feasible), default=0) + 1)  # latched pairs per cell
-    qs = _capped_binomial_laws(feasible) if mc.trial_granularity == "binomial" else None  # the laws q
-    n_rounds, n = mc.n_rounds, len(points)
-    successes, rates, stderrs = [None] * n, [None] * n, [None] * n
-    for i, (point, rng) in enumerate(zip(points, _streams(seeds), strict=True)):
-        if not point.feasible:
-            continue
-        hist = rng.multinomial(n_rounds, next(qs)) if qs else simulate_rounds(point, rng, n_rounds, "per-trial")
-        latched = cells[:len(hist)]
-        # int64 holds n_rounds * capacity latched pairs only up to 2**63 - 1.
-        if n_rounds * (len(hist) - 1) > _MAX_ROUNDS:
-            hist = hist.astype(object)
-        successes[i] = total = int(hist @ latched)
-        rates[i] = total / (n_rounds * point.t_round)
-        variance = float(hist @ (latched - total / n_rounds) ** 2) / max(n_rounds - 1, 1)
-        stderrs[i] = math.sqrt(variance / n_rounds) / point.t_round
+    n = mc.n_rounds
+    index = [i for i, (point, _) in enumerate(zip(points, seeds, strict=True)) if point.feasible]
+    feasible, rngs = [points[i] for i in index], _streams([seeds[i] for i in index])
+    blocks = _window_histograms(feasible, rngs, n) if mc.trial_granularity == "binomial" else (
+        ([0], simulate_rounds(point, rng, n, "per-trial")[None]) for point, rng in zip(feasible, rngs))
+    successes, rates, stderrs = [None] * len(points), [None] * len(points), [None] * len(points)
+    index = iter(index)
+    for lo, hist in blocks:
+        width = hist.shape[1]
+        exact = object if n * (width - 1) ** 2 > _MAX_ROUNDS else np.int64  # int64 would wrap S2 silently
+        sums = hist.astype(exact) @ np.arange(width, dtype=exact)[:, None] ** np.array([1, 2], dtype=exact)
+        for low, (s1, s2), i in zip(lo, sums.tolist(), index):  # index last: zip stops before it
+            successes[i] = total = s1 + low * n
+            rates[i] = total / (n * points[i].t_round)
+            stderrs[i] = math.sqrt((n * s2 - s1 * s1) / (n * n * max(n - 1, 1))) / points[i].t_round
     return successes, rates, stderrs

@@ -92,7 +92,7 @@ HUGE = str(10**400)  # past the largest double, 1.8e308
     (["analytic", "custom", "--set", "scheme=mm", "--set", "L_km=10",
       "--set", "memory.t_clock_s=1e308"], "t_round"),
     (["run", "custom", "--set", "scheme=ms", "--set", "L_km=10",
-      "--set", "memory.N=1e9", "--rounds", "10"], "cells"),
+      "--set", "memory.N=1e12", "--rounds", "10"], "cells"),
     (["run", "custom", "--set", "scheme=mm", "--set", "L_km=10",
       "--set", "mc.n_rounds=1e19"], "n_rounds"),
     (["run", "fig2a", "--rounds", "9223372036854775808"], "n_rounds"),

@@ -5,6 +5,7 @@ import re
 import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import entdist
@@ -246,6 +247,17 @@ class TestEmission:
             assert obj["mc_rate"] == row.mc_rate
             assert obj["t_round_s"] == row.t_round_s
             assert obj["feasible"] is row.feasible
+
+    def test_numpy_float_cells_read_the_same_in_csv_and_json(self):
+        # A hand-built row may hold numpy scalars; both formats spell the float.
+        row = ResultRow("mm", np.float64(10.0), 0.5, np.float64(1234.5), np.float64(1e-300), None,
+                        3, np.float64(1e-4), True, 7)
+        cells = rows_to_csv([row]).splitlines()[1].split(",")
+        assert cells == ["mm", "10.0", "0.5", "1234.5", "1e-300", "", "3", "0.0001", "true", "7"]
+        (obj,) = json.loads(rows_to_json([row]))
+        for name, cell in zip(ResultRow._fields, cells):
+            if isinstance(obj[name], float):
+                assert float(cell) == obj[name] and cell == repr(obj[name])
 
     def test_emit_writes_identical_bytes(self, rows, tmp_path):
         first, second = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -3,6 +3,7 @@ import json
 import math
 import random
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +24,9 @@ from entdist.montecarlo import (
     FeasibilityError,
     McControls,
     _capped_binomial_laws,
+    _law_windows,
+    _streams,
+    _window_histograms,
     estimate_rate,
     estimate_series,
     rng_for_seed,
@@ -253,9 +257,18 @@ def law_point(k, p, cap):
     return PointSummary(k, p, cap, 1.0, False, True, 0.0)
 
 
+def padded_laws(points):
+    """Each point's law of min(Binomial(K, p), capacity), its window zero-padded to all cells."""
+    windows = (law for block in _capped_binomial_laws(*_law_windows(points)) for law in zip(*block))
+    for point, (lo, cells, row) in zip(points, windows, strict=True):
+        q = np.zeros(min(point.K, point.capacity) + 1)
+        q[lo:lo + cells] = row[:cells]
+        yield q
+
+
 def capped_law(k, p, cap):
     """The law of min(Binomial(k, p), cap), built alone."""
-    return next(_capped_binomial_laws([law_point(k, p, cap)]))
+    return next(padded_laws([law_point(k, p, cap)]))
 
 
 SCIPY_LAW_CASES = [
@@ -334,17 +347,28 @@ class TestHistogramSampler:
             estimate_rate(evaluate(cfg), McControls(n_rounds=10, trial_granularity="per-trial"))
 
     def test_oversized_histogram_is_refused_before_allocating(self, monkeypatch):
-        # MS with 1e9 memories per node: a capacity-long histogram would need
-        # gigabytes, so the sampler refuses it before building the law.
+        # MS with 1e12 memories per node: a law window of about 7.4M cells
+        # would need gigabytes, so the sampler refuses it before building the law.
         def never_called(*args):
             raise AssertionError("the histogram law was built")
 
         monkeypatch.setattr(montecarlo, "_capped_binomial_laws", never_called)
-        huge = {"scheme": "ms", "memory.N": 10**9, "L_km": 10.0, "p_m": 1.0}
+        huge = {"scheme": "ms", "memory.N": 10**12, "L_km": 10.0, "p_m": 1.0}
         with pytest.raises(ParameterError, match="4000000 cells"):
             run_scenario("custom", overrides=huge, rounds=100)
         (row,) = run_scenario("custom", overrides=huge, with_mc=False)
-        assert row.K > 10**9 and row.analytic_rate > 0.0 and row.mc_rate is None
+        assert row.K > 10**12 and row.analytic_rate > 0.0 and row.mc_rate is None
+
+    def test_window_below_the_cell_limit_runs_past_it_in_capacity(self):
+        # MS with 1e9 memories per node: min(K, capacity) + 1 is far past
+        # _MAX_CELLS, but the law window (about 235k cells) is not.
+        huge = {"scheme": "ms", "memory.N": 10**9, "L_km": 10.0, "p_m": 1.0}
+        point = evaluate(build_scenario("custom", overrides=huge).points[0])
+        assert min(point.K, point.capacity) + 1 > montecarlo._MAX_CELLS
+        (row,) = run_scenario("custom", overrides=huge, rounds=100)
+        assert row.mc_rate > 0.0 and math.isfinite(row.mc_rate) and math.isfinite(row.mc_stderr)
+        expected = point.K * point.p_single / point.t_round
+        assert abs(row.mc_rate - expected) <= 5.0 * row.mc_stderr
 
     def test_laws_have_the_same_bits_alone_and_in_any_batch(self):
         # K = 3 (the MM and SR budgets), certain outcomes, a window wholly
@@ -363,7 +387,7 @@ class TestHistogramSampler:
         for shuffle_seed in range(3):
             order = list(range(len(cases))) * 2
             random.Random(shuffle_seed).shuffle(order)
-            batch = _capped_binomial_laws([law_point(*cases[i]) for i in order])
+            batch = padded_laws([law_point(*cases[i]) for i in order])
             for i, q in zip(order, batch, strict=True):
                 assert q.tobytes() == alone[i].tobytes(), cases[i]
 
@@ -499,3 +523,81 @@ def test_each_row_reproduces_from_its_seed(monkeypatch, source, granularity):
         mc = McControls(300, seed=row.seed, trial_granularity=granularity)
         estimate = estimate_rate(evaluate(cfg), mc)
         assert (row.mc_rate, row.mc_stderr) == (estimate.rate, estimate.stderr)
+
+
+def exact_moments(hist, t_round):
+    """successes and mc_stderr of a full histogram, from Python-int sums and one Fraction."""
+    n, s1, s2 = int(hist.sum()), 0, 0
+    for j in np.flatnonzero(hist).tolist():
+        s1 += int(hist[j]) * j
+        s2 += int(hist[j]) * j * j
+    return s1, math.sqrt(float(Fraction(n * s2 - s1 * s1, n * n * (n - 1)))) / t_round
+
+
+# The optimistic comb at mc-short's grid, and MS with one memory per node,
+# whose capacity binds at every p_m.
+OPTIMISTIC_AFC = {"afc.N_AFC": 1060, "afc.p_AFC": 1.0, "L_km": [1.0, 20.0, 75.0, 150.0],
+                  "p_m": [0.02, 0.5, 1.0]}
+CAP_BINDING_MS = {"scheme": "ms", "memory.kind": "quantum-dot", "memory.N": 1,
+                  "L_km": [1.0, 5.0, 30.0], "p_m": [0.02, 0.5, 1.0]}
+
+
+@pytest.mark.parametrize("source, overrides", [
+    ("fig5c", None),
+    ("custom", {"scheme": "afc-mm", **OPTIMISTIC_AFC}),
+    ("custom", {"scheme": "afc-ms", **OPTIMISTIC_AFC}),
+    ("custom", CAP_BINDING_MS),
+])
+def test_mc_stderr_is_the_exactly_rounded_deviation_of_each_rows_histogram(source, overrides):
+    # Rebuild each row's histogram from its seed; successes and the variance
+    # fraction are exact integers, so mc_rate and mc_stderr have one right value.
+    settings = dict(source=source, overrides=overrides, seed=3, rounds=2000)
+    rows = run_scenario(**settings)
+    points = [evaluate(cfg) for cfg in build_scenario(**settings).points]
+    feasible = [(row, point) for row, point in zip(rows, points, strict=True) if row.feasible]
+    assert feasible
+    if source == "custom" and overrides["scheme"] != "afc-mm":
+        assert all(point.K > point.capacity for _, point in feasible)
+    for row, point in feasible:
+        successes, stderr = exact_moments(simulate_rounds(point, rng_for_seed(row.seed), 2000), point.t_round)
+        assert row.mc_rate == successes / (2000 * point.t_round)
+        assert row.mc_stderr == stderr
+
+
+def test_mc_stderr_is_exact_where_int64_sums_would_wrap():
+    # n (w - 1)^2 passes 2**63 - 1 for this window, so the sums go through Python ints.
+    point = law_point(10**6, 0.5, 10**6)
+    n = 10**13
+    lo, hi = _law_windows([point])[3:5]
+    assert n * int(hi[0, 0] - lo[0, 0]) ** 2 > 2**63 - 1
+    (successes,), (rate,), (stderr,) = estimate_series([point], [11], McControls(n))
+    assert (successes, stderr) == exact_moments(simulate_rounds(point, rng_for_seed(11), n), 1.0)
+    assert rate == successes / (n * point.t_round)
+
+
+MC_SHORT_LIKE = [
+    {"scheme": "ms", "memory.kind": "quantum-dot", "memory.N": 3},
+    {"scheme": "afc-mm", "afc.N_AFC": 1060, "afc.p_AFC": 1.0},
+    {"scheme": "afc-ms", "afc.N_AFC": 1060, "afc.p_AFC": 1.0},
+]
+
+
+@pytest.mark.parametrize("n_rounds", [1, 2000, 500_000])
+def test_window_draws_equal_draws_over_the_zero_filled_law(n_rounds):
+    # A draw over the window only must give the histogram, bit for bit, that
+    # the law over all min(K, capacity) + 1 cells gives at the same seed.
+    configs = [cfg for preset in sorted(set(PRESETS) - {"custom"}) for cfg in build_scenario(preset).points]
+    configs += [cfg for series in MC_SHORT_LIKE for cfg in build_scenario(
+        "custom", overrides={**series, "L_km": [float(km) for km in range(1, 201, 3)],
+                             "p_m": [0.02, 0.5, 1.0]}).points]
+    points = [point for point in map(evaluate, configs) if point.feasible]
+    assert len(points) > 900
+    seeds = [1_000 + i for i in range(len(points))]
+    rows = (row for lo, hist in _window_histograms(points, _streams(seeds), n_rounds)
+            for row in zip(lo, hist))
+    for point, seed, law, (lo, row) in zip(points, seeds, padded_laws(points), rows, strict=True):
+        window, cells = np.zeros(len(law), dtype=np.int64), row[:len(law) - lo]
+        window[lo:lo + len(cells)] = cells
+        expected = rng_for_seed(seed).multinomial(n_rounds, law)
+        assert np.array_equal(window, expected), (point.K, point.p_single, point.capacity)
+        assert np.array_equal(simulate_rounds(point, rng_for_seed(seed), n_rounds), expected)
