@@ -193,6 +193,8 @@ CSV_HEADER = ",".join(_COLUMNS)
 def _as_number(key: str, value: Any) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{key} must be a number, got {value!r}")
+    if isinstance(value, int) and abs(value) > sys.float_info.max:  # float() would raise OverflowError
+        raise ConfigError(f"{key} must be at most {sys.float_info.max!r} in magnitude, got a larger integer")
     return float(value)
 
 
@@ -260,7 +262,6 @@ _CONFIG_KEYS: dict[str, tuple[str, str, Callable[[str, Any], Any]]] = {
     "afc.t_clock_prime_s": ("afc", "t_clock_prime", _as_number),
     "mc.n_rounds": ("mc", "n_rounds", _as_int),
     "mc.seed": ("mc", "seed", _as_int),
-    "mc.trial_granularity": ("mc", "trial_granularity", _as_text),
 }
 _SCENARIO_KEYS = {key for key, (spec, _, _) in _CONFIG_KEYS.items() if spec == "mc"}
 _SERIES_KEYS = _CONFIG_KEYS.keys() - _SCENARIO_KEYS

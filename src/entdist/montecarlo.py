@@ -40,11 +40,9 @@ __all__ = [
 ]
 
 _DEFAULT_SEED = 42
-_GRANULARITIES = ("binomial", "per-trial")
 
-# Largest array, in cells, one sampling step allocates: a sweep's law window,
-# simulate_rounds' histogram of a round's latched pairs, and per-trial mode's
-# rounds x K boolean block, which is chunked to fit. Wider ones are refused.
+# Largest array, in cells, one sampling step allocates: a sweep's law window
+# and simulate_rounds' histogram of a round's latched pairs. Wider ones are refused.
 _MAX_CELLS = 4_000_000
 # numpy's multinomial takes the round count as a C long.
 _MAX_ROUNDS = 2**63 - 1
@@ -57,28 +55,15 @@ class FeasibilityError(RuntimeError):
 
 @dataclass(frozen=True, slots=True)
 class McControls:
-    """Simulation controls: round count, RNG seed and sampling granularity.
-
-    Both granularities produce the histogram of latched pairs per round.
-    "binomial" (the default) draws it in one multinomial step over the
-    window that holds the mass of the law of min(Binomial(K, p), capacity),
-    at a cost set by the window and not by n_rounds; "per-trial" draws every
-    trial individually for auditability. Both sample the same distribution,
-    and the rate and its standard error are exact sums of the histogram.
-    """
+    """Simulation controls: the round count and RNG seed of every point's estimate."""
 
     n_rounds: int
     seed: int = _DEFAULT_SEED
-    trial_granularity: str = "binomial"
 
     def __post_init__(self) -> None:
         if not (_is_integer(self.n_rounds) and 1 <= self.n_rounds <= _MAX_ROUNDS):
             raise ParameterError(f"n_rounds must be an integer in [1, 2**63 - 1], got {self.n_rounds!r}")
         _require_seed(self.seed)
-        if self.trial_granularity not in _GRANULARITIES:
-            raise ParameterError(
-                f"trial_granularity must be one of {_GRANULARITIES}, got {self.trial_granularity!r}"
-            )
 
 
 @dataclass(frozen=True, slots=True)
@@ -264,43 +249,24 @@ def _window_histograms(points: Sequence[PointSummary], rngs: Iterator[np.random.
         yield lo, hist
 
 
-def simulate_rounds(
-    point: PointSummary,
-    rng: np.random.Generator,
-    n_rounds: int,
-    granularity: str = "binomial",
-) -> np.ndarray:
+def simulate_rounds(point: PointSummary, rng: np.random.Generator, n_rounds: int) -> np.ndarray:
     """Histogram of latched pairs over n_rounds independent rounds.
 
     Cell j of the returned int64 array counts the rounds that latched j
     pairs; it has min(K, capacity) + 1 cells and sums to n_rounds. More than
     _MAX_CELLS cells raise ParameterError before anything is allocated.
-    "binomial" draws Multinomial(n_rounds, window) over the window of the
-    law of min(Binomial(K, p), capacity) only (_window_histograms, as
+    Draws Multinomial(n_rounds, window) over the window of the law of
+    min(Binomial(K, p), capacity) only (_window_histograms, as
     estimate_series does), in O(capacity) work whatever K and n_rounds are,
-    and pads it with the empty cells outside. "per-trial" draws every
-    trial of every round and tallies the capped counts: the literal audit
-    oracle, limited to K <= _MAX_CELLS trials per round.
+    and pads it with the empty cells outside.
     """
-    k, p, cap = point.K, point.p_single, point.capacity
-    top = min(k, cap)
+    top = min(point.K, point.capacity)
     if top + 1 > _MAX_CELLS:
         raise ParameterError(f"the histogram of latched pairs holds at most {_MAX_CELLS} cells, "
                              f"got min(K, capacity) + 1 = {top + 1}")
     hist = np.zeros(top + 1, dtype=np.int64)
-    if granularity == "binomial":
-        (lo,), window = next(_window_histograms([point], iter([rng]), n_rounds))
-        hist[lo:lo + window.shape[1]] = window[0, :top + 1 - lo]  # no round latches past the capacity
-        return hist
-    if granularity != "per-trial":
-        raise ParameterError(f"trial_granularity must be one of {_GRANULARITIES}, got {granularity!r}")
-    if k > _MAX_CELLS:
-        raise ParameterError(f"per-trial sampling holds at most {_MAX_CELLS} trials per round, "
-                             f"got K = {k}; use trial_granularity 'binomial'")
-    chunk = _MAX_CELLS // max(k, 1)
-    for start in range(0, n_rounds, chunk):
-        trials = rng.random((min(chunk, n_rounds - start), k)) < p
-        hist += np.bincount(np.minimum(trials.sum(axis=1), cap), minlength=top + 1)
+    (lo,), window = next(_window_histograms([point], iter([rng]), n_rounds))
+    hist[lo:lo + window.shape[1]] = window[0, :top + 1 - lo]  # no round latches past the capacity
     return hist
 
 
@@ -324,10 +290,9 @@ def estimate_series(points: Sequence[PointSummary], seeds: Sequence[int], mc: Mc
     """Columns of successes, rates and standard errors; None for infeasible points.
 
     Point i draws on the stream of rng_for_seed(seeds[i]), one reused
-    generator (_streams), in binomial mode over its law window only
-    (_window_histograms); seeds and window widths (at most _MAX_CELLS cells)
-    are checked before any draw. A per-trial histogram is one window from
-    lo = 0. One integer product per block gives each window's exact
+    generator (_streams), over its law window only (_window_histograms);
+    seeds and window widths (at most _MAX_CELLS cells) are checked before
+    any draw. One integer product per block gives each window's exact
     S1 = sum h_i i and S2 = sum h_i i^2 over its cells i = 0, 1, ...; with
     n = n_rounds, successes = S1 + lo n, rate = successes / (n t_round) and
     stderr = sqrt((n S2 - S1^2) / (n^2 (n - 1))) / t_round, the fraction
@@ -338,11 +303,9 @@ def estimate_series(points: Sequence[PointSummary], seeds: Sequence[int], mc: Mc
     n = mc.n_rounds
     index = [i for i, (point, _) in enumerate(zip(points, seeds, strict=True)) if point.feasible]
     feasible, rngs = [points[i] for i in index], _streams([seeds[i] for i in index])
-    blocks = _window_histograms(feasible, rngs, n) if mc.trial_granularity == "binomial" else (
-        ([0], simulate_rounds(point, rng, n, "per-trial")[None]) for point, rng in zip(feasible, rngs))
     successes, rates, stderrs = [None] * len(points), [None] * len(points), [None] * len(points)
     index = iter(index)
-    for lo, hist in blocks:
+    for lo, hist in _window_histograms(feasible, rngs, n):
         width = hist.shape[1]
         exact = object if n * (width - 1) ** 2 > _MAX_ROUNDS else np.int64  # int64 would wrap S2 silently
         sums = hist.astype(exact) @ np.arange(width, dtype=exact)[:, None] ** np.array([1, 2], dtype=exact)

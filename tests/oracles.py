@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from entdist.analytic import NotApplicableError, SchemeConfig, SchemeKind
+from entdist.analytic import NotApplicableError, PointSummary, SchemeConfig, SchemeKind
 from entdist.params import ParameterError, derive_probs, fiber_transmission
 
 
@@ -156,6 +156,30 @@ def closed_form_ratio(a: SchemeConfig, b: SchemeConfig) -> float:
     raise NotApplicableError(
         f"no specialized ratio for ({a.kind.display}, {b.kind.display})"
     )
+
+
+_BLOCK_CELLS = 4_000_000  # booleans in one chunk of rounds x K trials
+
+
+def per_trial_histogram(point: PointSummary, rng: np.random.Generator, n_rounds: int) -> np.ndarray:
+    """Histogram of latched pairs over n_rounds rounds, drawing every trial of every round.
+
+    Each of a round's K trials succeeds with probability p_single and the
+    round latches min(successes, capacity) pairs; cell j counts the rounds
+    that latched j, over min(K, capacity) + 1 cells. The literal reading of
+    the law that montecarlo.simulate_rounds samples, for K up to
+    _BLOCK_CELLS trials per round.
+    """
+    k, p, cap = point.K, point.p_single, point.capacity
+    if k > _BLOCK_CELLS:
+        raise ParameterError(f"per-trial sampling holds at most {_BLOCK_CELLS} trials per round, got K = {k}")
+    top = min(k, cap)
+    hist = np.zeros(top + 1, dtype=np.int64)
+    chunk = _BLOCK_CELLS // max(k, 1)
+    for start in range(0, n_rounds, chunk):
+        trials = rng.random((min(chunk, n_rounds - start), k)) < p
+        hist += np.bincount(np.minimum(trials.sum(axis=1), cap), minlength=top + 1)
+    return hist
 
 
 @dataclass(frozen=True, slots=True)

@@ -42,7 +42,7 @@ from entdist.params import (
 )
 from entdist.swapping import SwapParams, chain_factor, swap_budget
 
-from oracles import closed_form_ratio
+from oracles import closed_form_ratio, per_trial_histogram
 
 ACCEPTANCE_SEED = 3
 REDUCED_ROUNDS = 50_000
@@ -419,8 +419,8 @@ def test_criterion_6f_sampling_modes_agree():
     cfg = SchemeConfig(SchemeKind.MM, LINK10, QUANTUM_DOT)
     n = 20_000
     point = evaluate(cfg)
-    binomial = simulate_rounds(point, rng_for_seed(31), n, "binomial")
-    per_trial = simulate_rounds(point, rng_for_seed(32), n, "per-trial")
+    binomial = simulate_rounds(point, rng_for_seed(31), n)
+    per_trial = per_trial_histogram(point, rng_for_seed(32), n)
     table = np.array([binomial, per_trial])
     occupied = table.sum(axis=0) > 0
     result = stats.chi2_contingency(table[:, occupied])

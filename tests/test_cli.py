@@ -107,6 +107,11 @@ HUGE = str(10**400)  # past the largest double, 1.8e308
     (["analytic", "custom", "--set", "scheme=sr", "--set", "L_km=10",
       "--set", f"memory.N={15 * 10**307}", "--set", f"N_A={25 * 10**307}",
       "--set", f"N_B={5 * 10**307}"], "N_A must be at most"),
+    (["analytic", "custom", "--set", "scheme=mm", "--set", f"L_km={HUGE}"], "L_km must be at most"),
+    (["analytic", "custom", "--set", "scheme=mm", "--set", "L_km=10",
+      "--set", f"L_att_km={HUGE}"], "L_att_km must be at most"),
+    (["analytic", "custom", "--set", "scheme=ms", "--set", "L_km=10",
+      "--set", f"p_m=[0.5, {HUGE}]"], "p_m must be at most"),
 ])
 def test_out_of_range_inputs_are_config_errors(capsys, argv, message, fmt):
     # swap has no --format: it always writes JSON.

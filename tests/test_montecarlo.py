@@ -44,7 +44,7 @@ from entdist.params import (
     QUANTUM_DOT,
 )
 
-from oracles import latch_probability, simulate_latches
+from oracles import latch_probability, per_trial_histogram, simulate_latches
 
 LINK10 = LinkParams(L=10.0)
 
@@ -212,10 +212,12 @@ class TestRoundOutcomes:
 
 
 class TestGranularities:
+    """The window sampler against the per-trial oracle, which draws every trial."""
+
     def test_per_trial_and_binomial_agree_in_distribution(self):
         n = 20000
-        binomial = simulate_rounds(evaluate(MM_QD), rng_for_seed(31), n, "binomial")
-        per_trial = simulate_rounds(evaluate(MM_QD), rng_for_seed(32), n, "per-trial")
+        binomial = simulate_rounds(evaluate(MM_QD), rng_for_seed(31), n)
+        per_trial = per_trial_histogram(evaluate(MM_QD), rng_for_seed(32), n)
         # Flaky-tolerant statistical check, pinned by the fixed seeds above:
         # a contingency test across the success-count histogram at p > 0.01.
         support = np.arange(4)
@@ -233,17 +235,11 @@ class TestGranularities:
             assert gof.pvalue > 0.01
 
     def test_per_trial_chunking_handles_large_budgets(self):
-        counts = simulate_rounds(evaluate(AFC_MS), rng_for_seed(41), 9000, "per-trial")
+        counts = per_trial_histogram(evaluate(AFC_MS), rng_for_seed(41), 9000)
         assert counts.sum() == 9000
         k, p = trials_per_round(AFC_MS), evaluate(AFC_MS).p_single
         mean, stderr = histogram_mean_and_stderr(counts)
         assert abs(mean - k * p) <= 4.0 * stderr
-
-    def test_unknown_granularity_rejected(self):
-        with pytest.raises(ParameterError, match="trial_granularity"):
-            simulate_rounds(evaluate(MM_QD), rng_for_seed(0), 10, "per-photon")
-        with pytest.raises(ParameterError, match="trial_granularity"):
-            McControls(n_rounds=10, trial_granularity="per-photon")
 
 
 def capped_binomial_pmf(k, p, cap):
@@ -281,14 +277,14 @@ SCIPY_LAW_CASES = [
 
 
 class TestHistogramSampler:
-    @pytest.mark.parametrize("granularity", ["binomial", "per-trial"])
+    @pytest.mark.parametrize("sample", [simulate_rounds, per_trial_histogram], ids=["binomial", "per-trial"])
     @pytest.mark.parametrize("p_m, cell", [(0.0, 0), (1.0, 3)])
-    def test_certain_outcomes_give_one_hot_histograms(self, granularity, p_m, cell):
+    def test_certain_outcomes_give_one_hot_histograms(self, sample, p_m, cell):
         perfect = AfcSpec(N_AFC=3, t_rephase=51e-6, t_spin_coherence=1e-3,
                           p_AFC=1.0, p_pass=1.0, t_clock_prime=1e-8)
         cfg = SchemeConfig(SchemeKind.AFC_MS, LinkParams(L=0.0), perfect, p_m=p_m)
         assert evaluate(cfg).p_single == p_m
-        counts = simulate_rounds(evaluate(cfg), rng_for_seed(0), 700, granularity)
+        counts = sample(evaluate(cfg), rng_for_seed(0), 700)
         expected = np.zeros(evaluate(cfg).capacity + 1, dtype=np.int64)
         expected[cell] = 700
         assert np.array_equal(counts, expected)
@@ -338,13 +334,6 @@ class TestHistogramSampler:
         assert counts.sum() == 500_000
         estimate = estimate_rate(evaluate(cfg), McControls(n_rounds=500_000, seed=79))
         assert abs(estimate.rate - evaluate(cfg).exact_rate) <= 4.0 * estimate.stderr
-
-    def test_per_trial_refuses_budgets_beyond_its_block(self):
-        cfg = SchemeConfig(SchemeKind.MS, LinkParams(L=50.0), QUANTUM_DOT, p_m=1e-9)
-        with pytest.raises(ParameterError, match="per-trial"):
-            simulate_rounds(evaluate(cfg), rng_for_seed(0), 10, "per-trial")
-        with pytest.raises(ParameterError, match="per-trial"):
-            estimate_rate(evaluate(cfg), McControls(n_rounds=10, trial_granularity="per-trial"))
 
     def test_oversized_histogram_is_refused_before_allocating(self, monkeypatch):
         # MS with 1e12 memories per node: a law window of about 7.4M cells
@@ -508,19 +497,18 @@ def test_estimate_series_refuses_seeds_rng_for_seed_refuses(seed):
 MULTI_SERIES = json.loads((Path(__file__).resolve().parent / "data" / "multi_series_scenario.json").read_text())
 
 
-@pytest.mark.parametrize("granularity", ["binomial", "per-trial"])
 @pytest.mark.parametrize("source", ["multi_series", "fig5c"])
-def test_each_row_reproduces_from_its_seed(monkeypatch, source, granularity):
+def test_each_row_reproduces_from_its_seed(monkeypatch, source):
     # The README's promise: a row's seed alone reproduces its Monte Carlo
     # columns, whatever the series around it.
     monkeypatch.setitem(PRESETS, "multi_series", MULTI_SERIES)
-    settings = dict(source=source, overrides={"mc.trial_granularity": granularity}, seed=3, rounds=300)
+    settings = dict(source=source, seed=3, rounds=300)
     rows = run_scenario(**settings)
     configs = build_scenario(**settings).points
     feasible = [(row, cfg) for row, cfg in zip(rows, configs, strict=True) if row.feasible]
     assert feasible
     for row, cfg in feasible:
-        mc = McControls(300, seed=row.seed, trial_granularity=granularity)
+        mc = McControls(300, seed=row.seed)
         estimate = estimate_rate(evaluate(cfg), mc)
         assert (row.mc_rate, row.mc_stderr) == (estimate.rate, estimate.stderr)
 
