@@ -128,8 +128,7 @@ class FeasibilityReport:
     limit_s: float   # t_spin_coherence
 
 
-@dataclass(frozen=True, slots=True)
-class PointSummary:
+class PointSummary(NamedTuple):
     """One sweep point: its entry of each evaluate_series column, and its config from evaluate().
 
     rate and exact_rate raise ParameterError rather than return a value that

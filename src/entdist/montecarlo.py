@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 from numpy.typing import ArrayLike
@@ -97,41 +97,60 @@ def subseed(master_seed: int, index: int) -> int:
     return int(subseeds(master_seed, [index])[0])
 
 
-# The pool hash runs on Python ints (one seed) or on uint32 arrays (many);
-# masking with _M32 wraps an int as uint32 arithmetic wraps by itself.
-_M32 = 0xFFFF_FFFF
+def _hash_constants(const: int, mult: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Columns of the xor and multiply constants of count calls of numpy SeedSequence's hashmix.
 
-
-def _seed_hasher(const: int, mult: int) -> Callable[[Any], Any]:
-    """numpy SeedSequence's hashmix on 32-bit words, with its running constant."""
-
-    def hashmix(value: Any) -> Any:
-        nonlocal const
-        value = value ^ const
-        const = const * mult & _M32
-        value = value * const & _M32
-        return value ^ (value >> 16)
-
-    return hashmix
-
-
-def _seed_words(entropy: list[Any], n_words: int) -> list[Any]:
-    """SeedSequence(entropy).generate_state(n_words, np.uint64), element-wise over arrays.
-
-    numpy's pool hash (numpy/random/bit_generator.pyx), bit for bit, on at
-    most 4 entropy words, all ints or all uint32 arrays (which broadcast).
-    The padding is a zero of the same kind; trailing zero words hash like it.
+    Call i xors with the running constant, steps it (const *= mult) and
+    multiplies by the stepped value; the sequence depends on nothing else.
     """
-    hashmix = _seed_hasher(0x43B0D7E5, 0x931E8875)
-    pool = [hashmix(word) for word in entropy + [entropy[0] & 0] * (4 - len(entropy))]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                mixed = (0xCA01F9DD * pool[dst] - 0x4973F715 * hashmix(pool[src])) & _M32
-                pool[dst] = mixed ^ (mixed >> 16)
-    hashmix = _seed_hasher(0x8B51F9DD, 0x58F38DED)
-    halves = (np.asarray(hashmix(pool[i % 4]), np.uint64) for i in range(2 * n_words))
-    return [low | (high << 32) for low, high in zip(halves, halves)]  # consecutive halves
+    consts = [const]
+    for _ in range(count):
+        consts.append(consts[-1] * mult & 0xFFFF_FFFF)
+    column = np.array(consts, np.uint32)[:, None]
+    return column[:-1], column[1:]
+
+
+# The hashmix calls of one pool hash: 4 on the entropy words, then 3 per
+# source word, one for each other pool word in turn (the source's own row of
+# its column is 0 and unused), and at most 8 on the output halves, which
+# read pool words 0, 1, 2, 3, 0, ... in turn.
+_HASHMIX_A = _hash_constants(0x43B0D7E5, 0x931E8875, 16)
+_ENTROPY_HASH = tuple(column[:4] for column in _HASHMIX_A)
+_MIX_HASH = [tuple(np.insert(column[4 + 3 * src:7 + 3 * src], src, 0, axis=0) for column in _HASHMIX_A)
+             for src in range(4)]
+_OUTPUT_HASH = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)
+_OUTPUT_ROWS = [np.arange(2 * n_words) % 4 for n_words in range(5)]
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+
+
+def _hashmix(words: np.ndarray, xors: np.ndarray, mults: np.ndarray) -> np.ndarray:
+    """numpy SeedSequence's hashmix of each row of words, with that row's constants."""
+    words = words ^ xors
+    words *= mults
+    words ^= words >> 16
+    return words
+
+
+def _seed_words(entropy: np.ndarray, n_words: int) -> np.ndarray:
+    """SeedSequence(entropy[:, j]).generate_state(n_words, np.uint64) as column j, for n_words <= 4.
+
+    numpy's pool hash (numpy/random/bit_generator.pyx), bit for bit, on a
+    (4, n) uint32 array of entropy words, zero-padded (trailing zero words
+    hash like the padding). The whole pool is one array: each hashmix or mix
+    step runs on every word and seed it applies to at once.
+    """
+    pool = _hashmix(entropy, *_ENTROPY_HASH)
+    for src, constants in enumerate(_MIX_HASH):  # mixes into the other words are independent
+        hashed = _hashmix(pool[src], *constants)
+        hashed *= _MIX_MULT_R
+        mixed = pool * _MIX_MULT_L
+        mixed -= hashed
+        mixed ^= mixed >> 16
+        mixed[src] = pool[src]  # the source word does not mix into itself
+        pool = mixed
+    halves = _hashmix(pool[_OUTPUT_ROWS[n_words]], *(column[:2 * n_words] for column in _OUTPUT_HASH))
+    halves = halves.astype(np.uint64)
+    return halves[0::2] | halves[1::2] << 32  # numpy reads each pair as a little-endian uint64
 
 
 def subseeds(master_seed: int, indices: ArrayLike) -> np.ndarray:
@@ -148,13 +167,17 @@ def subseeds(master_seed: int, indices: ArrayLike) -> np.ndarray:
     index = np.asarray(indices)
     if index.size and not (index.dtype.kind in "iu" and index.min() >= 0 and index.max() < 2**32):
         raise ParameterError("sub-seed indices must be integers in [0, 2**32)")
-    words = [master_seed & _M32] + ([master_seed >> 32] if master_seed >> 32 else [])
-    entropy = [np.array([w], dtype=np.uint32) for w in words] + [index.astype(np.uint32)]
+    master = int(master_seed)  # a numpy integer would mix numpy scalar and Python int arithmetic
+    words = [master & 0xFFFF_FFFF] + ([master >> 32] if master >> 32 else [])
+    entropy = np.zeros((4, index.size), np.uint32)
+    entropy[:len(words)] = np.array(words, np.uint32)[:, None]
+    entropy[len(words)] = index.ravel()
     return _seed_words(entropy, 1)[0].reshape(index.shape)
 
 
 # PCG64's 128-bit LCG multiplier (PCG_DEFAULT_MULTIPLIER_128 in numpy's pcg64.h).
 _PCG64_MULT = 0x2360ED051FC65DA4_4385DF649FCCF645
+_M128 = 2**128 - 1
 
 
 def _streams(seeds: ArrayLike) -> Iterator[np.random.Generator]:
@@ -166,16 +189,14 @@ def _streams(seeds: ArrayLike) -> Iterator[np.random.Generator]:
     2**128. numpy.random is first loaded here, so that analytic runs skip it.
     """
     seeds = np.asarray(seeds, dtype=np.uint64)
-    entropy = [(seeds & _M32).astype(np.uint32), (seeds >> 32).astype(np.uint32)]
-    if seeds.size == 1:  # numpy's per-call overhead would dwarf one seed's hash
-        entropy = [word.item() for word in entropy]
-    words = _seed_words(entropy, 4)
+    entropy = np.zeros((4, seeds.size), np.uint32)
+    entropy[0], entropy[1] = seeds & 0xFFFF_FFFF, seeds >> 32
     rng = np.random.Generator(np.random.PCG64(0))  # its state is set below
-    for w0, w1, w2, w3 in zip(*(np.atleast_1d(word).tolist() for word in words)):
-        inc = (w2 << 65 | w3 << 1 | 1) % 2**128
+    for w0, w1, w2, w3 in zip(*_seed_words(entropy, 4).tolist()):
+        inc = (w2 << 65 | w3 << 1 | 1) & _M128
         state = ((w0 << 64 | w1) + inc) * _PCG64_MULT + inc
         rng.bit_generator.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
-                                   "state": {"state": state % 2**128, "inc": inc}}
+                                   "state": {"state": state & _M128, "inc": inc}}
         yield rng
 
 
@@ -233,16 +254,16 @@ def _capped_binomial_laws(k: np.ndarray, p: np.ndarray, inner: np.ndarray, lo: n
         start = stop
 
 
-def _window_histograms(points: Sequence[PointSummary], rngs: Iterator[np.random.Generator],
+def _window_histograms(windows: tuple[np.ndarray, ...], rngs: Iterator[np.random.Generator],
                        n_rounds: int) -> Iterator[tuple[list, np.ndarray]]:
-    """(lo, hist) per law block; hist[r, i] counts the rounds that latched lo[r] + i pairs.
+    """(lo, hist) per law block of _law_windows' windows; hist[r, i] counts rounds latching lo[r] + i pairs.
 
     Row r draws Multinomial(n_rounds, window) on the next generator of rngs.
     numpy's multinomial draws nothing for a cell of probability 0 and stops
     once every round is placed: the zero-filled law of all min(K, capacity)
     + 1 cells draws the same histogram.
     """
-    for lo, cells, laws in _capped_binomial_laws(*_law_windows(points)):
+    for lo, cells, laws in _capped_binomial_laws(*windows):
         hist = np.zeros(laws.shape, dtype=np.int64)
         for row, n, law, rng in zip(hist, cells, laws, rngs):  # rngs last: zip stops before it
             row[:n] = rng.multinomial(n_rounds, law[:n])
@@ -265,7 +286,7 @@ def simulate_rounds(point: PointSummary, rng: np.random.Generator, n_rounds: int
         raise ParameterError(f"the histogram of latched pairs holds at most {_MAX_CELLS} cells, "
                              f"got min(K, capacity) + 1 = {top + 1}")
     hist = np.zeros(top + 1, dtype=np.int64)
-    (lo,), window = next(_window_histograms([point], iter([rng]), n_rounds))
+    (lo,), window = next(_window_histograms(_law_windows([point]), iter([rng]), n_rounds))
     hist[lo:lo + window.shape[1]] = window[0, :top + 1 - lo]  # no round latches past the capacity
     return hist
 
@@ -292,8 +313,10 @@ def estimate_series(points: Sequence[PointSummary], seeds: Sequence[int], mc: Mc
     Point i draws on the stream of rng_for_seed(seeds[i]), one reused
     generator (_streams), over its law window only (_window_histograms);
     seeds and window widths (at most _MAX_CELLS cells) are checked before
-    any draw. One integer product per block gives each window's exact
-    S1 = sum h_i i and S2 = sum h_i i^2 over its cells i = 0, 1, ...; with
+    any draw. Points draw in order of window width, so that a block pads
+    its rows little; each result goes back to its point's place. One integer
+    product per block gives each window's exact S1 = sum h_i i and
+    S2 = sum h_i i^2 over its cells i = 0, 1, ...; with
     n = n_rounds, successes = S1 + lo n, rate = successes / (n t_round) and
     stderr = sqrt((n S2 - S1^2) / (n^2 (n - 1))) / t_round, the fraction
     correctly rounded (0 for a single round).
@@ -302,10 +325,12 @@ def estimate_series(points: Sequence[PointSummary], seeds: Sequence[int], mc: Mc
         _require_seed(seed)
     n = mc.n_rounds
     index = [i for i, (point, _) in enumerate(zip(points, seeds, strict=True)) if point.feasible]
-    feasible, rngs = [points[i] for i in index], _streams([seeds[i] for i in index])
+    windows = _law_windows([points[i] for i in index])
+    order = np.argsort((windows[4] - windows[3])[:, 0], kind="stable")
+    windows, index = tuple(column[order] for column in windows), [index[j] for j in order.tolist()]
     successes, rates, stderrs = [None] * len(points), [None] * len(points), [None] * len(points)
-    index = iter(index)
-    for lo, hist in _window_histograms(feasible, rngs, n):
+    rngs, index = _streams([seeds[i] for i in index]), iter(index)
+    for lo, hist in _window_histograms(windows, rngs, n):
         width = hist.shape[1]
         exact = object if n * (width - 1) ** 2 > _MAX_ROUNDS else np.int64  # int64 would wrap S2 silently
         sums = hist.astype(exact) @ np.arange(width, dtype=exact)[:, None] ** np.array([1, 2], dtype=exact)

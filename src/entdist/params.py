@@ -36,17 +36,23 @@ class ParameterError(ValueError):
     """A physical parameter violated its invariant; the message names the field."""
 
 
-def _require(condition: bool, field: str, message: str) -> None:
+def _require(condition: bool, field: str, template: str, *args: object) -> None:
+    """Raise ParameterError("<field> <template % args>") unless condition; the message is built only then."""
     if not condition:
-        raise ParameterError(f"{field} {message}")
+        raise ParameterError(f"{field} {template % args}")
 
 
 def _require_probability(field: str, value: float) -> None:
-    _require(0.0 <= value <= 1.0, field, f"must be in [0, 1], got {value!r}")
+    _require(0.0 <= value <= 1.0, field, "must be in [0, 1], got %r", value)
 
 
 def _require_positive(field: str, value: float) -> None:
-    _require(value > 0.0, field, f"must be > 0, got {value!r}")
+    _require(value > 0.0, field, "must be > 0, got %r", value)
+
+
+def _require_finite(field: str, value: float) -> None:
+    """value < inf; called after a lower bound, which has refused nan and -inf."""
+    _require(value < math.inf, field, "must be finite, got %r", value)
 
 
 def _is_integer(value: object) -> bool:
@@ -56,9 +62,9 @@ def _is_integer(value: object) -> bool:
 
 def _require_count(field: str, value: int) -> None:
     """An integer >= 1 that converts to a finite float, so rates and budgets stay finite."""
-    _require(_is_integer(value), field, f"must be an integer, got {value!r}")
-    _require(value >= 1, field, f"must be >= 1, got {value!r}")
-    _require(value <= sys.float_info.max, field, f"must be at most {sys.float_info.max!r}")
+    _require(_is_integer(value), field, "must be an integer, got %r", value)
+    _require(value >= 1, field, "must be >= 1, got %r", value)
+    _require(value <= sys.float_info.max, field, "must be at most %r", sys.float_info.max)
 
 
 @dataclass(frozen=True, slots=True)
@@ -77,9 +83,10 @@ class LinkParams:
     p_d: float = 0.8      # single-photon detector efficiency
 
     def __post_init__(self) -> None:
-        _require(self.L >= 0.0, "L", f"must be >= 0 km, got {self.L!r}")
+        _require(self.L >= 0.0, "L", "must be >= 0 km, got %r", self.L)
+        _require_finite("L", self.L)
         _require_positive("L_att", self.L_att)
-        _require(self.n >= 1.0, "n", f"must be >= 1, got {self.n!r}")
+        _require(self.n >= 1.0, "n", "must be >= 1, got %r", self.n)
         _require_positive("c", self.c)
         _require_probability("p_d", self.p_d)
 
@@ -97,6 +104,7 @@ class MemorySpec:
     def __post_init__(self) -> None:
         _require(bool(self.label), "label", "must be a non-empty string")
         _require_positive("t_clock", self.t_clock)
+        _require_finite("t_clock", self.t_clock)
         _require_probability("emission_fraction", self.emission_fraction)
         _require_probability("collection_efficiency", self.collection_efficiency)
         _require_count("N", self.N)
@@ -120,14 +128,12 @@ class AfcSpec:
     def __post_init__(self) -> None:
         _require_count("N_AFC", self.N_AFC)
         _require_positive("t_rephase", self.t_rephase)
-        _require(
-            self.t_spin_coherence >= self.t_rephase,
-            "t_spin_coherence",
-            f"must be >= t_rephase ({self.t_rephase!r}), got {self.t_spin_coherence!r}",
-        )
+        _require(self.t_spin_coherence >= self.t_rephase, "t_spin_coherence",
+                 "must be >= t_rephase (%r), got %r", self.t_rephase, self.t_spin_coherence)
         _require_probability("p_AFC", self.p_AFC)
         _require_probability("p_pass", self.p_pass)
         _require_positive("t_clock_prime", self.t_clock_prime)
+        _require_finite("t_clock_prime", self.t_clock_prime)
 
 
 @dataclass(frozen=True, slots=True)

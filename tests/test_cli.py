@@ -1,5 +1,6 @@
 import io
 import json
+import math
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -112,12 +113,28 @@ HUGE = str(10**400)  # past the largest double, 1.8e308
       "--set", f"L_att_km={HUGE}"], "L_att_km must be at most"),
     (["analytic", "custom", "--set", "scheme=ms", "--set", "L_km=10",
       "--set", f"p_m=[0.5, {HUGE}]"], "p_m must be at most"),
+    (["analytic", "custom", "--set", "scheme=mm", "--set", "L_km=10",
+      "--set", "L_km=1e400"], "L must be finite"),
+    (["analytic", "custom", "--set", "scheme=mm", "--set", "L_km=Infinity"], "L must be finite"),
+    (["analytic", "custom", "--set", "scheme=mm", "--set", "L_km=10",
+      "--set", "memory.t_clock_s=1e400"], "t_clock must be finite"),
+    (["analytic", "custom", "--set", "scheme=afc-mm", "--set", "L_km=10",
+      "--set", "afc.t_clock_prime_s=1e400"], "t_clock_prime must be finite"),
 ])
 def test_out_of_range_inputs_are_config_errors(capsys, argv, message, fmt):
     # swap has no --format: it always writes JSON.
     assert main(argv if argv[0] == "swap" else argv + ["--format", fmt]) == 1
     captured = capsys.readouterr()
     assert message in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("scheme, key", [("mm", "L_att_km"), ("afc-mm", "afc.t_spin_coherence_s")])
+def test_infinite_attenuation_length_and_spin_coherence_run(capsys, scheme, key):
+    # A lossless fiber and a spin level that never dephases are limits, not errors.
+    assert main(["analytic", "custom", "--set", f"scheme={scheme}", "--set", "L_km=10",
+                 "--set", f"{key}=Infinity", "--format", "json"]) == 0
+    (row,) = json.loads(capsys.readouterr().out)
+    assert math.isfinite(row["analytic_rate"]) and math.isfinite(row["t_round_s"])
 
 
 LONG_INT = "9" * 5000  # past the int-to-string limit of 4,300 digits

@@ -149,13 +149,33 @@ class TestSubseeds:
         with pytest.raises(ParameterError, match="master seed"):
             subseeds(2**64, [0])
 
+    @pytest.mark.parametrize("size", [1, 37, 3600])
+    @pytest.mark.parametrize("master", [3_141_592_653, 2**64 - 59, np.uint64(5), np.uint64(2**64 - 1)],
+                             ids=["32-bit", "64-bit", "numpy-32-bit", "numpy-64-bit"])
+    def test_whole_index_arrays_match_seed_sequence(self, master, size):
+        # Indices spread over all 32 bits, 0 first.
+        indices = np.arange(size, dtype=np.int64) * 2_654_435_761 % 2**32
+        expected = [seed_sequence_subseed(int(master), i) for i in indices.tolist()]
+        assert subseeds(master, indices).tolist() == expected
+
 
 RNG_SEEDS = ([0, 1, 2**32 - 1, 2**32, 2**64 - 1]
              + [_DRAWN.getrandbits(32) for _ in range(4)] + [_DRAWN.getrandbits(64) for _ in range(8)])
 
 
+# The 64-bit edges first, so that short arrays hold them too.
+_STREAM_DRAWN = random.Random(13)
+STREAM_SEEDS = [2**64 - 1, 2**32, 0, 2**32 - 1, 1] + [_STREAM_DRAWN.getrandbits(64) for _ in range(295)]
+
+
 class TestRngForSeed:
     """rng_for_seed derives PCG64's state by hand; numpy's SeedSequence is the oracle."""
+
+    @pytest.mark.parametrize("size", [0, 1, 2, 37, 300])
+    def test_streams_over_one_seed_array_match_pcg64_of_seed_sequence(self, size):
+        seeds = np.array(STREAM_SEEDS[:size], dtype=np.uint64)
+        states = [rng.bit_generator.state for rng in _streams(seeds)]
+        assert states == [np.random.PCG64(np.random.SeedSequence(seed)).state for seed in STREAM_SEEDS[:size]]
 
     @pytest.mark.parametrize("seed", RNG_SEEDS)
     def test_matches_pcg64_of_seed_sequence(self, seed):
@@ -563,6 +583,25 @@ def test_mc_stderr_is_exact_where_int64_sums_would_wrap():
     assert rate == successes / (n * point.t_round)
 
 
+def test_permuted_points_and_seeds_permute_the_columns():
+    # Points draw in window-width order, in blocks that depend on the whole
+    # series; a point's estimate must depend on its own point and seed only.
+    configs = [cfg for preset in ("fig5c", "fig6a", "fig6b") for cfg in build_scenario(preset).points]
+    configs += build_scenario("custom", overrides=CAP_BINDING_MS).points
+    configs += build_scenario("custom", overrides={"scheme": "afc-ms", **OPTIMISTIC_AFC,
+                                                   "L_km": [1.0, 75.0, 190.0, 200.0]}).points
+    points = [evaluate(cfg) for cfg in configs]
+    assert not all(point.feasible for point in points)
+    seeds = [1_000 + i for i in range(len(points))]
+    order = list(range(len(points)))
+    random.Random(5).shuffle(order)
+    mc = McControls(2000)
+    columns = estimate_series(points, seeds, mc)
+    permuted = estimate_series([points[i] for i in order], [seeds[i] for i in order], mc)
+    for column, permuted_column in zip(columns, permuted, strict=True):
+        assert list(map(repr, permuted_column)) == [repr(column[i]) for i in order]
+
+
 MC_SHORT_LIKE = [
     {"scheme": "ms", "memory.kind": "quantum-dot", "memory.N": 3},
     {"scheme": "afc-mm", "afc.N_AFC": 1060, "afc.p_AFC": 1.0},
@@ -581,7 +620,7 @@ def test_window_draws_equal_draws_over_the_zero_filled_law(n_rounds):
     points = [point for point in map(evaluate, configs) if point.feasible]
     assert len(points) > 900
     seeds = [1_000 + i for i in range(len(points))]
-    rows = (row for lo, hist in _window_histograms(points, _streams(seeds), n_rounds)
+    rows = (row for lo, hist in _window_histograms(_law_windows(points), _streams(seeds), n_rounds)
             for row in zip(lo, hist))
     for point, seed, law, (lo, row) in zip(points, seeds, padded_laws(points), rows, strict=True):
         window, cells = np.zeros(len(law), dtype=np.int64), row[:len(law) - lo]
