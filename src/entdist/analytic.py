@@ -28,6 +28,8 @@ from .params import (
     ParameterError,
     _is_integer,
     _require_count,
+    _require_probability,
+    _require_real,
     derive_probs,
     fiber_transmission,
     t_link,
@@ -38,7 +40,6 @@ __all__ = [
     "SchemeConfig",
     "FeasibilityReport",
     "PointSummary",
-    "SeriesColumns",
     "NotApplicableError",
     "trials_per_round",
     "round_time",
@@ -98,15 +99,12 @@ class SchemeConfig:
     ms_sync_factor: int = 2
 
     def __post_init__(self) -> None:
-        if self.kind.is_afc:
-            if not isinstance(self.memory, AfcSpec):
-                raise ParameterError(f"memory must be an AfcSpec for {self.kind.display}")
-        else:
-            if not isinstance(self.memory, MemorySpec):
-                raise ParameterError(f"memory must be a MemorySpec for {self.kind.display}")
-        if not 0.0 <= self.p_m <= 1.0:
-            raise ParameterError(f"p_m must be in [0, 1], got {self.p_m!r}")
+        spec = AfcSpec if self.kind.is_afc else MemorySpec
+        if not isinstance(self.memory, spec):
+            raise ParameterError(f"memory must be of type {spec.__name__} for {self.kind.display}")
+        _require_probability("p_m", self.p_m)
         if not (_is_integer(self.ms_sync_factor) and self.ms_sync_factor in (1, 2)):
+            _require_real("ms_sync_factor", self.ms_sync_factor)
             raise ParameterError(f"ms_sync_factor must be 1 or 2, got {self.ms_sync_factor!r}")
         if self.kind is SchemeKind.SR:
             if self.N_A is None or self.N_B is None:

@@ -1,6 +1,6 @@
 """Scenario presets, flat-config loading and plot-ready result emission.
 
-A scenario is a named list of sweep points (scheme configs over L and p_m)
+A scenario is a list of sweep points (scheme configs over L and p_m)
 plus Monte Carlo controls. The built-in presets reproduce the standard
 figure parameter sets:
 
@@ -40,8 +40,6 @@ __all__ = [
     "ConfigError",
     "Scenario",
     "ResultRow",
-    "CSV_HEADER",
-    "PRESETS",
     "preset_names",
     "build_scenario",
     "run_scenario",
@@ -154,10 +152,8 @@ def _row_order(series: Sequence[_Series]) -> Sequence[int]:
 
 @dataclass(frozen=True)
 class Scenario:
-    name: str
     series: tuple[_Series, ...]
     mc: McControls
-    description: str = ""
 
     @property
     def points(self) -> tuple[SchemeConfig, ...]:
@@ -214,10 +210,6 @@ def _as_number_list(key: str, value: Any) -> list[float]:
     return [_as_number(key, value)]
 
 
-def _as_text(key: str, value: Any) -> str:
-    return str(value)
-
-
 def _as_scheme(key: str, value: Any) -> SchemeKind:
     try:
         return SchemeKind(str(value).lower())
@@ -249,7 +241,6 @@ _CONFIG_KEYS: dict[str, tuple[str, str, Callable[[str, Any], Any]]] = {
     "c_km_per_s": ("link", "c", _as_number),
     "p_d": ("link", "p_d", _as_number),
     "memory.kind": ("memory", "kind", _as_memory_preset),
-    "memory.label": ("memory", "label", _as_text),
     "memory.t_clock_s": ("memory", "t_clock", _as_number),
     "memory.emission_fraction": ("memory", "emission_fraction", _as_number),
     "memory.collection_efficiency": ("memory", "collection_efficiency", _as_number),
@@ -345,7 +336,6 @@ def build_scenario(
     document: dict[str, Any] = {}
     if source in PRESETS:
         scenario = copy.deepcopy(PRESETS[source])
-        name = source
     elif source == "custom" or source.endswith(".json") or Path(source).exists():
         if source != "custom":
             document = _load_config_file(source)
@@ -355,8 +345,7 @@ def build_scenario(
                 raise ConfigError(f"unknown preset {base!r}; available: {preset_names()}")
             scenario = copy.deepcopy(PRESETS[base])
         else:
-            scenario = {"description": "custom scenario", "series": [{}]}
-        name = Path(source).stem if source != "custom" else "custom"
+            scenario = {"series": [{}]}
         _apply_overrides(scenario, document)
     else:
         raise ConfigError(f"unknown preset or config path {source!r}; presets: {preset_names()}")
@@ -367,12 +356,7 @@ def build_scenario(
     if seed is not None:
         scenario["mc.seed"] = seed
     mc = McControls(**{"n_rounds": 100_000, **_spec_fields(scenario, "mc")})
-    return Scenario(
-        name=name,
-        series=tuple(_resolve_series(series) for series in scenario["series"]),
-        mc=mc,
-        description=str(scenario.get("description", "")),
-    )
+    return Scenario(tuple(_resolve_series(series) for series in scenario["series"]), mc)
 
 
 def _point_columns(series: Sequence[_Series]) -> dict[str, list[Any]]:

@@ -25,7 +25,7 @@ import numpy as np
 from numpy.typing import ArrayLike
 
 from .analytic import PointSummary, feasibility_check
-from .params import ParameterError, _is_integer
+from .params import ParameterError, _is_integer, _require_real
 
 __all__ = [
     "FeasibilityError",
@@ -36,7 +36,6 @@ __all__ = [
     "subseeds",
     "simulate_rounds",
     "estimate_rate",
-    "estimate_series",
 ]
 
 _DEFAULT_SEED = 42
@@ -62,6 +61,7 @@ class McControls:
 
     def __post_init__(self) -> None:
         if not (_is_integer(self.n_rounds) and 1 <= self.n_rounds <= _MAX_ROUNDS):
+            _require_real("n_rounds", self.n_rounds)
             raise ParameterError(f"n_rounds must be an integer in [1, 2**63 - 1], got {self.n_rounds!r}")
         _require_seed(self.seed)
 
@@ -89,6 +89,7 @@ def rng_for_seed(seed: int) -> np.random.Generator:
 
 def _require_seed(seed: int, name: str = "seed") -> None:
     if not ((type(seed) is int or _is_integer(seed)) and 0 <= seed < 2**64):  # int first: it is fast
+        _require_real(name, seed)
         raise ParameterError(f"{name} must be a 64-bit unsigned integer, got {seed!r}")
 
 

@@ -42,11 +42,19 @@ def _require(condition: bool, field: str, template: str, *args: object) -> None:
         raise ParameterError(f"{field} {template % args}")
 
 
+def _require_real(field: str, value: float) -> None:
+    """No integer past double range: float() overflows on one, and formatting one can pass the 4,300-digit limit."""
+    _require(not isinstance(value, int) or abs(value) <= sys.float_info.max, field,
+             "must be at most %r in magnitude, got a larger integer", sys.float_info.max)
+
+
 def _require_probability(field: str, value: float) -> None:
+    _require_real(field, value)
     _require(0.0 <= value <= 1.0, field, "must be in [0, 1], got %r", value)
 
 
 def _require_positive(field: str, value: float) -> None:
+    _require_real(field, value)
     _require(value > 0.0, field, "must be > 0, got %r", value)
 
 
@@ -63,8 +71,8 @@ def _is_integer(value: object) -> bool:
 def _require_count(field: str, value: int) -> None:
     """An integer >= 1 that converts to a finite float, so rates and budgets stay finite."""
     _require(_is_integer(value), field, "must be an integer, got %r", value)
+    _require_real(field, value)
     _require(value >= 1, field, "must be >= 1, got %r", value)
-    _require(value <= sys.float_info.max, field, "must be at most %r", sys.float_info.max)
 
 
 @dataclass(frozen=True, slots=True)
@@ -83,9 +91,11 @@ class LinkParams:
     p_d: float = 0.8      # single-photon detector efficiency
 
     def __post_init__(self) -> None:
+        _require_real("L", self.L)
         _require(self.L >= 0.0, "L", "must be >= 0 km, got %r", self.L)
         _require_finite("L", self.L)
         _require_positive("L_att", self.L_att)
+        _require_real("n", self.n)
         _require(self.n >= 1.0, "n", "must be >= 1, got %r", self.n)
         _require_positive("c", self.c)
         _require_probability("p_d", self.p_d)
@@ -128,6 +138,7 @@ class AfcSpec:
     def __post_init__(self) -> None:
         _require_count("N_AFC", self.N_AFC)
         _require_positive("t_rephase", self.t_rephase)
+        _require_real("t_spin_coherence", self.t_spin_coherence)
         _require(self.t_spin_coherence >= self.t_rephase, "t_spin_coherence",
                  "must be >= t_rephase (%r), got %r", self.t_rephase, self.t_spin_coherence)
         _require_probability("p_AFC", self.p_AFC)

@@ -193,6 +193,7 @@ class TestConfigHandling:
             ({"scheme": "mm", "L_km": 10, "bogus_key": 1}, "unknown config key"),
             ({"scheme": "mm", "L_km": "far"}, "must be a number"),
             ({"scheme": "mm", "L_km": 10, "mc.trial_granularity": "per-trial"}, "unknown config key"),
+            ({"scheme": "mm", "L_km": 10, "memory.label": "my-memory"}, "unknown config key"),
         ],
     )
     def test_config_validation_errors(self, overrides, match):

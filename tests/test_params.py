@@ -96,6 +96,13 @@ def test_travel_time_is_half_millisecond_scale_at_50km():
         (dict(L=10.0, n=0.8), "n"),
         (dict(L=10.0, c=0.0), "c"),
         (dict(L=10.0, p_d=1.5), "p_d"),
+        # Integers past double range: float() overflows, and repr() fails past 4,300 digits.
+        (dict(L=10**400), "L"),
+        (dict(L=-10**5000), "L"),
+        (dict(L=10.0, L_att=10**400), "L_att"),
+        (dict(L=10.0, n=-10**5000), "n"),
+        (dict(L=10.0, c=10**400), "c"),
+        (dict(L=1, p_d=10**5000), "p_d"),
     ],
 )
 def test_link_validation_names_offending_field(kwargs, field):
@@ -111,6 +118,10 @@ def test_link_validation_names_offending_field(kwargs, field):
         (dict(label="x", t_clock=1e-8, emission_fraction=1.2, collection_efficiency=0.5), "emission_fraction"),
         (dict(label="x", t_clock=1e-8, emission_fraction=0.9, collection_efficiency=-0.1), "collection_efficiency"),
         (dict(label="x", t_clock=1e-8, emission_fraction=0.9, collection_efficiency=0.5, N=0), "N"),
+        (dict(label="x", t_clock=10**400, emission_fraction=0.9, collection_efficiency=0.5), "t_clock"),
+        (dict(label="x", t_clock=1e-8, emission_fraction=-10**5000, collection_efficiency=0.5), "emission_fraction"),
+        (dict(label="x", t_clock=1e-8, emission_fraction=0.9, collection_efficiency=10**5000), "collection_efficiency"),
+        (dict(label="x", t_clock=1e-8, emission_fraction=0.9, collection_efficiency=0.5, N=-10**5000), "N"),
     ],
 )
 def test_memory_validation_names_offending_field(kwargs, field):
@@ -127,6 +138,12 @@ def test_memory_validation_names_offending_field(kwargs, field):
         (dict(N_AFC=10, t_rephase=51e-6, t_spin_coherence=1e-3, p_AFC=1.5, p_pass=0.9, t_clock_prime=1e-8), "p_AFC"),
         (dict(N_AFC=10, t_rephase=51e-6, t_spin_coherence=1e-3, p_AFC=0.5, p_pass=2.0, t_clock_prime=1e-8), "p_pass"),
         (dict(N_AFC=10, t_rephase=51e-6, t_spin_coherence=1e-3, p_AFC=0.5, p_pass=0.9, t_clock_prime=0.0), "t_clock_prime"),
+        (dict(N_AFC=-10**5000, t_rephase=51e-6, t_spin_coherence=1e-3, p_AFC=0.5, p_pass=0.9, t_clock_prime=1e-8), "N_AFC"),
+        (dict(N_AFC=10, t_rephase=10**400, t_spin_coherence=1e-3, p_AFC=0.5, p_pass=0.9, t_clock_prime=1e-8), "t_rephase"),
+        (dict(N_AFC=10, t_rephase=51e-6, t_spin_coherence=-10**5000, p_AFC=0.5, p_pass=0.9, t_clock_prime=1e-8), "t_spin_coherence"),
+        (dict(N_AFC=10, t_rephase=51e-6, t_spin_coherence=1e-3, p_AFC=10**5000, p_pass=0.9, t_clock_prime=1e-8), "p_AFC"),
+        (dict(N_AFC=10, t_rephase=51e-6, t_spin_coherence=1e-3, p_AFC=0.5, p_pass=-10**400, t_clock_prime=1e-8), "p_pass"),
+        (dict(N_AFC=10, t_rephase=51e-6, t_spin_coherence=1e-3, p_AFC=0.5, p_pass=0.9, t_clock_prime=10**400), "t_clock_prime"),
     ],
 )
 def test_afc_validation_names_offending_field(kwargs, field):
@@ -138,6 +155,24 @@ def test_pair_source_probability_validated():
     # A config validates p_m; the probability chain does not depend on it.
     with pytest.raises(ParameterError, match="p_m"):
         SchemeConfig(SchemeKind.MS, LinkParams(L=10.0), QUANTUM_DOT, p_m=1.1)
+
+
+@pytest.mark.parametrize("build, field", [
+    (lambda: SchemeConfig(SchemeKind.MS, LinkParams(L=10.0), QUANTUM_DOT, p_m=10**5000), "p_m"),
+    (lambda: SchemeConfig(SchemeKind.MS, LinkParams(L=10.0), QUANTUM_DOT, p_m=-10**400), "p_m"),
+    (lambda: SchemeConfig(SchemeKind.MS, LinkParams(L=10.0), QUANTUM_DOT, ms_sync_factor=10**5000), "ms_sync_factor"),
+    (lambda: SwapParams(J=-10**5000), "J"),
+    (lambda: SwapParams(J=10, i=10**400), "i"),
+    (lambda: SwapParams(J=10, p_emit=10**5000), "p_emit"),
+    (lambda: SwapParams(J=10, p_BSA=-10**5000), "p_BSA"),
+    (lambda: SwapParams(J=10, p_pass=10**400), "p_pass"),
+    (lambda: SwapParams(J=10, p_AFC=10**5000), "p_AFC"),
+    (lambda: McControls(10**5000), "n_rounds"),
+    (lambda: McControls(10, seed=-10**5000), "seed"),
+])
+def test_integers_past_double_range_are_refused_without_formatting_them(build, field):
+    with pytest.raises(ParameterError, match=f"^{field} must be at most .* in magnitude, got a larger integer$"):
+        build()
 
 
 def test_parameter_types_are_immutable():
