@@ -23,12 +23,12 @@ import copy
 import json
 import sys
 from dataclasses import dataclass, replace
-from itertools import pairwise
+from itertools import pairwise, repeat
 from json.encoder import encode_basestring_ascii
 from math import isfinite
 from pathlib import Path
 from types import NoneType
-from typing import Any, Callable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -186,9 +186,14 @@ _COLUMNS = ResultRow._fields
 CSV_HEADER = ",".join(_COLUMNS)
 
 
+def _shown(value: Any) -> str:
+    """A refused value for a message: its repr, or its type where repr may fail ([10**5000])."""
+    return repr(value) if isinstance(value, (str, bool, float, NoneType)) else f"a value of type {type(value).__name__}"
+
+
 def _as_number(key: str, value: Any) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{key} must be a number, got {value!r}")
+        raise ConfigError(f"{key} must be a number, got {_shown(value)}")
     if isinstance(value, int) and abs(value) > sys.float_info.max:  # float() would raise OverflowError
         raise ConfigError(f"{key} must be at most {sys.float_info.max!r} in magnitude, got a larger integer")
     return float(value)
@@ -198,7 +203,7 @@ def _as_int(key: str, value: Any) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         if isinstance(value, float) and value.is_integer():
             return int(value)
-        raise ConfigError(f"{key} must be an integer, got {value!r}")
+        raise ConfigError(f"{key} must be an integer, got {_shown(value)}")
     return int(value)
 
 
@@ -215,13 +220,13 @@ def _as_scheme(key: str, value: Any) -> SchemeKind:
         return SchemeKind(str(value).lower())
     except ValueError:
         raise ConfigError(
-            f"{key} must be one of {[k.value for k in SchemeKind]}, got {value!r}"
+            f"{key} must be one of {[k.value for k in SchemeKind]}, got {_shown(value)}"
         ) from None
 
 
 def _as_memory_preset(key: str, value: Any) -> MemorySpec:
     if not isinstance(value, str) or value not in MEMORY_PRESETS:
-        raise ConfigError(f"{key} must be one of {sorted(MEMORY_PRESETS)}, got {value!r}")
+        raise ConfigError(f"{key} must be one of {sorted(MEMORY_PRESETS)}, got {_shown(value)}")
     return MEMORY_PRESETS[value]
 
 
@@ -410,15 +415,6 @@ def run_scenario(
     return list(map(ResultRow._make, zip(*columns)))
 
 
-class _Format(NamedTuple):
-    """How one output format spells each cell and joins a row's cells."""
-
-    by_type: dict[type, Callable[[Any], str]]  # C-level encoder of a one-type, non-number column
-    cell: Callable[[Any], str]                  # any value, one at a time
-    row: Callable[[tuple[str, ...]], str]       # fills the row template
-    finite_only: bool                           # refuse nan and +/-inf
-
-
 def _csv_cell(value: Any) -> str:
     """One value as the README's CSV rule spells it."""
     if value is None:
@@ -446,59 +442,58 @@ def _json_cell(value: Any) -> str:
 
 
 _JSON_CONSTANTS = {None: "null", False: "false", True: "true"}
-_CSV = _Format(
-    by_type={
-        bool: {False: "false", True: "true"}.__getitem__,
-        str: str,
-        NoneType: {None: ""}.__getitem__,
-    },
-    cell=_csv_cell,
-    row=",".join,
-    finite_only=False,
-)
-_JSON = _Format(
-    by_type={
-        bool: _JSON_CONSTANTS.__getitem__,
-        str: encode_basestring_ascii,
-        NoneType: _JSON_CONSTANTS.__getitem__,
-    },
-    cell=_json_cell,
-    # One object of json.dumps(rows, indent=2): a key per line, four spaces in.
-    row=("  {\n" + ",\n".join(f"    {encode_basestring_ascii(c)}: %s" for c in _COLUMNS) + "\n  }").__mod__,
-    finite_only=True,
-)
+# The text around a row's cells: a CSV line, and one object of json.dumps(rows,
+# indent=2), a key per line four spaces in, then ",\n" (rows_to_json trims the last).
+_CSV_PIECES = (",".join(["%s"] * len(_COLUMNS)) + "\n").split("%s")
+_JSON_PIECES = ("  {\n" + ",\n".join(f"    {encode_basestring_ascii(c)}: %s" for c in _COLUMNS)
+                + "\n  },\n").split("%s")
 
 
 _ENCODE_ROWS = 1024  # rows per block: whole columns of 3,600 rows raised peak RSS by about 1 MB
+_KEYED_KINDS = frozenset({bool, int, float, str})
 
 
-def _encode_rows(rows: Sequence[ResultRow], fmt: _Format) -> Iterator[str]:
-    """Each row's text in `fmt`, encoded a column at a time.
+def _encode_column(column: tuple[Any, ...], cell: Callable[[Any], str]) -> Iterable[str]:
+    """Each value's text by `cell`, with each distinct value spelt once.
 
-    A column of exact ints, or of exact floats that the format accepts, is
-    one C-level list repr (the same text as int.__repr__ / float.__repr__,
-    split back into cells). Any other column whose values all have one type
-    is one map of that type's encoder; mixed columns (mc_rate is a float or
-    None), refused floats and any other type go value by value through
-    fmt.cell, which has the same rules. The maps run lazily, row by row, so
-    a refused value is the first in row order, as with json.dumps. Rows go
-    _ENCODE_ROWS at a time, so only that many rows' cells are held at once.
+    A column of one of _KEYED_KINDS, with or without None, is keyed on its
+    distinct values (a mix of types would merge True, 1 and 1.0). Ints or
+    floats are spelt by one C-level list repr, whose Nones become cell(None);
+    other values by `cell`. A float column holding a zero spells every cell,
+    since -0.0 == 0.0. Other columns, and float columns holding nan or
+    +/-inf, go value by value through `cell`, lazily, so JSON refuses the
+    first non-finite value in row order, as json.dumps does.
+    """
+    kinds = set(map(type, column))
+    kinds.discard(NoneType)
+    if len(kinds) > 1 or not kinds <= _KEYED_KINDS:
+        return map(cell, column)
+    distinct = dict.fromkeys(column)
+    if float in kinds and not all(map(isfinite, filter(None, distinct))):  # filter drops None
+        return map(cell, column)
+    keys = list(column if float in kinds and 0.0 in distinct else distinct)
+    texts = (repr(keys)[1:-1].replace("None", cell(None)).split(", ") if kinds <= {int, float}
+             else list(map(cell, keys)))
+    return texts if len(keys) == len(column) else map(dict(zip(keys, texts)).__getitem__, column)
+
+
+def _encode_rows(rows: Sequence[ResultRow], cell: Callable[[Any], str], pieces: list[str]) -> Iterator[str]:
+    """The text of each block of _ENCODE_ROWS rows, encoded a column at a time.
+
+    Each row is one join of `pieces` interleaved with its cells (faster than
+    one join of the whole block's pieces and cells), and each block one join
+    of its rows, so only one block's cells are held at once.
     """
     for start in range(0, len(rows), _ENCODE_ROWS):
-        encoded = []
-        for column in zip(*rows[start:start + _ENCODE_ROWS]):
-            kinds = set(map(type, column))
-            kind = kinds.pop() if len(kinds) == 1 else None
-            if kind is int or (kind is float and (not fmt.finite_only or all(map(isfinite, column)))):
-                encoded.append(repr(list(column))[1:-1].split(", "))  # a 1-tuple's repr ends in ","
-            else:
-                encoded.append(map(fmt.by_type.get(kind, fmt.cell), column))
-        yield from map(fmt.row, zip(*encoded))
+        parts = [repeat(pieces[0])]
+        for column, piece in zip(zip(*rows[start:start + _ENCODE_ROWS]), pieces[1:]):
+            parts += _encode_column(column, cell), repeat(piece)
+        yield "".join(map("".join, zip(*parts)))
 
 
 def rows_to_csv(rows: Sequence[ResultRow]) -> str:
     """CSV_HEADER, then one line per row, with LF endings and shortest round-trip floats."""
-    return "\n".join([CSV_HEADER, *_encode_rows(rows, _CSV)]) + "\n"
+    return "".join([CSV_HEADER, "\n", *_encode_rows(rows, _csv_cell, _CSV_PIECES)])
 
 
 def rows_to_json(rows: Sequence[ResultRow]) -> str:
@@ -508,8 +503,11 @@ def rows_to_json(rows: Sequence[ResultRow]) -> str:
     as in the CSV. A non-finite value raises ValueError rather than emitting
     NaN/Infinity, which are not JSON.
     """
-    body = ",\n".join(_encode_rows(rows, _JSON))
-    return f"[\n{body}\n]\n" if body else "[]\n"
+    blocks = list(_encode_rows(rows, _json_cell, _JSON_PIECES))
+    if not blocks:
+        return "[]\n"
+    blocks[-1] = blocks[-1][:-2]  # the last row takes no ","
+    return "".join(["[\n", *blocks, "\n]\n"])
 
 
 def emit(rows: Sequence[ResultRow], fmt: str = "csv", destination: str | None = None) -> None:

@@ -137,6 +137,19 @@ def test_infinite_attenuation_length_and_spin_coherence_run(capsys, scheme, key)
     assert math.isfinite(row["analytic_rate"]) and math.isfinite(row["t_round_s"])
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_signed_zeros_keep_their_sign(capsys, fmt):
+    # -0.0 == 0.0, so the two must not share one spelling in the output.
+    assert main(["analytic", "custom", "--set", "scheme=mm", "--set", "L_km=10",
+                 "--set", "p_m=[0.0,-0.0,0.0]", "--format", fmt]) == 0
+    out = capsys.readouterr().out
+    if fmt == "csv":
+        p_m = [line.split(",")[2] for line in out.splitlines()[1:]]
+    else:
+        p_m = [line.split(": ")[1].rstrip(",") for line in out.splitlines() if '"p_m"' in line]
+    assert p_m == ["0.0", "-0.0", "0.0"]
+
+
 LONG_INT = "9" * 5000  # past the int-to-string limit of 4,300 digits
 
 

@@ -194,6 +194,13 @@ class TestConfigHandling:
             ({"scheme": "mm", "L_km": "far"}, "must be a number"),
             ({"scheme": "mm", "L_km": 10, "mc.trial_granularity": "per-trial"}, "unknown config key"),
             ({"scheme": "mm", "L_km": 10, "memory.label": "my-memory"}, "unknown config key"),
+            # A refused value holding an integer past the int-to-string digit limit.
+            ({"scheme": "mm", "L_km": 10, "memory.N": [10**5000]}, "^memory.N must be an integer, got a value"),
+            ({"scheme": "mm", "L_km": 10, "L_att_km": [10**5000]}, "^L_att_km must be a number, got a value"),
+            ({"scheme": "mm", "L_km": [[10**5000]]}, "^L_km must be a number, got a value"),
+            ({"scheme": "mm", "L_km": 10, "memory.N": {"a": 10**5000}}, "^memory.N must be an integer, got a value"),
+            ({"scheme": [10**5000], "L_km": 10}, "^scheme must be one of"),
+            ({"scheme": "mm", "L_km": 10, "memory.kind": [10**5000]}, "^memory.kind must be one of"),
         ],
     )
     def test_config_validation_errors(self, overrides, match):

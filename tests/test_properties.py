@@ -6,6 +6,7 @@ Examples are derandomized, so every run checks the same inputs.
 
 import json
 import math
+import random
 from dataclasses import replace
 
 import numpy as np
@@ -294,7 +295,7 @@ def readme_csv_cell(value):
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        return repr(value)
+        return float.__repr__(value)  # also for a subclass: np.float64(0.5) is 0.5
     return str(value)
 
 
@@ -326,6 +327,42 @@ def test_emitters_match_the_stdlib_reference_across_row_blocks():
     rows[block + 1] = rows[block + 1]._replace(L_km=math.nan)
     with pytest.raises(ValueError, match="compliant: nan$"):
         rows_to_json(rows)
+
+
+# Cells that compare equal across sign or type (0.0 == -0.0, True == 1 == 1.0),
+# the extremes of float text, a float subclass, None and strings.
+COLLIDING_CELLS = [0.0, -0.0, 1.0, 5e-324, 1e16, np.float64(0.5), None, 1, True, "mm", "afc-ms"]
+NON_FINITE = [math.nan, math.inf, -math.inf]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    data=st.data(),
+    n_rows=st.integers(0, 2100) | st.sampled_from([1023, 1024, 1025, 2048, 2049]),
+    non_finite=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_emitters_match_the_stdlib_reference_on_colliding_cells(data, n_rows, non_finite, seed):
+    # Each column draws from a few cells, so values repeat within and across
+    # blocks of harness._ENCODE_ROWS rows; a seeded stream fills the rows.
+    cells = COLLIDING_CELLS + NON_FINITE * non_finite
+    pool = st.lists(st.sampled_from(cells), min_size=1, max_size=4) | st.sampled_from(
+        [[1, True, 1.0], [0.0, -0.0], [0.0, -0.0, None], [1.0, None]]
+    )
+    pools = [data.draw(pool, label=column) for column in COLUMNS]
+    choose = random.Random(seed).choice
+    rows = [ResultRow(*map(choose, pools)) for _ in range(n_rows)]
+    lines = [",".join(map(readme_csv_cell, as_values(row))) for row in rows]
+    assert rows_to_csv(rows) == "\n".join([CSV_HEADER, *lines]) + "\n"
+    objects = [dict(zip(COLUMNS, as_values(row))) for row in rows]
+    try:
+        expected = json.dumps(objects, indent=2, allow_nan=False) + "\n"
+    except ValueError as refusal:
+        with pytest.raises(ValueError) as emitted:
+            rows_to_json(rows)
+        assert str(emitted.value) == str(refusal)
+    else:
+        assert rows_to_json(rows) == expected
 
 
 def test_emitters_of_no_rows():
