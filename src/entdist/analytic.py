@@ -66,10 +66,6 @@ class SchemeKind(str, Enum):
         return self in (SchemeKind.AFC_MM, SchemeKind.AFC_MS)
 
     @property
-    def is_midpoint_source(self) -> bool:
-        return self in (SchemeKind.MS, SchemeKind.AFC_MS)
-
-    @property
     def display(self) -> str:
         return self.value.upper()
 

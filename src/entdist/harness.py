@@ -19,7 +19,6 @@ column once, as a field of ResultRow; the README documents both.
 
 from __future__ import annotations
 
-import copy
 import json
 import sys
 from dataclasses import dataclass, replace
@@ -58,17 +57,8 @@ PRESET_P_M = [0.02, 0.5, 1.0]
 
 
 def _afc_series(scheme: str, n_afc: int, p_afc: float) -> dict[str, Any]:
-    return {
-        "scheme": scheme,
-        "L_km": PRESET_L_KM,
-        "p_m": PRESET_P_M,
-        "afc.N_AFC": n_afc,
-        "afc.t_rephase_s": 51e-6,
-        "afc.t_spin_coherence_s": 1e-3,
-        "afc.p_AFC": p_afc,
-        "afc.p_pass": 0.9,
-        "afc.t_clock_prime_s": 10e-9,
-    }
+    # The other afc.* fields are AFC_REALISTIC's, which _resolve_series starts from.
+    return {"scheme": scheme, "L_km": PRESET_L_KM, "p_m": PRESET_P_M, "afc.N_AFC": n_afc, "afc.p_AFC": p_afc}
 
 
 def _spin_series(scheme: str, kind: str, n: int) -> dict[str, Any]:
@@ -259,8 +249,6 @@ _CONFIG_KEYS: dict[str, tuple[str, str, Callable[[str, Any], Any]]] = {
     "mc.n_rounds": ("mc", "n_rounds", _as_int),
     "mc.seed": ("mc", "seed", _as_int),
 }
-_SCENARIO_KEYS = {key for key, (spec, _, _) in _CONFIG_KEYS.items() if spec == "mc"}
-_SERIES_KEYS = _CONFIG_KEYS.keys() - _SCENARIO_KEYS
 
 
 def _spec_fields(document: Mapping[str, Any], spec: str) -> dict[str, Any]:
@@ -273,9 +261,6 @@ def _spec_fields(document: Mapping[str, Any], spec: str) -> dict[str, Any]:
 
 
 def _resolve_series(series: Mapping[str, Any]) -> _Series:
-    unknown = set(series) - _SERIES_KEYS
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     if "scheme" not in series:
         raise ConfigError("scheme is required (one of mm, sr, ms, afc-mm, afc-ms)")
     if "L_km" not in series:
@@ -300,17 +285,6 @@ def _resolve_series(series: Mapping[str, Any]) -> _Series:
     configs = [SchemeConfig(link=first, memory=memory, p_m=p_m, **scheme) for p_m in p_m_values]
     links = [first, *(LinkParams(L=L, **link_fields) for L in L_values[1:])]
     return _Series(configs[0], tuple(sorted(links, key=lambda link: link.L)), tuple(sorted(p_m_values)))
-
-
-def _apply_overrides(scenario: dict[str, Any], overrides: Mapping[str, Any]) -> None:
-    for key, value in overrides.items():
-        if key in _SCENARIO_KEYS:
-            scenario[key] = value
-        elif key in _SERIES_KEYS:
-            for series in scenario["series"]:
-                series[key] = value
-        else:
-            raise ConfigError(f"unknown config key {key!r}; known keys: {sorted(_CONFIG_KEYS)}")
 
 
 def _load_config_file(path: str) -> dict[str, Any]:
@@ -338,30 +312,30 @@ def build_scenario(
     Points are ordered by (scheme, L, p_m); Monte Carlo sub-seeds are keyed to
     that order, so an identical scenario always reproduces identical rows.
     """
-    document: dict[str, Any] = {}
+    base: Mapping[str, Any] = {}  # a preset document, read and never changed
+    flat: dict[str, Any] = {}
     if source in PRESETS:
-        scenario = copy.deepcopy(PRESETS[source])
+        base = PRESETS[source]
     elif source == "custom" or source.endswith(".json") or Path(source).exists():
         if source != "custom":
-            document = _load_config_file(source)
-        base = document.pop("preset", None)
-        if base is not None:
-            if base not in PRESETS:
-                raise ConfigError(f"unknown preset {base!r}; available: {preset_names()}")
-            scenario = copy.deepcopy(PRESETS[base])
-        else:
-            scenario = {"series": [{}]}
-        _apply_overrides(scenario, document)
+            flat = _load_config_file(source)
+        name = flat.pop("preset", None)
+        if name is not None:
+            if not isinstance(name, str) or name not in PRESETS:
+                raise ConfigError(f"unknown preset {_shown(name)}; available: {preset_names()}")
+            base = PRESETS[name]
     else:
         raise ConfigError(f"unknown preset or config path {source!r}; presets: {preset_names()}")
-    if overrides:
-        _apply_overrides(scenario, dict(overrides))
+    flat.update(overrides or {})
+    for key in flat:
+        if key not in _CONFIG_KEYS:
+            raise ConfigError(f"unknown config key {_shown(key)}; known keys: {sorted(_CONFIG_KEYS)}")
     if rounds is not None:
-        scenario["mc.n_rounds"] = rounds
+        flat["mc.n_rounds"] = rounds
     if seed is not None:
-        scenario["mc.seed"] = seed
-    mc = McControls(**{"n_rounds": 100_000, **_spec_fields(scenario, "mc")})
-    return Scenario(tuple(_resolve_series(series) for series in scenario["series"]), mc)
+        flat["mc.seed"] = seed
+    mc = McControls(**{"n_rounds": 100_000, **_spec_fields({**base, **flat}, "mc")})
+    return Scenario(tuple(_resolve_series({**series, **flat}) for series in base.get("series", [{}])), mc)
 
 
 def _point_columns(series: Sequence[_Series]) -> dict[str, list[Any]]:

@@ -200,7 +200,7 @@ def simulate_latches(cfg: SchemeConfig, rng: np.random.Generator, n_trials: int)
     round samplers use. The `both` tally therefore validates that the joint
     probability factorizes as p_m times the two one-sided terms.
     """
-    if not cfg.kind.is_midpoint_source:
+    if cfg.kind not in (SchemeKind.MS, SchemeKind.AFC_MS):
         raise NotApplicableError(
             f"{cfg.kind.display} has no left/right latch decomposition"
         )

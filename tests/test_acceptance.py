@@ -183,7 +183,7 @@ def _check_mc_agreement(rounds=None):
             assert (cfg.kind.value, cfg.link.L, cfg.p_m) == (row.scheme, row.L_km, row.p_m)
             point = evaluate(cfg)
             exact = _capped_binomial_mean(row.K, point.p_single, point.capacity) / row.t_round_s
-            if cfg.kind.is_midpoint_source:
+            if cfg.kind in (SchemeKind.MS, SchemeKind.AFC_MS):
                 reference = exact
             else:
                 reference = row.analytic_rate

@@ -120,8 +120,13 @@ HUGE = str(10**400)  # past the largest double, 1.8e308
       "--set", "memory.t_clock_s=1e400"], "t_clock must be finite"),
     (["analytic", "custom", "--set", "scheme=afc-mm", "--set", "L_km=10",
       "--set", "afc.t_clock_prime_s=1e400"], "t_clock_prime must be finite"),
+    (["run", {"preset": ["fig5a"]}], "unknown preset a value of type list"),
 ])
-def test_out_of_range_inputs_are_config_errors(capsys, argv, message, fmt):
+def test_out_of_range_inputs_are_config_errors(capsys, tmp_path, argv, message, fmt):
+    if isinstance(argv[1], dict):  # a config document, given by its file's path
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(argv[1]))
+        argv = [argv[0], str(config), *argv[2:]]
     # swap has no --format: it always writes JSON.
     assert main(argv if argv[0] == "swap" else argv + ["--format", fmt]) == 1
     captured = capsys.readouterr()

@@ -1,8 +1,10 @@
 import ast
+import copy
 import importlib
 import json
 import re
 import types
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +12,7 @@ import pytest
 
 import entdist
 from entdist.analytic import SchemeConfig, SchemeKind, analytic_rate
+from entdist.cli import main
 from entdist.harness import (
     CSV_HEADER,
     ConfigError,
@@ -23,7 +26,8 @@ from entdist.harness import (
     rows_to_json,
     run_scenario,
 )
-from entdist.params import AfcSpec, LinkParams, MemorySpec, QUANTUM_DOT
+from entdist.montecarlo import McControls
+from entdist.params import AFC_REALISTIC, AfcSpec, LinkParams, MemorySpec, QUANTUM_DOT
 
 SWEEP_L = [5.0, 10.0, 15.0, 20.0, 25.0, 30.0, 35.0, 40.0, 45.0, 50.0]
 SWEEP_PM = [0.02, 0.5, 1.0]
@@ -201,6 +205,8 @@ class TestConfigHandling:
             ({"scheme": "mm", "L_km": 10, "memory.N": {"a": 10**5000}}, "^memory.N must be an integer, got a value"),
             ({"scheme": [10**5000], "L_km": 10}, "^scheme must be one of"),
             ({"scheme": "mm", "L_km": 10, "memory.kind": [10**5000]}, "^memory.kind must be one of"),
+            ({10**5000: 1}, "^unknown config key a value of type int"),
+            ({"scheme": "mm", "L_km": 10, "N_A": 3}, "^N_A / N_B are only meaningful for SR"),
         ],
     )
     def test_config_validation_errors(self, overrides, match):
@@ -210,6 +216,45 @@ class TestConfigHandling:
     def test_unknown_preset(self):
         with pytest.raises(ConfigError, match="unknown preset"):
             run_scenario("fig99")
+
+    @pytest.mark.parametrize("document, match", [
+        (None, "^cannot read config file"),  # the path is a directory
+        ([{"preset": "fig5a"}], "must contain a JSON object$"),
+        ({"preset": "fig99", "L_km": 10}, "^unknown preset 'fig99'"),
+    ])
+    def test_config_file_errors(self, tmp_path, document, match):
+        path = tmp_path / "config.json"
+        if document is None:
+            path.mkdir()
+        else:
+            path.write_text(json.dumps(document))
+        with pytest.raises(ConfigError, match=match):
+            build_scenario(str(path))
+
+    def test_sources_layer_without_changing_the_presets(self, tmp_path, capsys):
+        presets = copy.deepcopy(PRESETS)
+        path = tmp_path / "narrow.json"
+        path.write_text(json.dumps({"preset": "fig5c", "L_km": [10, 20], "afc.N_AFC": 7,
+                                    "mc.n_rounds": 300, "mc.seed": 1}))
+        overrides = {"L_km": [30], "memory.N": 2, "mc.n_rounds": 400, "mc.seed": 2}
+        from_file = build_scenario(str(path))
+        overridden = build_scenario(str(path), overrides)
+        pinned = build_scenario(str(path), overrides, seed=5, rounds=50)
+        build_scenario("fig5c", overrides, seed=5, rounds=50)
+        assert PRESETS == presets
+        # preset < config file < overrides < seed and rounds.
+        assert from_file.mc == McControls(300, seed=1)
+        assert {cfg.link.L for cfg in from_file.points} == {10.0, 20.0}
+        assert overridden.mc == McControls(400, seed=2)
+        assert {cfg.link.L for cfg in overridden.points} == {30.0}
+        assert pinned.mc == McControls(50, seed=5)
+        assert pinned.points == overridden.points
+        # Each series takes every series key; the preset fills what no layer sets.
+        assert {(cfg.kind, cfg.memory) for cfg in overridden.points} == {
+            (SchemeKind.AFC_MM, replace(AFC_REALISTIC, N_AFC=7)), (SchemeKind.MM, replace(QUANTUM_DOT, N=2))}
+        # preset is read only from a config file.
+        assert main(["analytic", "fig5a", "--set", "preset=fig5a"]) == 1
+        assert "unknown config key 'preset'" in capsys.readouterr().err
 
     def test_malformed_config_file(self, tmp_path):
         path = tmp_path / "broken.json"

@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import random
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -378,6 +379,25 @@ class TestHistogramSampler:
         assert row.mc_rate > 0.0 and math.isfinite(row.mc_rate) and math.isfinite(row.mc_stderr)
         expected = point.K * point.p_single / point.t_round
         assert abs(row.mc_rate - expected) <= 5.0 * row.mc_stderr
+
+    def test_one_point_sampler_refuses_the_cells_of_a_window_that_runs(self, monkeypatch):
+        # The sweep point of the test above: estimate_series samples its law
+        # window, but simulate_rounds returns all min(K, capacity) + 1 cells,
+        # so it refuses before it allocates the histogram or builds the law.
+        def never_called(*args):
+            raise AssertionError("the histogram law was built")
+
+        huge = {"scheme": "ms", "memory.N": 10**9, "L_km": 10.0, "p_m": 1.0}
+        point = evaluate(build_scenario("custom", overrides=huge).points[0])
+        monkeypatch.setattr(montecarlo, "_law_windows", never_called)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParameterError, match="4000000 cells"):
+                simulate_rounds(point, rng_for_seed(1), 100)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
     def test_laws_have_the_same_bits_alone_and_in_any_batch(self):
         # K = 3 (the MM and SR budgets), certain outcomes, a window wholly

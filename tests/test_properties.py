@@ -384,6 +384,18 @@ def test_json_refuses_non_finite_floats_like_the_stdlib(column, value):
     assert str(emitted.value) == str(reference.value)
 
 
+@pytest.mark.parametrize("value", [1j, b"mm", np.int64(3), {1.0}, object()])
+def test_json_refuses_unsupported_cells_like_the_stdlib(value):
+    row = ResultRow("mm", 10.0, 0.5, 1.0, 2.0, 0.1, 3, 1e-4, True, 7)
+    rows = [row, row._replace(mc_rate=value)]
+    objects = [dict(zip(COLUMNS, as_values(r))) for r in rows]
+    with pytest.raises(TypeError) as reference:
+        json.dumps(objects, indent=2, allow_nan=False)
+    with pytest.raises(TypeError) as emitted:
+        rows_to_json(rows)
+    assert str(emitted.value) == str(reference.value)
+
+
 @pytest.mark.parametrize("column", FLOAT_COLUMNS)
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("shape", ["one row", "among finite rows", "beside None"])
