@@ -246,10 +246,14 @@ def _waiting_budget(mem: MemorySpec | AfcSpec, p_latch: float) -> tuple[int, boo
     return k, False
 
 
-def _round_budget(mem: AfcSpec, tl: float) -> FeasibilityReport:
-    used = mem.t_rephase + tl
-    return FeasibilityReport(ok=used <= mem.t_spin_coherence, used_s=used,
-                             limit_s=mem.t_spin_coherence)
+def _rate(tl: float, rate_of: Callable[..., float], *args: object) -> float | ParameterError:
+    """rate_of(*args), or the ParameterError PointSummary.rate raises for it: at L = 0 or past double range."""
+    try:
+        if tl == 0.0:
+            raise ParameterError("analytic_rate needs L > 0 km: the closed forms divide by t_link")
+        return _finite(rate_of(*args))
+    except ParameterError as exc:
+        return exc
 
 
 def evaluate_series(cfg: SchemeConfig, links: Sequence[LinkParams],
@@ -258,7 +262,8 @@ def evaluate_series(cfg: SchemeConfig, links: Sequence[LinkParams],
 
     cfg's own link and p_m are not read; each p_m must be one SchemeConfig
     accepts. Points come links major, in the order given. The probability
-    chain, t_link and the fiber transmissions are computed once per link.
+    chain, t_link, the fiber transmissions and the closed forms that read no
+    p_m are computed once per link, and an MM or SR point once per link.
 
     Trials per round K: MM and SR fire each available memory once. MS sizes
     the budget so the expected latch count fills the memories. AFC budgets
@@ -270,12 +275,13 @@ def evaluate_series(cfg: SchemeConfig, links: Sequence[LinkParams],
     latch probability of 0 has no rephasing cap to fall back on); its rate
     alone fails at L = 0 and where the rate is not finite.
     """
-    kind, mem = cfg.kind, cfg.memory
+    kind, mem, is_afc = cfg.kind, cfg.memory, cfg.kind.is_afc
     single_trial_success, closed_form_rate = _SINGLE_TRIAL_SUCCESS[kind], _CLOSED_FORM_RATE[kind]
     latch_probability = _LATCH_PROBABILITY.get(kind)
-    t_clock = mem.t_clock_prime if kind.is_afc else mem.t_clock
+    t_clock = mem.t_clock_prime if is_afc else mem.t_clock
     # Pairs one round can latch at most: the mode count, or the (receiving) memories.
-    point_capacity = mem.N_AFC if kind.is_afc else cfg.N_A if kind is SchemeKind.SR else mem.N
+    point_capacity = mem.N_AFC if is_afc else cfg.N_A if kind is SchemeKind.SR else mem.N
+    p_m_loop = p_m_values if latch_probability else p_m_values[:1]
     points = []
     for link in links:
         d = derive_probs(link, mem)
@@ -283,8 +289,9 @@ def evaluate_series(cfg: SchemeConfig, links: Sequence[LinkParams],
         flight = 2.0 * tl if kind is SchemeKind.SR else tl
         half = fiber_transmission(link.L, link.L_att)
         full = math.exp(-link.L / link.L_att)
-        fits = not kind.is_afc or _round_budget(mem, tl).ok
-        for p_m in p_m_values:
+        fits = not is_afc or mem.t_rephase + tl <= mem.t_spin_coherence  # feasibility_check's rule
+        uncapped = None if kind is SchemeKind.AFC_MM else _rate(tl, closed_form_rate, cfg, d, None, tl, half, full)
+        for p_m in p_m_loop:
             try:
                 k, capped = ((point_capacity, False) if latch_probability is None
                              else _waiting_budget(mem, latch_probability(cfg, d, p_m)))
@@ -295,14 +302,11 @@ def evaluate_series(cfg: SchemeConfig, links: Sequence[LinkParams],
                 points.append((None,) * 6 + (exc,))
                 continue
             p_single = single_trial_success(cfg, d, p_m)
-            try:
-                if tl == 0.0:
-                    raise ParameterError("analytic_rate needs L > 0 km: the closed forms divide by t_link")
-                rate = (_exact_rate(k, p_single, t_round) if capped
-                        else _finite(closed_form_rate(cfg, d, p_m, tl, half, full)))
-            except ParameterError as exc:
-                rate = exc
+            rate = (_rate(tl, _exact_rate, k, p_single, t_round) if capped else uncapped if uncapped is not None
+                    else _rate(tl, closed_form_rate, cfg, d, p_m, tl, half, full))
             points.append((k, p_single, point_capacity, t_round, capped, fits, rate))
+        if latch_probability is None:
+            points += points[-1:] * (len(p_m_values) - 1)
     return SeriesColumns(*map(list, zip(*points))) if points else SeriesColumns([], [], [], [], [], [], [])
 
 
@@ -338,4 +342,5 @@ def feasibility_check(cfg: SchemeConfig) -> FeasibilityReport:
     """
     if not cfg.kind.is_afc:
         raise NotApplicableError(f"feasibility_check does not apply to {cfg.kind.display}")
-    return _round_budget(cfg.memory, t_link(cfg.link))
+    used, limit = cfg.memory.t_rephase + t_link(cfg.link), cfg.memory.t_spin_coherence
+    return FeasibilityReport(ok=used <= limit, used_s=used, limit_s=limit)

@@ -22,9 +22,10 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import dataclass, replace
+from functools import partial
 from itertools import pairwise, repeat
 from json.encoder import encode_basestring_ascii
-from math import isfinite
+from math import isfinite, prod
 from pathlib import Path
 from types import NoneType
 from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
@@ -54,6 +55,7 @@ class ConfigError(ValueError):
 
 PRESET_L_KM = [5.0, 10.0, 15.0, 20.0, 25.0, 30.0, 35.0, 40.0, 45.0, 50.0]
 PRESET_P_M = [0.02, 0.5, 1.0]
+_MAX_POINTS = 1_000_000  # points per scenario; rows and their text take about 0.8 KB each
 
 
 def _afc_series(scheme: str, n_afc: int, p_afc: float) -> dict[str, Any]:
@@ -335,7 +337,13 @@ def build_scenario(
     if seed is not None:
         flat["mc.seed"] = seed
     mc = McControls(**{"n_rounds": 100_000, **_spec_fields({**base, **flat}, "mc")})
-    return Scenario(tuple(_resolve_series({**series, **flat}) for series in base.get("series", [{}])), mc)
+    documents = [{**series, **flat} for series in base.get("series", [{}])]
+    # Counted on the raw values, as _as_number_list reads them, before any point is built.
+    points = sum(prod(len(v) if isinstance(v, (list, tuple)) else 1 for v in (d.get("L_km"), d.get("p_m")))
+                 for d in documents)
+    if points > _MAX_POINTS:
+        raise ConfigError(f"L_km x p_m gives {points} points over the series; at most {_MAX_POINTS} are allowed")
+    return Scenario(tuple(map(_resolve_series, documents)), mc)
 
 
 def _point_columns(series: Sequence[_Series]) -> dict[str, list[Any]]:
@@ -386,7 +394,7 @@ def run_scenario(
         raise rates[failed]
     columns = (points["scheme"], points["L_km"], points["p_m"], rates, mc_rate, mc_stderr,
                points["K"], points["t_round"], points["feasible"], seeds)
-    return list(map(ResultRow._make, zip(*columns)))
+    return list(map(partial(tuple.__new__, ResultRow), zip(*columns)))
 
 
 def _csv_cell(value: Any) -> str:

@@ -31,6 +31,9 @@ __all__ = [
     "MEMORY_PRESETS",
 ]
 
+_MAX = sys.float_info.max
+_PLAIN = frozenset({float, int})  # passed in range by one comparison; a bool or numpy scalar takes every check
+
 
 class ParameterError(ValueError):
     """A physical parameter violated its invariant; the message names the field."""
@@ -44,18 +47,21 @@ def _require(condition: bool, field: str, template: str, *args: object) -> None:
 
 def _require_real(field: str, value: float) -> None:
     """No integer past double range: float() overflows on one, and formatting one can pass the 4,300-digit limit."""
-    _require(not isinstance(value, int) or abs(value) <= sys.float_info.max, field,
-             "must be at most %r in magnitude, got a larger integer", sys.float_info.max)
+    if not (type(value) in _PLAIN and -_MAX <= value <= _MAX):
+        _require(not isinstance(value, int) or abs(value) <= _MAX, field,
+                 "must be at most %r in magnitude, got a larger integer", _MAX)
 
 
 def _require_probability(field: str, value: float) -> None:
-    _require_real(field, value)
-    _require(0.0 <= value <= 1.0, field, "must be in [0, 1], got %r", value)
+    if not (type(value) in _PLAIN and 0.0 <= value <= 1.0):
+        _require_real(field, value)
+        _require(0.0 <= value <= 1.0, field, "must be in [0, 1], got %r", value)
 
 
 def _require_positive(field: str, value: float) -> None:
-    _require_real(field, value)
-    _require(value > 0.0, field, "must be > 0, got %r", value)
+    if not (type(value) in _PLAIN and 0.0 < value <= _MAX):
+        _require_real(field, value)
+        _require(value > 0.0, field, "must be > 0, got %r", value)
 
 
 def _require_finite(field: str, value: float) -> None:
@@ -65,14 +71,15 @@ def _require_finite(field: str, value: float) -> None:
 
 def _is_integer(value: object) -> bool:
     """A Python or numpy integer; a bool or a float, even an integral one, is not."""
-    return isinstance(value, Integral) and not isinstance(value, bool)
+    return type(value) is int or isinstance(value, Integral) and not isinstance(value, bool)
 
 
 def _require_count(field: str, value: int) -> None:
     """An integer >= 1 that converts to a finite float, so rates and budgets stay finite."""
-    _require(_is_integer(value), field, "must be an integer, got %r", value)
-    _require_real(field, value)
-    _require(value >= 1, field, "must be >= 1, got %r", value)
+    if not (type(value) is int and 1 <= value <= _MAX):
+        _require(_is_integer(value), field, "must be an integer, got %r", value)
+        _require_real(field, value)
+        _require(value >= 1, field, "must be >= 1, got %r", value)
 
 
 @dataclass(frozen=True, slots=True)
@@ -91,12 +98,14 @@ class LinkParams:
     p_d: float = 0.8      # single-photon detector efficiency
 
     def __post_init__(self) -> None:
-        _require_real("L", self.L)
-        _require(self.L >= 0.0, "L", "must be >= 0 km, got %r", self.L)
-        _require_finite("L", self.L)
+        if not (type(self.L) in _PLAIN and 0.0 <= self.L <= _MAX):
+            _require_real("L", self.L)
+            _require(self.L >= 0.0, "L", "must be >= 0 km, got %r", self.L)
+            _require_finite("L", self.L)
         _require_positive("L_att", self.L_att)
-        _require_real("n", self.n)
-        _require(self.n >= 1.0, "n", "must be >= 1, got %r", self.n)
+        if not (type(self.n) in _PLAIN and 1.0 <= self.n <= _MAX):
+            _require_real("n", self.n)
+            _require(self.n >= 1.0, "n", "must be >= 1, got %r", self.n)
         _require_positive("c", self.c)
         _require_probability("p_d", self.p_d)
 

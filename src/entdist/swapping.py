@@ -43,8 +43,9 @@ class SwapParams:
     def __post_init__(self) -> None:
         _require_count("J", self.J)
         _require_count("i", self.i)
-        for field in ("p_BSA", "p_pass", "p_AFC"):
-            _require_probability(field, getattr(self, field))
+        _require_probability("p_BSA", self.p_BSA)
+        _require_probability("p_pass", self.p_pass)
+        _require_probability("p_AFC", self.p_AFC)
         if self.p_emit is not None:
             _require_probability("p_emit", self.p_emit)
 

@@ -10,6 +10,7 @@ from entdist.analytic import (
     SchemeKind,
     analytic_rate,
     evaluate,
+    evaluate_series,
     feasibility_check,
     round_time,
     trials_per_round,
@@ -26,7 +27,7 @@ from entdist.params import (
     derive_probs,
 )
 
-from oracles import closed_form_ratio, latch_probability
+from oracles import closed_form_ratio, latch_probability, scheme_point
 
 # Frozen expected values (40-digit evaluation of the defining formulas,
 # rounded to nearest double).
@@ -373,3 +374,59 @@ def test_rates_monotone_in_distance_for_uncapped_schemes():
     for make in configs:
         rates = [analytic_rate(make(L)) for L in distances]
         assert all(a >= b for a, b in zip(rates, rates[1:]))
+
+
+# L = 0 (the closed forms fail), lengths at and past the AFC spin-coherence
+# budget (190 km), p_m = 0 and -0.0 (MS has no finite budget; AFC-MS p_single
+# is -0.0), and p_m of 1e-3 and 0.02, whose AFC budgets the rephasing cap binds.
+SERIES_L_KM = [0.0, 0.5, 10.0, 37.5, 150.0, 189.5, 190.0, 200.0]
+SERIES_P_M = [0.0, 1e-3, 0.02, 0.05, 0.5, 1.0, -0.0]
+# Memories whose products round differently when regrouped, unlike the presets'.
+ODD_SPIN = MemorySpec("odd", t_clock=7.3e-9, emission_fraction=0.71, collection_efficiency=0.43, N=7)
+ODD_AFC = AfcSpec(N_AFC=37, t_rephase=37e-6, t_spin_coherence=1e-3, p_AFC=0.37, p_pass=0.83, t_clock_prime=7.3e-9)
+SERIES_CONFIGS = {
+    "mm": mm(), "sr": sr(), "ms": ms(), "afc_mm": afc_mm(), "afc_ms": afc_ms(),
+    "mm_odd": mm(memory=ODD_SPIN), "sr_odd": sr(memory=ODD_SPIN, N_A=9, N_B=5), "ms_odd": ms(memory=ODD_SPIN),
+    "afc_mm_odd": afc_mm(memory=ODD_AFC), "afc_ms_odd": afc_ms(memory=ODD_AFC),
+}
+
+
+def _same_bits(a, b):
+    if isinstance(a, ParameterError):
+        return type(a) is type(b) and str(a) == str(b)
+    if isinstance(a, float):
+        return type(b) is float and a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+    return type(a) is type(b) and a == b
+
+
+@pytest.mark.parametrize("name", SERIES_CONFIGS)
+def test_series_equals_point_by_point_evaluation(name):
+    cfg = SERIES_CONFIGS[name]
+    links = [LinkParams(L=L) for L in SERIES_L_KM]
+    series = evaluate_series(cfg, links, SERIES_P_M)
+    assert None in series.K if cfg.kind is SchemeKind.MS else None not in series.K
+    if cfg.kind.is_afc:  # the grid reaches the rephasing cap and the spin-coherence limit
+        assert True in series.capped and False in series.feasible
+    points = [evaluate_series(cfg, [link], [p_m]) for link in links for p_m in SERIES_P_M]
+    for name, column in zip(series._fields, series):
+        alone = [getattr(point, name) for point in points]
+        assert all(len(value) == 1 for value in alone) and len(column) == len(alone)
+        for value, (expected,) in zip(column, alone):
+            assert _same_bits(value, expected), (name, value, expected)
+    # The formulas as the scheme definitions write them, so that neither side
+    # may reorder an operation: every value bit for bit, every failure by class.
+    configs = (replace(cfg, link=link, p_m=p_m) for link in links for p_m in SERIES_P_M)
+    for j, point_cfg in enumerate(configs):
+        try:
+            expected = scheme_point(point_cfg)
+        except ParameterError:
+            assert series.K[j] is None and isinstance(series.rate[j], ParameterError)
+            continue
+        for name in ("K", "p_single", "capacity", "t_round", "capped", "feasible"):
+            assert _same_bits(getattr(series, name)[j], getattr(expected, name)), (name, point_cfg)
+        try:
+            rate = expected.rate
+        except ParameterError:
+            assert isinstance(series.rate[j], ParameterError)
+        else:
+            assert _same_bits(series.rate[j], rate), point_cfg

@@ -121,6 +121,11 @@ HUGE = str(10**400)  # past the largest double, 1.8e308
     (["analytic", "custom", "--set", "scheme=afc-mm", "--set", "L_km=10",
       "--set", "afc.t_clock_prime_s=1e400"], "t_clock_prime must be finite"),
     (["run", {"preset": ["fig5a"]}], "unknown preset a value of type list"),
+    # Past the sweep limit of 1,000,000 points, alone and summed over fig5c's two series.
+    (["analytic", "custom", "--set", "scheme=mm", "--set", f"L_km={list(range(1, 1002))}",
+      "--set", f"p_m={[k / 1000 for k in range(1000)]}"], "L_km x p_m gives 1001000 points"),
+    (["run", "fig5c", "--rounds", "10", "--set", f"L_km={list(range(1, 1001))}",
+      "--set", f"p_m={[k / 1000 for k in range(501)]}"], "L_km x p_m gives 1002000 points"),
 ])
 def test_out_of_range_inputs_are_config_errors(capsys, tmp_path, argv, message, fmt):
     if isinstance(argv[1], dict):  # a config document, given by its file's path
@@ -239,6 +244,12 @@ def test_stdout_matches_golden_bytes(capsysbinary, monkeypatch, name, argv, fmt)
     monkeypatch.setitem(PRESETS, "multi_series", scenario)
     assert main(argv + ["--format", fmt]) == 0
     assert capsysbinary.readouterr().out == (DATA / f"{name}.{fmt}").read_bytes()
+
+
+@pytest.mark.parametrize("heralding", ["perfect", "imperfect"])
+def test_swap_matches_golden_bytes(capsysbinary, heralding):
+    assert main(["swap", "--pairs", "1000", "--links", "10", "--heralding", heralding]) == 0
+    assert capsysbinary.readouterr().out == (DATA / f"swap_{heralding}.json").read_bytes()
 
 
 # numpy release that wrote fig5c_run.*; seeded Monte Carlo bytes are promised per release.

@@ -3,6 +3,7 @@ import copy
 import importlib
 import json
 import re
+import tracemalloc
 import types
 from dataclasses import replace
 from pathlib import Path
@@ -12,6 +13,7 @@ import pytest
 
 import entdist
 from entdist.analytic import SchemeConfig, SchemeKind, analytic_rate
+from entdist import harness
 from entdist.cli import main
 from entdist.harness import (
     CSV_HEADER,
@@ -255,6 +257,34 @@ class TestConfigHandling:
         # preset is read only from a config file.
         assert main(["analytic", "fig5a", "--set", "preset=fig5a"]) == 1
         assert "unknown config key 'preset'" in capsys.readouterr().err
+
+    def test_oversized_sweep_is_refused_before_any_point(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a point was built")
+
+        for name in ("LinkParams", "SchemeConfig", "evaluate_series", "subseeds", "estimate_series"):
+            monkeypatch.setattr(harness, name, forbidden)
+        overrides = {"scheme": "mm", "L_km": [float(km) for km in range(1, 1002)],
+                     "p_m": [k / 1000 for k in range(1000)]}
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError, match="^L_km x p_m gives 1001000 points over the series; "
+                                                  "at most 1000000 are allowed$"):
+                run_scenario("custom", overrides)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # The rows alone of a 1,001,000-point sweep would take about 0.8 GB.
+        assert peak < 64 * 1024
+
+    def test_sweep_limit_counts_every_series_and_admits_the_limit(self, monkeypatch):
+        monkeypatch.setattr(harness, "_MAX_POINTS", 12)
+        assert len(run_scenario("fig5c", {"L_km": [10, 20], "p_m": [0.1, 0.2, 0.3]}, with_mc=False)) == 12
+        assert len(run_scenario("custom", {"scheme": "mm", "L_km": 10, "p_m": [0.5] * 12}, with_mc=False)) == 12
+        with pytest.raises(ConfigError, match="^L_km x p_m gives 14 points"):
+            run_scenario("fig5c", {"L_km": [10, 20, 30, 40, 50, 60, 70], "p_m": 0.5}, with_mc=False)
+        with pytest.raises(ConfigError, match="^L_km x p_m gives 13 points"):
+            run_scenario("custom", {"scheme": "mm", "L_km": [10], "p_m": [0.5] * 13}, with_mc=False)
 
     def test_malformed_config_file(self, tmp_path):
         path = tmp_path / "broken.json"

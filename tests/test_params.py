@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -222,3 +223,61 @@ def test_numpy_integers_are_counts_and_controls():
     assert rng_for_seed(np.uint64(7)).random() == rng_for_seed(7).random()
     assert subseed(np.uint64(5), np.int64(3)) == subseed(5, 3)
     assert subseeds(5, np.arange(4, dtype=np.uint32)).tolist() == subseeds(5, [0, 1, 2, 3]).tolist()
+
+
+HUGE = "must be at most 1.7976931348623157e+308 in magnitude, got a larger integer"
+
+
+# Inputs that a check passing built-in numbers by type first could let
+# through: numpy scalars, bools, integral floats, integers past double range,
+# nan and -0.0. Each keeps its field, order of checks and text.
+@pytest.mark.parametrize("build, message", [
+    (lambda: LinkParams(L=1.0, p_d=np.float64("nan")), "p_d must be in [0, 1], got np.float64(nan)"),
+    (lambda: LinkParams(L=1.0, p_d=np.float64(1.5)), "p_d must be in [0, 1], got np.float64(1.5)"),
+    (lambda: SwapParams(J=1, p_AFC=np.float64("nan")), "p_AFC must be in [0, 1], got np.float64(nan)"),
+    (lambda: SchemeConfig(SchemeKind.MS, LINK10, QUANTUM_DOT, p_m=np.float64(1.5)),
+     "p_m must be in [0, 1], got np.float64(1.5)"),
+    (lambda: dataclasses.replace(QUANTUM_DOT, N=True), "N must be an integer, got True"),
+    (lambda: dataclasses.replace(QUANTUM_DOT, N=np.bool_(True)), "N must be an integer, got np.True_"),
+    (lambda: dataclasses.replace(QUANTUM_DOT, N=2.0), "N must be an integer, got 2.0"),
+    (lambda: SwapParams(J=True), "J must be an integer, got True"),
+    (lambda: SwapParams(J=np.bool_(True)), "J must be an integer, got np.True_"),
+    (lambda: SwapParams(J=2.0), "J must be an integer, got 2.0"),
+    (lambda: dataclasses.replace(QUANTUM_DOT, N=2**1024), f"N {HUGE}"),
+    (lambda: dataclasses.replace(QUANTUM_DOT, N=-(10**400)), f"N {HUGE}"),
+    (lambda: SwapParams(J=2**1024), f"J {HUGE}"),
+    (lambda: dataclasses.replace(AFC_REALISTIC, N_AFC=-(10**400)), f"N_AFC {HUGE}"),
+    (lambda: LinkParams(L=1.0, L_att=2**1024), f"L_att {HUGE}"),
+    (lambda: LinkParams(L=1.0, c=-(10**400)), f"c {HUGE}"),
+    (lambda: dataclasses.replace(QUANTUM_DOT, t_clock=2**1024), f"t_clock {HUGE}"),
+    (lambda: LinkParams(L=2**1024), f"L {HUGE}"),
+    (lambda: LinkParams(L=1.0, n=2**1024), f"n {HUGE}"),
+    (lambda: LinkParams(L=1.0, p_d=2**1024), f"p_d {HUGE}"),
+    (lambda: SwapParams(J=1, p_pass=-(10**400)), f"p_pass {HUGE}"),
+    (lambda: LinkParams(L=1.0, L_att=math.nan), "L_att must be > 0, got nan"),
+    (lambda: LinkParams(L=1.0, L_att=-0.0), "L_att must be > 0, got -0.0"),
+    (lambda: LinkParams(L=1.0, c=math.nan), "c must be > 0, got nan"),
+    (lambda: dataclasses.replace(QUANTUM_DOT, t_clock=-0.0), "t_clock must be > 0, got -0.0"),
+    (lambda: dataclasses.replace(AFC_REALISTIC, t_rephase=math.nan), "t_rephase must be > 0, got nan"),
+    (lambda: LinkParams(L=math.nan), "L must be >= 0 km, got nan"),
+    (lambda: LinkParams(L=np.float64(-1.0)), "L must be >= 0 km, got np.float64(-1.0)"),
+    (lambda: LinkParams(L=1.0, n=math.nan), "n must be >= 1, got nan"),
+])
+def test_edge_inputs_are_refused_with_the_checks_text(build, message):
+    with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+        build()
+
+
+@pytest.mark.parametrize("build, field, value", [
+    (lambda: LinkParams(L=np.float64(0.5), L_att=np.float64(0.5), p_d=np.float64(0.5)), "p_d", 0.5),
+    (lambda: dataclasses.replace(QUANTUM_DOT, N=np.int64(3)), "N", 3),
+    (lambda: SwapParams(J=np.int64(3), i=np.int64(3), p_BSA=np.float64(0.5)), "J", 3),
+    (lambda: LinkParams(L=1.0, L_att=5e-324, c=5e-324), "c", 5e-324),
+    (lambda: dataclasses.replace(QUANTUM_DOT, t_clock=5e-324), "t_clock", 5e-324),
+    (lambda: dataclasses.replace(AFC_REALISTIC, t_rephase=5e-324, t_clock_prime=5e-324), "t_rephase", 5e-324),
+    (lambda: LinkParams(L=1.0, L_att=math.inf), "L_att", math.inf),
+    (lambda: dataclasses.replace(AFC_REALISTIC, t_spin_coherence=math.inf), "t_spin_coherence", math.inf),
+    (lambda: LinkParams(L=-0.0, n=True), "L", -0.0),
+])
+def test_edge_inputs_that_the_checks_accept(build, field, value):
+    assert getattr(build(), field) == value

@@ -20,6 +20,7 @@ from entdist.harness import (
     CSV_HEADER,
     ConfigError,
     ResultRow,
+    _CONFIG_KEYS,
     build_scenario,
     rows_to_csv,
     rows_to_json,
@@ -416,3 +417,73 @@ def test_json_reports_the_first_non_finite_value_in_row_order():
     rows = [row._replace(t_round_s=math.nan), row._replace(L_km=math.inf)]
     with pytest.raises(ValueError, match="compliant: nan$"):
         rows_to_json(rows)
+
+
+# Each coercion's edges: zeros, the smallest and largest doubles, inf, nan,
+# integers past 2**64, past double range and past the 4,300-digit limit of
+# int-to-text conversion, bools, text, null and the empty list.
+EDGES = [0, -0.0, 5e-324, 1e308, math.inf, -math.inf, math.nan, 2**64 + 1, 2**1024, -(2**1024),
+         10**5000, True, False, "", "x", "1.5", "mm", "nv", None, []]
+edge = st.sampled_from(EDGES)
+small_counts = st.integers(1, 6) | st.integers(1, 10**4)  # small ones often split SR's 2N exactly
+
+
+def sweeps(values):
+    """One value, or a list of 1 to 30 of them."""
+    return values | st.integers(1, 30).flatmap(lambda n: st.lists(values, min_size=n, max_size=n))
+
+
+# Each key's domain; the other keys take a count, a time in s or a probability.
+KEY_DOMAINS = {
+    "scheme": st.sampled_from([kind.value for kind in SchemeKind] + ["AFC-MS"]),
+    "memory.kind": st.sampled_from(["trapped-ion", "nv", "quantum-dot"]),
+    "L_km": sweeps(st.floats(0.0, 250.0)),
+    "p_m": sweeps(probability),
+    "L_att_km": st.floats(1.0, 100.0),
+    "n": st.floats(1.0, 2.0),
+    "c_km_per_s": st.floats(1e5, 3e5),
+    "ms_sync_factor": st.sampled_from([1, 2]),
+    "mc.seed": st.integers(0, 2**64 - 1),
+}
+
+
+def key_domain(key):
+    if key in KEY_DOMAINS:
+        return KEY_DOMAINS[key]
+    if _CONFIG_KEYS[key][2] is harness._as_int:
+        return small_counts
+    return st.floats(1e-10, 1e-3) if key.endswith("_s") else probability
+
+
+@st.composite
+def override_documents(draw):
+    """A flat override document drawn key by key from _CONFIG_KEYS.
+
+    scheme and L_km come almost always, N_A and N_B mostly with SR, every
+    other key one time in four. A value is one of the key's domain, or one
+    time in eight an edge or a list of up to 30 edges and domain values.
+    """
+    scheme = draw(key_domain("scheme") if draw(st.integers(0, 9)) else edge)
+    document = {"scheme": scheme} if draw(st.integers(0, 19)) else {}
+    for key in _CONFIG_KEYS:
+        if key == "L_km":
+            wanted = draw(st.integers(0, 19)) > 0
+        elif key in ("N_A", "N_B"):
+            wanted = draw(st.integers(0, 19)) < (18 if scheme == "sr" else 1)
+        else:
+            wanted = key != "scheme" and draw(st.integers(0, 3)) == 0
+        if wanted:
+            choice = draw(st.integers(0, 23))
+            document[key] = (draw(key_domain(key)) if choice < 21 else draw(edge) if choice < 23
+                             else draw(st.lists(key_domain(key) | edge, max_size=30)))
+    return document
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(overrides=override_documents(), with_mc=st.booleans(), rounds=st.integers(1, 1_000))
+def test_library_overrides_give_rows_or_named_errors(overrides, with_mc, rounds):
+    try:
+        rows = run_scenario("custom", overrides, rounds=rounds, with_mc=with_mc)
+    except (ConfigError, ParameterError):
+        return
+    assert rows and all(type(row) is ResultRow for row in rows)
