@@ -40,6 +40,7 @@ __all__ = [
     "SchemeConfig",
     "FeasibilityReport",
     "PointSummary",
+    "SeriesColumns",
     "NotApplicableError",
     "trials_per_round",
     "round_time",
@@ -229,21 +230,29 @@ def _ceil_ratio(numerator: float, denominator: float) -> int | None:
     return None if ratio == math.inf else math.ceil(ratio)
 
 
-def _waiting_budget(mem: MemorySpec | AfcSpec, p_latch: float) -> tuple[int, bool]:
-    """(trials per round, rephasing-capped) of MS or an AFC scheme; see evaluate_series."""
+def _waiting_budget(mem: MemorySpec | AfcSpec) -> Callable[[float], tuple[int, bool]]:
+    """(trials per round, rephasing-capped) of MS or an AFC scheme by latch probability; see evaluate_series.
+
+    The memory's kind and the AFC rephasing cap are settled once per memory.
+    """
     if isinstance(mem, MemorySpec):
-        k = _ceil_ratio(mem.N, p_latch)
-        if k is None:
-            raise ParameterError(f"unbounded trial budget: MS latch probability is {p_latch!r}")
+        def budget(p_latch: float) -> tuple[int, bool]:
+            k = _ceil_ratio(mem.N, p_latch)
+            if k is None:
+                raise ParameterError(f"unbounded trial budget: MS latch probability is {p_latch!r}")
+            return k, False
+        return budget
+    # The largest budget before the first stored photon rephases out.
+    cap = _ceil_ratio(mem.t_rephase, mem.t_clock_prime)
+
+    def budget(p_latch: float) -> tuple[int, bool]:
+        k = _ceil_ratio(mem.N_AFC, p_latch)
+        if k is None or k * mem.t_clock_prime > mem.t_rephase:
+            if cap is None:
+                raise ParameterError(f"t_clock_prime {mem.t_clock_prime!r} s is too short for a finite budget")
+            return cap, True
         return k, False
-    k = _ceil_ratio(mem.N_AFC, p_latch)
-    if k is None or k * mem.t_clock_prime > mem.t_rephase:
-        # The largest budget before the first stored photon rephases out.
-        cap = _ceil_ratio(mem.t_rephase, mem.t_clock_prime)
-        if cap is None:
-            raise ParameterError(f"t_clock_prime {mem.t_clock_prime!r} s is too short for a finite budget")
-        return cap, True
-    return k, False
+    return budget
 
 
 def _rate(tl: float, rate_of: Callable[..., float], *args: object) -> float | ParameterError:
@@ -278,6 +287,7 @@ def evaluate_series(cfg: SchemeConfig, links: Sequence[LinkParams],
     kind, mem, is_afc = cfg.kind, cfg.memory, cfg.kind.is_afc
     single_trial_success, closed_form_rate = _SINGLE_TRIAL_SUCCESS[kind], _CLOSED_FORM_RATE[kind]
     latch_probability = _LATCH_PROBABILITY.get(kind)
+    budget = _waiting_budget(mem) if latch_probability else None
     t_clock = mem.t_clock_prime if is_afc else mem.t_clock
     # Pairs one round can latch at most: the mode count, or the (receiving) memories.
     point_capacity = mem.N_AFC if is_afc else cfg.N_A if kind is SchemeKind.SR else mem.N
@@ -293,8 +303,8 @@ def evaluate_series(cfg: SchemeConfig, links: Sequence[LinkParams],
         uncapped = None if kind is SchemeKind.AFC_MM else _rate(tl, closed_form_rate, cfg, d, None, tl, half, full)
         for p_m in p_m_loop:
             try:
-                k, capped = ((point_capacity, False) if latch_probability is None
-                             else _waiting_budget(mem, latch_probability(cfg, d, p_m)))
+                k, capped = ((point_capacity, False) if budget is None
+                             else budget(latch_probability(cfg, d, p_m)))
                 t_round = flight + k * t_clock
                 if not math.isfinite(t_round):
                     raise ParameterError(f"t_round is {t_round!r} s: the inputs exceed double precision")

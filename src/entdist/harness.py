@@ -32,7 +32,7 @@ from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Seque
 
 import numpy as np
 
-from .analytic import PointSummary, SchemeConfig, SchemeKind, SeriesColumns, evaluate_series
+from .analytic import SchemeConfig, SchemeKind, SeriesColumns, evaluate_series
 from .montecarlo import McControls, estimate_series, subseeds
 from .params import AFC_REALISTIC, LinkParams, MEMORY_PRESETS, MemorySpec, ParameterError, QUANTUM_DOT
 
@@ -383,17 +383,17 @@ def run_scenario(
     points = _point_columns(scenario.series)
     rates = points["rate"]
     n = len(rates)
-    seeds = subseeds(scenario.mc.seed, np.arange(n)).tolist()
+    seeds = subseeds(scenario.mc.seed, np.arange(n))
     failed = next((i for i, rate in enumerate(rates) if isinstance(rate, ParameterError)), n)
     mc_rate, mc_stderr = [None] * n, [None] * n
     if with_mc:
         simulated = failed + (failed < n and points["K"][failed] is not None)
-        evaluated = list(map(PointSummary, *(points[name][:simulated] for name in SeriesColumns._fields)))
+        evaluated = SeriesColumns(*(points[name][:simulated] for name in SeriesColumns._fields))
         _, mc_rate[:simulated], mc_stderr[:simulated] = estimate_series(evaluated, seeds[:simulated], scenario.mc)
     if failed < n:
         raise rates[failed]
     columns = (points["scheme"], points["L_km"], points["p_m"], rates, mc_rate, mc_stderr,
-               points["K"], points["t_round"], points["feasible"], seeds)
+               points["K"], points["t_round"], points["feasible"], seeds.tolist())
     return list(map(partial(tuple.__new__, ResultRow), zip(*columns)))
 
 

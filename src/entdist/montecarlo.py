@@ -19,12 +19,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple
 
 import numpy as np
 from numpy.typing import ArrayLike
 
-from .analytic import PointSummary, feasibility_check
+from .analytic import PointSummary, SeriesColumns, feasibility_check
 from .params import ParameterError, _is_integer, _require_real
 
 __all__ = [
@@ -36,6 +36,8 @@ __all__ = [
     "subseeds",
     "simulate_rounds",
     "estimate_rate",
+    "EstimateColumns",
+    "estimate_series",
 ]
 
 _DEFAULT_SEED = 42
@@ -46,6 +48,7 @@ _MAX_CELLS = 4_000_000
 # numpy's multinomial takes the round count as a C long.
 _MAX_ROUNDS = 2**63 - 1
 _LAW_BATCH_CELLS = 4096  # cells of one block of laws: small, so peak memory does not grow
+_ROW_COUNTS = np.arange(1, _LAW_BATCH_CELLS + 1)  # a block's rows if it ended at each of its rows
 
 
 class FeasibilityError(RuntimeError):
@@ -176,9 +179,17 @@ def subseeds(master_seed: int, indices: ArrayLike) -> np.ndarray:
     return _seed_words(entropy, 1)[0].reshape(index.shape)
 
 
-# PCG64's 128-bit LCG multiplier (PCG_DEFAULT_MULTIPLIER_128 in numpy's pcg64.h).
+# PCG64's 128-bit LCG multiplier (PCG_DEFAULT_MULTIPLIER_128 in numpy's pcg64.h), in 64-bit halves.
 _PCG64_MULT = 0x2360ED051FC65DA4_4385DF649FCCF645
-_M128 = 2**128 - 1
+_MULT_HI, _MULT_LO = np.uint64(_PCG64_MULT >> 64), np.uint64(_PCG64_MULT & 0xFFFF_FFFF_FFFF_FFFF)
+_LOW32 = np.uint64(0xFFFF_FFFF)
+
+
+def _mul_hi(a: np.ndarray, b: np.uint64) -> np.ndarray:
+    """The high 64 bits of each 128-bit product a * b, from products of 32-bit halves."""
+    a0, a1, b0, b1 = a & _LOW32, a >> 32, b & _LOW32, b >> 32
+    cross = (a0 * b0 >> 32) + (a1 * b0 & _LOW32) + a0 * b1  # below 2**64
+    return a1 * b1 + (a1 * b0 >> 32) + (cross >> 32)
 
 
 def _streams(seeds: ArrayLike) -> Iterator[np.random.Generator]:
@@ -187,31 +198,38 @@ def _streams(seeds: ArrayLike) -> Iterator[np.random.Generator]:
     One pool hash gives all seeds' 4 state words w (a seed is its low and
     high 32 bits); PCG64's setseq rule (pcg_setseq_128_srandom_r) makes
     inc = 2 * w2:w3 + 1 and state = (w0:w1 + inc) * multiplier + inc, mod
-    2**128. numpy.random is first loaded here, so that analytic runs skip it.
+    2**128, here on arrays of 64-bit (high, low) halves for all seeds at
+    once. numpy.random is first loaded here, so that analytic runs skip it.
     """
     seeds = np.asarray(seeds, dtype=np.uint64)
     entropy = np.zeros((4, seeds.size), np.uint32)
     entropy[0], entropy[1] = seeds & 0xFFFF_FFFF, seeds >> 32
+    w0, w1, w2, w3 = _seed_words(entropy, 4)
+    inc_hi, inc_lo = w2 << 1 | w3 >> 63, w3 << 1 | 1
+    lo = w1 + inc_lo
+    hi = w0 + inc_hi + (lo < w1)  # (lo < w1): the carry out of the low half
+    hi = hi * _MULT_LO + lo * _MULT_HI + _mul_hi(lo, _MULT_LO)
+    lo = lo * _MULT_LO + inc_lo
+    hi += inc_hi + (lo < inc_lo)
     rng = np.random.Generator(np.random.PCG64(0))  # its state is set below
-    for w0, w1, w2, w3 in zip(*_seed_words(entropy, 4).tolist()):
-        inc = (w2 << 65 | w3 << 1 | 1) & _M128
-        state = ((w0 << 64 | w1) + inc) * _PCG64_MULT + inc
-        rng.bit_generator.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
-                                   "state": {"state": state & _M128, "inc": inc}}
+    bit_generator = rng.bit_generator
+    for s_hi, s_lo, i_hi, i_lo in zip(hi.tolist(), lo.tolist(), inc_hi.tolist(), inc_lo.tolist()):
+        bit_generator.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+                               "state": {"state": s_hi << 64 | s_lo, "inc": i_hi << 64 | i_lo}}
         yield rng
 
 
-def _law_windows(points: Sequence[PointSummary]) -> tuple[np.ndarray, ...]:
+def _law_windows(K: ArrayLike, p_single: ArrayLike, capacity: ArrayLike) -> tuple[np.ndarray, ...]:
     """Columns k, p, inner, lo, hi and last of the law windows lo..hi; lo + last is the cap cell or hi.
 
-    A window is mean +- t, t = 11 sd + 40 (one cell at p in {0, 1} or above
-    the capacity): Bernstein bounds the mass outside it by
+    One window per point of the K, p_single and capacity columns. A window is
+    mean +- t, t = 11 sd + 40 (one cell at p in {0, 1} or above the
+    capacity): Bernstein bounds the mass outside it by
     2 exp(-t^2 / (2 (sd^2 + t/3))) <= 2 exp(-60) < 2e-26, under double
     precision, as t^2 - 120 sd^2 - 40 t = sd^2 + 440 sd >= 0. One of more
     than _MAX_CELLS cells raises ParameterError.
     """
-    k, p, cap = (np.array([getattr(point, name) for point in points], dtype=float)[:, None]
-                 for name in ("K", "p_single", "capacity"))
+    k, p, cap = (np.asarray(column, dtype=float).reshape(-1, 1) for column in (K, p_single, capacity))
     top, mean = np.minimum(k, cap), k * p
     spread = 11.0 * np.sqrt(mean * (1.0 - p)) + 40.0
     first = np.maximum(np.floor(mean - spread), 0.0)
@@ -228,28 +246,42 @@ def _capped_binomial_laws(k: np.ndarray, p: np.ndarray, inner: np.ndarray, lo: n
     """Law of min(Binomial(K, p), capacity) in each _law_windows window, as (lo, cells, w) per block.
 
     w[r, :cells[r]] is the law from cell lo[r] on, and it is 0 elsewhere, so
-    the work is O(min(K, capacity)) for any K and p. A block holds right-
-    padded windows in at most _LAW_BATCH_CELLS cells (or one wider window).
-    Along a row, log weights sum pmf(j) / pmf(j - 1) from the left and tails
-    sum from the right, so the padding adds exact zeros: a law has the same
-    bits in any batch.
+    the work is O(min(K, capacity)) for any K and p. A block holds the next
+    windows, in the order given, right-padded to the widest of them, in at
+    most _LAW_BATCH_CELLS cells (or one wider window). Block rows never
+    outnumber _LAW_BATCH_CELLS // (first width), so each block's end is one
+    search over that many running maxima of the widths. Along a row, log
+    weights sum pmf(j) / pmf(j - 1) from the left and tails sum from the
+    right, so the padding adds exact zeros: a law has the same bits in any
+    batch.
     """
-    widths, los, ends = (c[:, 0].astype(np.intp).tolist() for c in (hi - lo + 1, lo, last + 1))
-    start = 0
-    while start < len(widths):
-        stop, width = start + 1, widths[start]
-        while stop < len(widths) and (stop - start + 1) * max(width, widths[stop]) <= _LAW_BATCH_CELLS:
-            stop, width = stop + 1, max(width, widths[stop])
-        b, cell = slice(start, stop), np.arange(1, width)
-        with np.errstate(divide="ignore"):  # log 0 = -inf at p in {0, 1} and in the padding
-            odds = np.where(inner[b], np.log(p[b]) - np.log1p(-p[b]), 0.0)
+    span = hi - lo  # window width - 1
+    spans = span[:, 0].astype(np.intp)
+    los, ends, last = lo[:, 0].astype(np.intp).tolist(), (last[:, 0] + 1).tolist(), last[:, 0]
+    with np.errstate(divide="ignore"):  # log 0 = -inf at p in {0, 1}
+        odds = np.where(inner, np.log(p) - np.log1p(-p), 0.0)
+    start, total = 0, len(los)
+    while start < total:
+        # The block's width if it ended at each row it can reach; its cells, rows x width, never shrink.
+        widest = np.maximum.accumulate(spans[start:start + max(_LAW_BATCH_CELLS // (spans[start] + 1), 1)]) + 1
+        rows = max(int(np.searchsorted(widest * _ROW_COUNTS[:len(widest)], _LAW_BATCH_CELLS, side="right")), 1)
+        stop, width = start + rows, int(widest[rows - 1])
+        b, cell, row = slice(start, stop), np.arange(1.0, width), np.arange(rows)
+        log_w = np.zeros((rows, width))  # log pmf(lo) cancels when the window is normalised
+        steps = log_w[:, 1:]
+        with np.errstate(divide="ignore"):  # log 0 = -inf in the padding
             j = lo[b] + cell
-            steps = np.log(np.where(cell <= hi[b] - lo[b], (k[b] - j + 1.0) / j, 0.0)) + odds
-        log_w = np.zeros((stop - start, width))  # log pmf(lo) cancels when the window is normalised
-        np.cumsum(steps, axis=1, out=log_w[:, 1:])
-        w = np.exp(log_w - log_w.max(axis=1, keepdims=True))
+            np.subtract(k[b], j, out=steps)
+            steps += 1.0
+            steps /= j
+            steps[cell > span[b]] = 0.0
+            np.log(steps, out=steps)
+            steps += odds[b]
+            np.cumsum(steps, axis=1, out=steps)
+            log_w -= log_w.max(axis=1, keepdims=True)
+            w = np.exp(log_w, out=log_w)
         tail = np.cumsum(w[:, ::-1], axis=1)[:, ::-1]  # tail[:, i] = w[:, i:].sum()
-        np.put_along_axis(w, last[b], np.take_along_axis(tail, last[b], axis=1), axis=1)
+        w[row, last[b]] = tail[row, last[b]]
         w /= tail[:, :1]
         yield los[b], ends[b], w
         start = stop
@@ -287,7 +319,8 @@ def simulate_rounds(point: PointSummary, rng: np.random.Generator, n_rounds: int
         raise ParameterError(f"the histogram of latched pairs holds at most {_MAX_CELLS} cells, "
                              f"got min(K, capacity) + 1 = {top + 1}")
     hist = np.zeros(top + 1, dtype=np.int64)
-    (lo,), window = next(_window_histograms(_law_windows([point]), iter([rng]), n_rounds))
+    windows = _law_windows([point.K], [point.p_single], [point.capacity])
+    (lo,), window = next(_window_histograms(windows, iter([rng]), n_rounds))
     hist[lo:lo + window.shape[1]] = window[0, :top + 1 - lo]  # no round latches past the capacity
     return hist
 
@@ -304,39 +337,58 @@ def estimate_rate(point: PointSummary, mc: McControls) -> RateEstimate:
         report = feasibility_check(point.cfg)
         raise FeasibilityError(f"round budget {report.used_s:.6g} s exceeds spin coherence "
                                f"{report.limit_s:.6g} s at L = {point.cfg.link.L} km")
-    (successes,), (rate,), (stderr,) = estimate_series([point], [mc.seed], mc)
+    (successes,), (rate,), (stderr,) = estimate_series(SeriesColumns(*([value] for value in point[:7])),
+                                                       [mc.seed], mc)
     return RateEstimate(successes, mc.n_rounds * point.t_round, rate, stderr, mc.n_rounds, mc.seed)
 
 
-def estimate_series(points: Sequence[PointSummary], seeds: Sequence[int], mc: McControls) -> tuple:
-    """Columns of successes, rates and standard errors; None for infeasible points.
+class EstimateColumns(NamedTuple):
+    """estimate_series' result: one entry per point; None where a point is not feasible."""
+
+    successes: list[int | None]
+    mc_rate: list[float | None]
+    mc_stderr: list[float | None]
+
+
+def estimate_series(columns: SeriesColumns, seeds: ArrayLike, mc: McControls) -> EstimateColumns:
+    """Monte Carlo successes, rates and standard errors of the points of evaluate_series columns.
 
     Point i draws on the stream of rng_for_seed(seeds[i]), one reused
     generator (_streams), over its law window only (_window_histograms);
-    seeds and window widths (at most _MAX_CELLS cells) are checked before
-    any draw. Points draw in order of window width, so that a block pads
-    its rows little; each result goes back to its point's place. One integer
-    product per block gives each window's exact S1 = sum h_i i and
-    S2 = sum h_i i^2 over its cells i = 0, 1, ...; with
-    n = n_rounds, successes = S1 + lo n, rate = successes / (n t_round) and
+    each point reads its K, p_single, capacity, t_round and feasible
+    entries, and the points that are not feasible get None. seeds is a
+    uint64 array (every value a valid seed) or a sequence of integers in
+    [0, 2**64), one per point; the seeds and window widths (at most
+    _MAX_CELLS cells) are checked before any draw. Points draw in order of
+    window width, so that a block pads its rows little; each result goes
+    back to its point's place. One integer product per block gives each
+    window's exact S1 = sum h_i i and S2 = sum h_i i^2 over its cells
+    i = 0, 1, ...; with n = n_rounds, successes = S1 + lo n,
+    rate = successes / (n t_round) and
     stderr = sqrt((n S2 - S1^2) / (n^2 (n - 1))) / t_round, the fraction
     correctly rounded (0 for a single round).
     """
-    for seed in seeds:
-        _require_seed(seed)
-    n = mc.n_rounds
-    index = [i for i, (point, _) in enumerate(zip(points, seeds, strict=True)) if point.feasible]
-    windows = _law_windows([points[i] for i in index])
+    if not (isinstance(seeds, np.ndarray) and seeds.dtype == np.uint64 and seeds.ndim == 1):
+        for seed in seeds:
+            _require_seed(seed)
+        seeds = np.asarray(seeds, dtype=np.uint64)
+    n_points = len(columns.K)
+    if len(seeds) != n_points:
+        raise ParameterError(f"seeds must hold one seed per point: got {len(seeds)} for {n_points} points")
+    index = np.flatnonzero(np.array(columns.feasible, dtype=bool))
+    windows = _law_windows(*(np.array(column, dtype=float)[index] for column in columns[:3]))
     order = np.argsort((windows[4] - windows[3])[:, 0], kind="stable")
-    windows, index = tuple(column[order] for column in windows), [index[j] for j in order.tolist()]
-    successes, rates, stderrs = [None] * len(points), [None] * len(points), [None] * len(points)
-    rngs, index = _streams([seeds[i] for i in index]), iter(index)
-    for lo, hist in _window_histograms(windows, rngs, n):
+    windows, index = tuple(column[order] for column in windows), index[order]
+    successes, rates, stderrs = [None] * n_points, [None] * n_points, [None] * n_points
+    n, t_round = mc.n_rounds, columns.t_round
+    scale = n * n * max(n - 1, 1)
+    points = iter(index.tolist())
+    for lo, hist in _window_histograms(windows, _streams(seeds[index]), n):
         width = hist.shape[1]
         exact = object if n * (width - 1) ** 2 > _MAX_ROUNDS else np.int64  # int64 would wrap S2 silently
         sums = hist.astype(exact) @ np.arange(width, dtype=exact)[:, None] ** np.array([1, 2], dtype=exact)
-        for low, (s1, s2), i in zip(lo, sums.tolist(), index):  # index last: zip stops before it
+        for low, (s1, s2), i in zip(lo, sums.tolist(), points):  # points last: zip stops before it
             successes[i] = total = s1 + low * n
-            rates[i] = total / (n * points[i].t_round)
-            stderrs[i] = math.sqrt((n * s2 - s1 * s1) / (n * n * max(n - 1, 1))) / points[i].t_round
-    return successes, rates, stderrs
+            rates[i] = total / (n * t_round[i])
+            stderrs[i] = math.sqrt((n * s2 - s1 * s1) / scale) / t_round[i]
+    return EstimateColumns(successes, rates, stderrs)

@@ -6,10 +6,11 @@ library's evaluator, so agreement between the two is evidence for both.
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from entdist.analytic import NotApplicableError, PointSummary, SchemeConfig, SchemeKind
+from entdist.analytic import NotApplicableError, PointSummary, SchemeConfig, SchemeKind, SeriesColumns
 from entdist.params import ParameterError, derive_probs, fiber_transmission
 
 
@@ -156,6 +157,11 @@ def closed_form_ratio(a: SchemeConfig, b: SchemeConfig) -> float:
     raise NotApplicableError(
         f"no specialized ratio for ({a.kind.display}, {b.kind.display})"
     )
+
+
+def series_columns(points: Sequence[PointSummary]) -> SeriesColumns:
+    """Evaluated points as the evaluate_series columns that estimate_series and _law_windows read."""
+    return SeriesColumns(*([point[i] for point in points] for i in range(len(SeriesColumns._fields))))
 
 
 _BLOCK_CELLS = 4_000_000  # booleans in one chunk of rounds x K trials

@@ -252,7 +252,7 @@ def test_swap_matches_golden_bytes(capsysbinary, heralding):
     assert capsysbinary.readouterr().out == (DATA / f"swap_{heralding}.json").read_bytes()
 
 
-# numpy release that wrote fig5c_run.*; seeded Monte Carlo bytes are promised per release.
+# numpy release that wrote fig5c_run.* and fig6b_run.*; seeded Monte Carlo bytes are promised per release.
 GOLDEN_MC_NUMPY = "2.4.6"
 
 
@@ -260,5 +260,7 @@ GOLDEN_MC_NUMPY = "2.4.6"
                     reason=f"seeded golden bytes were written with numpy {GOLDEN_MC_NUMPY}")
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_seeded_run_matches_golden_bytes(capsysbinary, fmt):
-    assert main(["run", "fig5c", "--seed", "3", "--rounds", "2000", "--format", fmt]) == 0
-    assert capsysbinary.readouterr().out == (DATA / f"fig5c_run.{fmt}").read_bytes()
+    # fig5c's 60 points fit one block of laws; fig6b's 30 span four, up to 611 cells wide.
+    for preset in ("fig5c", "fig6b"):
+        assert main(["run", preset, "--seed", "3", "--rounds", "2000", "--format", fmt]) == 0
+        assert capsysbinary.readouterr().out == (DATA / f"{preset}_run.{fmt}").read_bytes()

@@ -45,7 +45,7 @@ from entdist.params import (
     QUANTUM_DOT,
 )
 
-from oracles import latch_probability, per_trial_histogram, simulate_latches
+from oracles import latch_probability, per_trial_histogram, series_columns, simulate_latches
 
 LINK10 = LinkParams(L=10.0)
 
@@ -276,7 +276,8 @@ def law_point(k, p, cap):
 
 def padded_laws(points):
     """Each point's law of min(Binomial(K, p), capacity), its window zero-padded to all cells."""
-    windows = (law for block in _capped_binomial_laws(*_law_windows(points)) for law in zip(*block))
+    windows = (law for block in _capped_binomial_laws(*_law_windows(*series_columns(points)[:3]))
+               for law in zip(*block))
     for point, (lo, cells, row) in zip(points, windows, strict=True):
         q = np.zeros(min(point.K, point.capacity) + 1)
         q[lo:lo + cells] = row[:cells]
@@ -529,7 +530,8 @@ class TestSweep:
 @pytest.mark.parametrize("seed", [1.5, -1, 2**64, True])
 def test_estimate_series_refuses_seeds_rng_for_seed_refuses(seed):
     point = evaluate(MM_QD)
-    for call in (lambda: rng_for_seed(seed), lambda: estimate_series([point, point], [7, seed], McControls(10))):
+    columns = series_columns([point, point])
+    for call in (lambda: rng_for_seed(seed), lambda: estimate_series(columns, [7, seed], McControls(10))):
         with pytest.raises(ParameterError, match=r"^seed must be a 64-bit unsigned integer, got "):
             call()
 
@@ -596,9 +598,9 @@ def test_mc_stderr_is_exact_where_int64_sums_would_wrap():
     # n (w - 1)^2 passes 2**63 - 1 for this window, so the sums go through Python ints.
     point = law_point(10**6, 0.5, 10**6)
     n = 10**13
-    lo, hi = _law_windows([point])[3:5]
+    lo, hi = _law_windows(*series_columns([point])[:3])[3:5]
     assert n * int(hi[0, 0] - lo[0, 0]) ** 2 > 2**63 - 1
-    (successes,), (rate,), (stderr,) = estimate_series([point], [11], McControls(n))
+    (successes,), (rate,), (stderr,) = estimate_series(series_columns([point]), [11], McControls(n))
     assert (successes, stderr) == exact_moments(simulate_rounds(point, rng_for_seed(11), n), 1.0)
     assert rate == successes / (n * point.t_round)
 
@@ -616,10 +618,79 @@ def test_permuted_points_and_seeds_permute_the_columns():
     order = list(range(len(points)))
     random.Random(5).shuffle(order)
     mc = McControls(2000)
-    columns = estimate_series(points, seeds, mc)
-    permuted = estimate_series([points[i] for i in order], [seeds[i] for i in order], mc)
+    columns = estimate_series(series_columns(points), seeds, mc)
+    permuted = estimate_series(series_columns([points[i] for i in order]), [seeds[i] for i in order], mc)
     for column, permuted_column in zip(columns, permuted, strict=True):
         assert list(map(repr, permuted_column)) == [repr(column[i]) for i in order]
+
+
+def test_estimate_series_takes_the_sub_seed_array_as_its_integers():
+    # The sub-seed array passes by its dtype; the same seeds as Python ints
+    # are checked one by one and draw the same streams.
+    overrides = {"scheme": "afc-ms", **OPTIMISTIC_AFC, "L_km": [1.0, 75.0, 190.0, 200.0]}
+    points = [evaluate(cfg) for cfg in build_scenario("custom", overrides=overrides).points]
+    assert not all(point.feasible for point in points)
+    seeds = subseeds(3, np.arange(len(points)))
+    assert seeds.dtype == np.uint64
+    columns = estimate_series(series_columns(points), seeds, McControls(2000))
+    assert list(map(repr, columns)) == list(map(repr, estimate_series(series_columns(points), seeds.tolist(),
+                                                                      McControls(2000))))
+    assert columns._fields == ("successes", "mc_rate", "mc_stderr")
+    for point, *estimate in zip(points, *columns, strict=True):
+        assert (None in estimate) is not point.feasible
+
+
+@pytest.mark.parametrize("seeds", [np.array([7, -1], dtype=np.int64), np.array([7.0, 8.0])],
+                         ids=["int64-holding-minus-1", "float64"])
+def test_estimate_series_refuses_seed_arrays_of_other_dtypes_by_value(seeds):
+    point = evaluate(MM_QD)
+    with pytest.raises(ParameterError, match=r"^seed must be a 64-bit unsigned integer, got "):
+        estimate_series(series_columns([point, point]), seeds, McControls(10))
+
+
+@pytest.mark.parametrize("seeds", [[7], [7, 8, 9], np.array([7, 8, 9], dtype=np.uint64)],
+                         ids=["short-list", "long-list", "long-array"])
+def test_estimate_series_refuses_a_seed_count_other_than_the_point_count(seeds):
+    point = evaluate(MM_QD)
+    with pytest.raises(ParameterError, match=rf"^seeds must hold one seed per point: got {len(seeds)} for 2 "):
+        estimate_series(series_columns([point, point]), seeds, McControls(10))
+
+
+def test_law_blocks_and_estimates_keep_the_callers_floating_point_settings():
+    # The law arithmetic ignores log 0 within its own np.errstate: a block's
+    # consumer, and the caller of estimate_series, see their own settings.
+    points = [law_point(3, 0.0, 3), law_point(3, 1.0, 3), law_point(40, 0.5, 7), law_point(10**6, 0.5, 10**6),
+              *(law_point(1060, p_m, 1060) for p_m in (0.02, 0.5, 1.0))]
+    with np.errstate(divide="raise", over="raise", under="ignore", invalid="raise"):
+        caller = np.geterr()
+        blocks = 0
+        for _ in _capped_binomial_laws(*_law_windows(*series_columns(points)[:3])):
+            assert np.geterr() == caller
+            blocks += 1
+        assert blocks > 1
+        estimate_series(series_columns(points), list(range(len(points))), McControls(100))
+        assert np.geterr() == caller
+
+
+def test_law_blocks_end_where_the_next_window_would_pass_the_cell_limit():
+    # A block takes the next windows, in the order given, while its rows times
+    # its widest window fit _LAW_BATCH_CELLS; a wider window is a block alone.
+    points = [evaluate(cfg) for preset in ("fig5c", "fig6a", "fig6b") for cfg in build_scenario(preset).points]
+    points += [law_point(3, 0.5, 3), law_point(10**6, 0.5, 10**6), law_point(40, 0.0, 7)]
+    for shuffle_seed in range(4):
+        order = list(range(len(points)))
+        random.Random(shuffle_seed).shuffle(order)
+        windows = _law_windows(*series_columns([points[i] for i in order])[:3])
+        widths = (windows[4] - windows[3])[:, 0].astype(int).tolist()
+        expected, start = [], 0
+        while start < len(widths):
+            stop = start + 1
+            while stop < len(widths) and (stop - start + 1) * (max(widths[start:stop + 1]) + 1) <= 4096:
+                stop += 1
+            expected.append((stop - start, max(widths[start:stop]) + 1))
+            start = stop
+        assert [w.shape for _, _, w in _capped_binomial_laws(*windows)] == expected
+        assert montecarlo._LAW_BATCH_CELLS == 4096 and any(rows > 1 for rows, _ in expected)
 
 
 MC_SHORT_LIKE = [
@@ -640,7 +711,8 @@ def test_window_draws_equal_draws_over_the_zero_filled_law(n_rounds):
     points = [point for point in map(evaluate, configs) if point.feasible]
     assert len(points) > 900
     seeds = [1_000 + i for i in range(len(points))]
-    rows = (row for lo, hist in _window_histograms(_law_windows(points), _streams(seeds), n_rounds)
+    windows = _law_windows(*series_columns(points)[:3])
+    rows = (row for lo, hist in _window_histograms(windows, _streams(seeds), n_rounds)
             for row in zip(lo, hist))
     for point, seed, law, (lo, row) in zip(points, seeds, padded_laws(points), rows, strict=True):
         window, cells = np.zeros(len(law), dtype=np.int64), row[:len(law) - lo]
