@@ -435,26 +435,35 @@ _ENCODE_ROWS = 1024  # rows per block: whole columns of 3,600 rows raised peak R
 _KEYED_KINDS = frozenset({bool, int, float, str})
 
 
-def _encode_column(column: tuple[Any, ...], cell: Callable[[Any], str]) -> Iterable[str]:
-    """Each value's text by `cell`, with each distinct value spelt once.
+def _encode_column(column: tuple[Any, ...], cell: Callable[[Any], str]) -> str | Iterable[str]:
+    """Each value's text by `cell`: one str that every cell shares, or a text per cell.
 
-    A column of one of _KEYED_KINDS, with or without None, is keyed on its
-    distinct values (a mix of types would merge True, 1 and 1.0). Ints or
-    floats are spelt by one C-level list repr, whose Nones become cell(None);
-    other values by `cell`. A float column holding a zero spells every cell,
-    since -0.0 == 0.0. Other columns, and float columns holding nan or
-    +/-inf, go value by value through `cell`, lazily, so JSON refuses the
-    first non-finite value in row order, as json.dumps does.
+    A column of one of _KEYED_KINDS, with or without None, is spelt by what
+    it holds (a mix of types would merge True, 1 and 1.0):
+    * every cell equal to the first, unless that is a float zero
+      (-0.0 == 0.0) or not finite: its text, once;
+    * ints: one C-level list repr of the column, whose Nones become cell(None);
+    * floats, bools and strings: each distinct value once (floats by a list
+      repr, the others by `cell`), or every cell where the first value does
+      not repeat, so the others hardly would, or where floats hold a zero.
+    Other columns, and float columns holding nan or +/-inf, go value by
+    value through `cell`, lazily, so JSON refuses the first non-finite value
+    in row order, as json.dumps does.
     """
     kinds = set(map(type, column))
+    none = cell(None) if NoneType in kinds else "None"  # replacing "None" by itself costs nothing
     kinds.discard(NoneType)
     if len(kinds) > 1 or not kinds <= _KEYED_KINDS:
         return map(cell, column)
-    distinct = dict.fromkeys(column)
+    first = column[0]
+    repeats = column.count(first)
+    if repeats == len(column) and (type(first) is not float or first and isfinite(first)):
+        return cell(first)
+    distinct = column if repeats == 1 or kinds == {int} else dict.fromkeys(column)
     if float in kinds and not all(map(isfinite, filter(None, distinct))):  # filter drops None
         return map(cell, column)
     keys = list(column if float in kinds and 0.0 in distinct else distinct)
-    texts = (repr(keys)[1:-1].replace("None", cell(None)).split(", ") if kinds <= {int, float}
+    texts = (repr(keys)[1:-1].replace("None", none).split(", ") if kinds <= {int, float}
              else list(map(cell, keys)))
     return texts if len(keys) == len(column) else map(dict(zip(keys, texts)).__getitem__, column)
 
@@ -462,15 +471,22 @@ def _encode_column(column: tuple[Any, ...], cell: Callable[[Any], str]) -> Itera
 def _encode_rows(rows: Sequence[ResultRow], cell: Callable[[Any], str], pieces: list[str]) -> Iterator[str]:
     """The text of each block of _ENCODE_ROWS rows, encoded a column at a time.
 
-    Each row is one join of `pieces` interleaved with its cells (faster than
-    one join of the whole block's pieces and cells), and each block one join
-    of its rows, so only one block's cells are held at once.
+    Each row is one join of the texts between its columns interleaved with
+    its cells, a column spelt once merged into the text around it (faster
+    than one join of the whole block's pieces and cells), and each block one
+    join of its rows, so only one block's cells are held at once.
     """
     for start in range(0, len(rows), _ENCODE_ROWS):
-        parts = [repeat(pieces[0])]
-        for column, piece in zip(zip(*rows[start:start + _ENCODE_ROWS]), pieces[1:]):
-            parts += _encode_column(column, cell), repeat(piece)
-        yield "".join(map("".join, zip(*parts)))
+        block = rows[start:start + _ENCODE_ROWS]
+        parts, text = [], pieces[0]
+        for column, piece in zip(zip(*block), pieces[1:]):
+            spelt = _encode_column(column, cell)
+            if isinstance(spelt, str):
+                text += spelt + piece
+            else:
+                parts += repeat(text, len(block)), spelt
+                text = piece
+        yield "".join(map("".join, zip(*parts, repeat(text, len(block)))))
 
 
 def rows_to_csv(rows: Sequence[ResultRow]) -> str:

@@ -294,12 +294,17 @@ def _window_histograms(windows: tuple[np.ndarray, ...], rngs: Iterator[np.random
     Row r draws Multinomial(n_rounds, window) on the next generator of rngs.
     numpy's multinomial draws nothing for a cell of probability 0 and stops
     once every round is placed: the zero-filled law of all min(K, capacity)
-    + 1 cells draws the same histogram.
+    + 1 cells draws the same histogram. A law that multinomial refuses, its
+    cells summing past 1 + 1e-12 in double precision (seen in a window of
+    about 4 million cells), raises ParameterError.
     """
     for lo, cells, laws in _capped_binomial_laws(*windows):
         hist = np.zeros(laws.shape, dtype=np.int64)
         for row, n, law, rng in zip(hist, cells, laws, rngs):  # rngs last: zip stops before it
-            row[:n] = rng.multinomial(n_rounds, law[:n])
+            try:
+                row[:n] = rng.multinomial(n_rounds, law[:n])
+            except ValueError:
+                raise ParameterError(f"the law window of latched pairs sums past 1 over its {n} cells") from None
         yield lo, hist
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Literal
+from typing import Literal, NamedTuple
 
 from .params import ParameterError, _require_count, _require_probability
 
@@ -54,8 +54,7 @@ class SwapParams:
         return self.p_AFC if self.p_emit is None else self.p_emit
 
 
-@dataclass(frozen=True, slots=True)
-class SwapBudget:
+class SwapBudget(NamedTuple):
     K_swap: float               # trial count, real-valued by convention
     p_swap: float               # success probability of one swap trial
     expected_successes: float   # J-pair expectation after K_swap trials
@@ -72,8 +71,7 @@ def swap_budget(p: SwapParams, heralding: Heralding = "perfect") -> SwapBudget:
     """
     base = p.emit**2 * p.p_BSA
     if heralding == "perfect":
-        return SwapBudget(K_swap=float(p.J), p_swap=base,
-                          expected_successes=p.J * base)
+        return SwapBudget(float(p.J), base, p.J * base)  # K_swap, p_swap, expected_successes
     if heralding != "imperfect":
         raise ParameterError(f"heralding must be 'perfect' or 'imperfect', got {heralding!r}")
     confirm = p.p_pass * p.p_AFC
@@ -83,11 +81,7 @@ def swap_budget(p: SwapParams, heralding: Heralding = "perfect") -> SwapBudget:
     # p_swap <= 1 and expected_successes <= J: only K_swap can leave double range.
     if not math.isfinite(k_swap):
         raise ParameterError(f"K_swap is {k_swap!r}: the inputs exceed double precision")
-    return SwapBudget(
-        K_swap=k_swap,
-        p_swap=confirm**2 * base,
-        expected_successes=p.J * confirm * base,
-    )
+    return SwapBudget(k_swap, confirm**2 * base, p.J * confirm * base)
 
 
 def chain_factor(p: SwapParams) -> float:

@@ -1,13 +1,10 @@
-import io
+import hashlib
 import json
 import math
-from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from entdist.cli import main
 from entdist.harness import CSV_HEADER, PRESETS
@@ -126,6 +123,9 @@ HUGE = str(10**400)  # past the largest double, 1.8e308
       "--set", f"p_m={[k / 1000 for k in range(1000)]}"], "L_km x p_m gives 1001000 points"),
     (["run", "fig5c", "--rounds", "10", "--set", f"L_km={list(range(1, 1001))}",
       "--set", f"p_m={[k / 1000 for k in range(501)]}"], "L_km x p_m gives 1002000 points"),
+    # 3,986,506 cells, under the limit, whose law sums to 1 + 1.08e-12: past numpy's 1e-12.
+    (["run", "custom", "--set", "scheme=ms", "--set", "L_km=65",
+      "--set", "memory.N=1e12", "--rounds", "1"], "law window of latched pairs sums past 1"),
 ])
 def test_out_of_range_inputs_are_config_errors(capsys, tmp_path, argv, message, fmt):
     if isinstance(argv[1], dict):  # a config document, given by its file's path
@@ -178,30 +178,6 @@ def test_oversized_integer_literal_is_config_error(tmp_path, capsys, route):
     assert named in captured.err and "4300 digits" in captured.err
 
 
-SWAP_EDGES = ("0", "5e-324", "1e308", "inf", "nan", str(2**64 + 1), HUGE)
-SWAP_INT_EDGES = ("0", str(2**64 + 1), HUGE)  # what argparse's int() accepts
-
-
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(pairs=st.sampled_from(SWAP_INT_EDGES), links=st.sampled_from(SWAP_INT_EDGES),
-       floats=st.fixed_dictionaries({flag: st.none() | st.sampled_from(SWAP_EDGES)
-                                     for flag in ("--p-emit", "--p-bsa", "--p-pass", "--p-afc")}),
-       heralding=st.sampled_from(["perfect", "imperfect"]))
-def test_swap_exits_0_or_1_over_the_edges(pairs, links, floats, heralding):
-    argv = ["swap", "--pairs", pairs, "--links", links, "--heralding", heralding]
-    for flag, value in floats.items():
-        if value is not None:
-            argv += [flag, value]
-    out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        code = main(argv)
-    assert code in (0, 1), err.getvalue()
-    if code == 0:
-        assert set(json.loads(out.getvalue())) >= {"K_swap", "p_swap", "expected_successes"}
-    else:
-        assert out.getvalue() == "" and "config error" in err.getvalue()
-
-
 def test_unwritable_destination_is_runtime_error(tmp_path, capsys):
     missing_dir = tmp_path / "not" / "here" / "rows.csv"
     code = main(["run", "fig2c", "--rounds", "10", "--out", str(missing_dir)])
@@ -244,6 +220,23 @@ def test_stdout_matches_golden_bytes(capsysbinary, monkeypatch, name, argv, fmt)
     monkeypatch.setitem(PRESETS, "multi_series", scenario)
     assert main(argv + ["--format", fmt]) == 0
     assert capsysbinary.readouterr().out == (DATA / f"{name}.{fmt}").read_bytes()
+
+
+# SHA-256 of `entdist analytic tests/data/dense_sweep.json`: AFC-MS at 400 L over
+# 0.5..200 km and three p_m, 1,200 rows over two blocks of harness._ENCODE_ROWS, with
+# feasible=false from 190 km. The golden files above hold at most 60 rows, one block.
+DENSE_SWEEP_SHA256 = {
+    "csv": "2ab8506d31bfb9cdfddd0c15c00bb1fab6f4f22739dec35dfd1f824dfddca2b0",
+    "json": "455829b35505fc1688ab92d6bf0d068cf334153a4140d9489da77f982f8b9983",
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_dense_sweep_matches_pinned_hash(capsysbinary, fmt):
+    assert main(["analytic", str(DATA / "dense_sweep.json"), "--format", fmt]) == 0
+    out = capsysbinary.readouterr().out
+    assert out.count(b"\n") == {"csv": 1201, "json": 1200 * 12 + 2}[fmt]
+    assert hashlib.sha256(out).hexdigest() == DENSE_SWEEP_SHA256[fmt]
 
 
 @pytest.mark.parametrize("heralding", ["perfect", "imperfect"])

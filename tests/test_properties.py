@@ -1,12 +1,17 @@
 """Property tests over randomly drawn valid configs of all five schemes,
-and of the CSV/JSON emitters over drawn result rows.
+of the CSV/JSON emitters over drawn result rows, and of the command line
+over drawn arguments.
 
 Examples are derandomized, so every run checks the same inputs.
 """
 
+import csv
+import io
 import json
 import math
 import random
+import re
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 
 import numpy as np
@@ -15,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entdist import analytic, harness
+from entdist.cli import main
 from entdist.analytic import NotApplicableError, SchemeConfig, SchemeKind, evaluate
 from entdist.harness import (
     CSV_HEADER,
@@ -346,9 +352,12 @@ NON_FINITE = [math.nan, math.inf, -math.inf]
 def test_emitters_match_the_stdlib_reference_on_colliding_cells(data, n_rows, non_finite, seed):
     # Each column draws from a few cells, so values repeat within and across
     # blocks of harness._ENCODE_ROWS rows; a seeded stream fills the rows.
+    # One-value pools make constant columns, which are spelt once.
     cells = COLLIDING_CELLS + NON_FINITE * non_finite
     pool = st.lists(st.sampled_from(cells), min_size=1, max_size=4) | st.sampled_from(
-        [[1, True, 1.0], [0.0, -0.0], [0.0, -0.0, None], [1.0, None]]
+        [[1, True, 1.0], [0.0, -0.0], [0.0, -0.0, None], [1.0, None],
+         [-0.0], [0.0], [None], [True], [1], [2**64 - 1, None]]
+        + [[math.nan], [math.inf]] * non_finite
     )
     pools = [data.draw(pool, label=column) for column in COLUMNS]
     choose = random.Random(seed).choice
@@ -364,6 +373,23 @@ def test_emitters_match_the_stdlib_reference_on_colliding_cells(data, n_rows, no
         assert str(emitted.value) == str(refusal)
     else:
         assert rows_to_json(rows) == expected
+
+
+def test_constant_signed_zero_columns_keep_their_sign_across_blocks():
+    # p_m and mc_rate are constant -0.0 in the first block of harness._ENCODE_ROWS
+    # rows and 0.0 after it; -0.0 == 0.0, so neither may be spelt as the other.
+    # mc_stderr is 0.0 but for a -0.0 closing each block: equal to its first
+    # cell throughout, yet not one value.
+    block = harness._ENCODE_ROWS
+    row = ResultRow("mm", 10.0, 0.5, 1.0, None, None, 3, 1e-4, True, 7)
+    rows = [row._replace(p_m=-0.0 if i < block else 0.0, mc_rate=-0.0 if i < block else 0.0,
+                         mc_stderr=-0.0 if i % block == block - 1 else 0.0)
+            for i in range(2 * block + 1)]
+    objects = [dict(zip(COLUMNS, as_values(r))) for r in rows]
+    assert rows_to_json(rows) == json.dumps(objects, indent=2, allow_nan=False) + "\n"
+    lines = [",".join(map(readme_csv_cell, as_values(r))) for r in rows]
+    assert rows_to_csv(rows) == "\n".join([CSV_HEADER, *lines]) + "\n"
+    assert rows_to_csv(rows).count("mm,10.0,-0.0,1.0,-0.0,") == block
 
 
 def test_emitters_of_no_rows():
@@ -415,6 +441,10 @@ def test_csv_writes_non_finite_floats_by_the_readme_rule(column, value, shape):
 def test_json_reports_the_first_non_finite_value_in_row_order():
     row = ResultRow("mm", 10.0, 0.5, 1.0, 2.0, 0.1, 3, 1e-4, True, 7)
     rows = [row._replace(t_round_s=math.nan), row._replace(L_km=math.inf)]
+    with pytest.raises(ValueError, match="compliant: nan$"):
+        rows_to_json(rows)
+    # t_round_s holds inf in every row, after L_km's nan in row order.
+    rows = [row._replace(L_km=math.nan, t_round_s=math.inf), row._replace(t_round_s=math.inf)]
     with pytest.raises(ValueError, match="compliant: nan$"):
         rows_to_json(rows)
 
@@ -487,3 +517,77 @@ def test_library_overrides_give_rows_or_named_errors(overrides, with_mc, rounds)
     except (ConfigError, ParameterError):
         return
     assert rows and all(type(row) is ResultRow for row in rows)
+
+
+# Command lines that argparse accepts: --rounds and --seed take int texts, the
+# swap flags int or float texts, from each type's edges.
+INT_TEXTS = ["0", "1", "3", "-1", str(2**63), str(2**64 - 1), str(2**64 + 1), str(10**400)]
+FLOAT_TEXTS = ["0", "-0.0", "5e-324", "0.5", "1", "1.5", "1e308", "inf", "-inf", "nan", str(10**400)]
+SWAP_FLAGS = {"--pairs": INT_TEXTS, "--links": INT_TEXTS, "--p-emit": FLOAT_TEXTS, "--p-bsa": FLOAT_TEXTS,
+              "--p-pass": FLOAT_TEXTS, "--p-afc": FLOAT_TEXTS, "--heralding": ["perfect", "imperfect"]}
+# What a refusal may name: a config key, the field it sets, a swap flag's field,
+# or a quantity derived from them (a point's columns, the trial budget, the
+# sampler's law window, the swap budget).
+NAMES = {*_CONFIG_KEYS, *(field for _, field, _ in _CONFIG_KEYS.values()), "J", "i", "p_emit", "p_BSA",
+         "p_AFC", "analytic_rate", "rate", "t_round", "trial budget", "law window", "K_swap"}
+
+
+def json_text(value):
+    """value as JSON text; 10**5000 as its digits, which json.dumps refuses to write."""
+    if isinstance(value, list):
+        return "[" + ", ".join(map(json_text, value)) + "]"
+    return "1" + "0" * 5000 if value == 10**5000 else json.dumps(value)
+
+
+@st.composite
+def cli_configs(draw):
+    """An override document; one time in eight an MS series either side of
+    the law-window limit, one in sixteen a sweep past the point limit."""
+    document = draw(override_documents())
+    if draw(st.integers(0, 7)) == 0:
+        document = {"scheme": "ms", "L_km": draw(key_domain("L_km")),
+                    "memory.N": draw(st.sampled_from([10**9, 10**12]))}
+    if draw(st.integers(0, 15)) == 0:  # 1,001 x 1,000 points: refused before any is built
+        document.update({"L_km": [float(v) for v in range(1, 1002)], "p_m": [v / 1000 for v in range(1000)]})
+    return document
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), command=st.sampled_from(["run", "analytic", "swap"]), fmt=st.sampled_from(["csv", "json"]))
+def test_cli_exits_0_or_1_over_the_whole_input_space(tmp_path_factory, data, command, fmt):
+    if command == "swap":
+        argv, names = ["swap"], NAMES
+        for flag, texts in SWAP_FLAGS.items():
+            if flag == "--pairs" or data.draw(st.booleans()):
+                argv.append(f"{flag}={data.draw(st.sampled_from(texts), label=flag)}")  # "-inf" is no flag
+    else:
+        document = data.draw(cli_configs(), label="config")
+        if data.draw(st.booleans(), label="from a file"):
+            path = tmp_path_factory.mktemp("cli") / "config.json"
+            path.write_text("{" + ", ".join(f"{json.dumps(k)}: {json_text(v)}" for k, v in document.items()) + "}")
+            argv, names = [command, str(path)], NAMES | {repr(str(path))}  # a file JSON cannot read
+        else:
+            argv, names = [command, "custom", *(f"--set={k}={json_text(v)}" for k, v in document.items())], NAMES
+        argv += ["--format", fmt]
+        if command == "run":
+            rounds = st.sampled_from(INT_TEXTS[:4]) if data.draw(st.integers(0, 7)) == 0 else st.integers(1, 1_000)
+            argv.append(f"--rounds={data.draw(rounds, label='rounds')}")
+            if data.draw(st.booleans()):
+                argv.append(f"--seed={data.draw(st.sampled_from(INT_TEXTS), label='seed')}")
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1), err.getvalue()
+    if code == 1:
+        assert out.getvalue() == ""
+        message = err.getvalue()
+        assert message.startswith("entdist: config error: ")
+        assert any(re.search(rf"(?<![\w.]){re.escape(name)}(?![\w.])", message) for name in names), message
+    elif command == "swap":
+        assert set(json.loads(out.getvalue())) >= {"K_swap", "p_swap", "expected_successes"}
+    elif fmt == "json":
+        rows = json.loads(out.getvalue())
+        assert rows and all(list(row) == COLUMNS for row in rows)
+    else:
+        lines = list(csv.reader(io.StringIO(out.getvalue())))
+        assert lines[0] == COLUMNS and len(lines) > 1 and all(len(line) == len(COLUMNS) for line in lines)
