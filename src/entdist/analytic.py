@@ -23,6 +23,7 @@ from typing import Callable, NamedTuple, Sequence
 
 from .params import (
     AfcSpec,
+    DerivedProbs,
     LinkParams,
     MemorySpec,
     ParameterError,
@@ -230,23 +231,36 @@ def _ceil_ratio(numerator: float, denominator: float) -> int | None:
     return None if ratio == math.inf else math.ceil(ratio)
 
 
-def _waiting_budget(mem: MemorySpec | AfcSpec) -> Callable[[float], tuple[int, bool]]:
-    """(trials per round, rephasing-capped) of MS or an AFC scheme by latch probability; see evaluate_series.
+def _unbounded_ms_budget(link: LinkParams, d: DerivedProbs, p_m: float, p_latch: float) -> ParameterError:
+    """The refusal of an MS budget memory.N / p_latch past double range, naming the factor of p_latch that is 0."""
+    factors = {"p_m": p_m, f"p_BSA = p_d**2 / 2 (p_d = {link.p_d!r})": d.p_BSA,
+               "memory.emission_fraction * memory.collection_efficiency": d.p_memory,
+               f"the fiber transmission (L_km = {link.L!r}, L_att_km = {link.L_att!r})":
+                   fiber_transmission(link.L, link.L_att)}
+    why = next((f"MS latch probability is 0 because {name} is 0" for name, value in factors.items() if value == 0.0),
+               f"memory.N / MS latch probability {p_latch!r} exceeds double precision")
+    return ParameterError(f"unbounded trial budget: {why}")
+
+
+def _waiting_budget(cfg: SchemeConfig) -> Callable[[LinkParams, DerivedProbs, float], tuple[int, bool]]:
+    """(trials per round, rephasing-capped) of MS or an AFC scheme at a link, its chain d and p_m; see evaluate_series.
 
     The memory's kind and the AFC rephasing cap are settled once per memory.
     """
+    mem, latch_probability = cfg.memory, _LATCH_PROBABILITY[cfg.kind]
     if isinstance(mem, MemorySpec):
-        def budget(p_latch: float) -> tuple[int, bool]:
+        def budget(link: LinkParams, d: DerivedProbs, p_m: float) -> tuple[int, bool]:
+            p_latch = latch_probability(cfg, d, p_m)
             k = _ceil_ratio(mem.N, p_latch)
             if k is None:
-                raise ParameterError(f"unbounded trial budget: MS latch probability is {p_latch!r}")
+                raise _unbounded_ms_budget(link, d, p_m, p_latch)
             return k, False
         return budget
     # The largest budget before the first stored photon rephases out.
     cap = _ceil_ratio(mem.t_rephase, mem.t_clock_prime)
 
-    def budget(p_latch: float) -> tuple[int, bool]:
-        k = _ceil_ratio(mem.N_AFC, p_latch)
+    def budget(link: LinkParams, d: DerivedProbs, p_m: float) -> tuple[int, bool]:
+        k = _ceil_ratio(mem.N_AFC, latch_probability(cfg, d, p_m))
         if k is None or k * mem.t_clock_prime > mem.t_rephase:
             if cap is None:
                 raise ParameterError(f"t_clock_prime {mem.t_clock_prime!r} s is too short for a finite budget")
@@ -286,12 +300,11 @@ def evaluate_series(cfg: SchemeConfig, links: Sequence[LinkParams],
     """
     kind, mem, is_afc = cfg.kind, cfg.memory, cfg.kind.is_afc
     single_trial_success, closed_form_rate = _SINGLE_TRIAL_SUCCESS[kind], _CLOSED_FORM_RATE[kind]
-    latch_probability = _LATCH_PROBABILITY.get(kind)
-    budget = _waiting_budget(mem) if latch_probability else None
+    budget = _waiting_budget(cfg) if kind in _LATCH_PROBABILITY else None
     t_clock = mem.t_clock_prime if is_afc else mem.t_clock
     # Pairs one round can latch at most: the mode count, or the (receiving) memories.
     point_capacity = mem.N_AFC if is_afc else cfg.N_A if kind is SchemeKind.SR else mem.N
-    p_m_loop = p_m_values if latch_probability else p_m_values[:1]
+    p_m_loop = p_m_values[:1] if budget is None else p_m_values
     points = []
     for link in links:
         d = derive_probs(link, mem)
@@ -303,8 +316,7 @@ def evaluate_series(cfg: SchemeConfig, links: Sequence[LinkParams],
         uncapped = None if kind is SchemeKind.AFC_MM else _rate(tl, closed_form_rate, cfg, d, None, tl, half, full)
         for p_m in p_m_loop:
             try:
-                k, capped = ((point_capacity, False) if budget is None
-                             else budget(latch_probability(cfg, d, p_m)))
+                k, capped = (point_capacity, False) if budget is None else budget(link, d, p_m)
                 t_round = flight + k * t_clock
                 if not math.isfinite(t_round):
                     raise ParameterError(f"t_round is {t_round!r} s: the inputs exceed double precision")
@@ -315,7 +327,7 @@ def evaluate_series(cfg: SchemeConfig, links: Sequence[LinkParams],
             rate = (_rate(tl, _exact_rate, k, p_single, t_round) if capped else uncapped if uncapped is not None
                     else _rate(tl, closed_form_rate, cfg, d, p_m, tl, half, full))
             points.append((k, p_single, point_capacity, t_round, capped, fits, rate))
-        if latch_probability is None:
+        if budget is None:
             points += points[-1:] * (len(p_m_values) - 1)
     return SeriesColumns(*map(list, zip(*points))) if points else SeriesColumns([], [], [], [], [], [], [])
 

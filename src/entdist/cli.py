@@ -15,15 +15,17 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from typing import Any, Sequence
 
-from .harness import ConfigError, PRESETS, emit, preset_names, run_scenario, write_text
+from .harness import ConfigError, PRESETS, preset_names, rows_to_csv, rows_to_json, run_scenario
 from .params import ParameterError
 from .swapping import SwapParams, chain_factor, swap_budget
 
 _EXIT_OK = 0
 _EXIT_CONFIG = 1
 _EXIT_RUNTIME = 2
+_ENCODERS = {"csv": rows_to_csv, "json": rows_to_json}  # --format choices
 
 
 def _parse_set(values: Sequence[str]) -> dict[str, Any]:
@@ -52,7 +54,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("scenario", help="preset name, config file path, or 'custom'")
         p.add_argument("--set", dest="overrides", action="append", default=[],
                        metavar="KEY=VALUE", help="override a config key (repeatable)")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
+        p.add_argument("--format", choices=_ENCODERS, default="csv")
         p.add_argument("--out", default=None, help="output path (default: stdout)")
         if with_mc:
             p.add_argument("--seed", type=int, default=None, help="master RNG seed")
@@ -62,19 +64,31 @@ def _build_parser() -> argparse.ArgumentParser:
     add_sweep_args(sub.add_parser("run", help="analytic + Monte Carlo sweep"), with_mc=True)
     add_sweep_args(sub.add_parser("analytic", help="closed-form sweep only"), with_mc=False)
 
-    swap = sub.add_parser("swap", help="entanglement-swapping budget")
-    swap.add_argument("--pairs", type=int, required=True, help="entangled pairs per link (J)")
-    swap.add_argument("--p-emit", type=float, default=None,
+    # A flag left out sets no attribute, so its SwapParams field keeps its default.
+    swap = sub.add_parser("swap", help="entanglement-swapping budget", argument_default=argparse.SUPPRESS,
+                          description="A --p-* or --links flag left out takes its SwapParams default.")
+    swap.add_argument("--pairs", dest="J", metavar="PAIRS", type=int, required=True,
+                      help="entangled pairs per link (J)")
+    swap.add_argument("--p-emit", dest="p_emit", type=float,
                       help="memory re-emission probability (default: p-afc)")
-    swap.add_argument("--p-bsa", type=float, default=0.32)
-    swap.add_argument("--p-pass", type=float, default=0.9)
-    swap.add_argument("--p-afc", type=float, default=0.53)
-    swap.add_argument("--links", type=int, default=1, help="elementary links in the chain (i)")
+    swap.add_argument("--p-bsa", dest="p_BSA", type=float, help="Bell measurement success probability")
+    swap.add_argument("--p-pass", dest="p_pass", type=float, help="non-destructive detector transmission")
+    swap.add_argument("--p-afc", dest="p_AFC", type=float, help="memory absorption efficiency")
+    swap.add_argument("--links", dest="i", metavar="LINKS", type=int, help="elementary links in the chain (i)")
     swap.add_argument("--heralding", choices=("perfect", "imperfect"), default="imperfect")
-    swap.add_argument("--out", default=None)
+    swap.add_argument("--out", default=None, help="output path (default: stdout)")
 
     sub.add_parser("list-presets", help="show built-in scenario presets")
     return parser
+
+
+def _write(text: str, destination: str | None) -> None:
+    """Write text to a path, or to stdout when destination is None or "-"."""
+    if destination is None or destination == "-":
+        sys.stdout.write(text)
+    else:
+        with open(destination, "w", newline="") as handle:
+            handle.write(text)
 
 
 def _cmd_sweep(args: argparse.Namespace, with_mc: bool) -> int:
@@ -86,19 +100,13 @@ def _cmd_sweep(args: argparse.Namespace, with_mc: bool) -> int:
         rounds=getattr(args, "rounds", None),
         with_mc=with_mc,
     )
-    emit(rows, fmt=args.format, destination=args.out)
+    _write(_ENCODERS[args.format](rows), args.out)
     return _EXIT_OK
 
 
 def _cmd_swap(args: argparse.Namespace) -> int:
-    params = SwapParams(
-        J=args.pairs,
-        p_emit=args.p_emit,
-        p_BSA=args.p_bsa,
-        p_pass=args.p_pass,
-        p_AFC=args.p_afc,
-        i=args.links,
-    )
+    given = vars(args)
+    params = SwapParams(**{field.name: given[field.name] for field in fields(SwapParams) if field.name in given})
     budget = swap_budget(params, heralding=args.heralding)
     payload = {
         "heralding": args.heralding,
@@ -108,7 +116,7 @@ def _cmd_swap(args: argparse.Namespace) -> int:
         "chain_factor": chain_factor(params),
         "links": params.i,
     }
-    write_text(json.dumps(payload, indent=2, allow_nan=False) + "\n", args.out)
+    _write(json.dumps(payload, indent=2, allow_nan=False) + "\n", args.out)
     return _EXIT_OK
 
 

@@ -1,4 +1,4 @@
-"""Scenario presets, flat-config loading and plot-ready result emission.
+"""Scenario presets, flat-config loading and plot-ready result encoding.
 
 A scenario is a list of sweep points (scheme configs over L and p_m)
 plus Monte Carlo controls. The built-in presets reproduce the standard
@@ -45,7 +45,6 @@ __all__ = [
     "run_scenario",
     "rows_to_csv",
     "rows_to_json",
-    "emit",
 ]
 
 
@@ -507,24 +506,3 @@ def rows_to_json(rows: Sequence[ResultRow]) -> str:
     blocks[-1] = blocks[-1][:-2]  # the last row takes no ","
     return "".join(["[\n", *blocks, "\n]\n"])
 
-
-def emit(rows: Sequence[ResultRow], fmt: str = "csv", destination: str | None = None) -> None:
-    """Write rows as csv or json to a path, or to stdout when destination is None."""
-    if not rows:
-        raise ValueError("emit requires at least one row")
-    if fmt == "csv":
-        text = rows_to_csv(rows)
-    elif fmt == "json":
-        text = rows_to_json(rows)
-    else:
-        raise ConfigError(f"format must be 'csv' or 'json', got {fmt!r}")
-    write_text(text, destination)
-
-
-def write_text(text: str, destination: str | None) -> None:
-    """Write text to a path, or to stdout when destination is None or "-"."""
-    if destination is None or destination == "-":
-        sys.stdout.write(text)
-    else:
-        with open(destination, "w", newline="") as handle:
-            handle.write(text)

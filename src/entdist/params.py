@@ -3,8 +3,8 @@
 Canonical units: kilometres for distances, seconds for times, probabilities
 as plain floats in [0, 1]. No other units appear at API boundaries.
 
-All types are frozen dataclasses and all operations are pure functions, so
-everything here is safe for unrestricted concurrent use.
+The inputs are frozen dataclasses, DerivedProbs a NamedTuple and all operations
+pure functions, so everything here is safe for unrestricted concurrent use.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ import math
 import sys
 from dataclasses import dataclass
 from numbers import Integral
+from typing import NamedTuple
 
 __all__ = [
     "ParameterError",
@@ -156,8 +157,7 @@ class AfcSpec:
         _require_finite("t_clock_prime", self.t_clock_prime)
 
 
-@dataclass(frozen=True, slots=True)
-class DerivedProbs:
+class DerivedProbs(NamedTuple):
     """Probability chain derived from a link plus a memory description.
 
     p_optical is the base probability times the fiber transmission over half
@@ -192,7 +192,7 @@ def derive_probs(link: LinkParams, mem: MemorySpec | AfcSpec) -> DerivedProbs:
         base = mem.p_AFC
     else:
         base = mem.emission_fraction * mem.collection_efficiency
-    return DerivedProbs(p_BSA=p_bsa, p_memory=base, p_optical=base * trans)
+    return DerivedProbs(p_bsa, base, base * trans)  # p_BSA, p_memory, p_optical
 
 
 # Memory performance presets (cycle time, emission fraction, collection

@@ -123,6 +123,15 @@ HUGE = str(10**400)  # past the largest double, 1.8e308
       "--set", f"p_m={[k / 1000 for k in range(1000)]}"], "L_km x p_m gives 1001000 points"),
     (["run", "fig5c", "--rounds", "10", "--set", f"L_km={list(range(1, 1001))}",
       "--set", f"p_m={[k / 1000 for k in range(501)]}"], "L_km x p_m gives 1002000 points"),
+    # An MS latch probability of 0 names the factor that is 0.
+    *((["analytic", "custom", "--set", "scheme=ms", "--set", "L_km=10", "--set", setting],
+       f"latch probability is 0 because {factor}")
+      for setting, factor in [
+          ("p_m=0", "p_m is 0"),
+          ("p_d=0", "p_BSA = p_d**2 / 2 (p_d = 0.0) is 0"),
+          ("memory.emission_fraction=0", "memory.emission_fraction * memory.collection_efficiency is 0"),
+          ("L_km=1e5", "the fiber transmission (L_km = 100000.0, L_att_km = 22.0) is 0"),
+      ]),
     # 3,986,506 cells, under the limit, whose law sums to 1 + 1.08e-12: past numpy's 1e-12.
     (["run", "custom", "--set", "scheme=ms", "--set", "L_km=65",
       "--set", "memory.N=1e12", "--rounds", "1"], "law window of latched pairs sums past 1"),
@@ -203,6 +212,29 @@ def test_swap_validation_error(capsys):
     assert main(["swap", "--pairs", "0"]) == 1
 
 
+def _swap_text(params, heralding="imperfect"):
+    budget = swap_budget(params, heralding)
+    payload = {"heralding": heralding, "K_swap": budget.K_swap, "p_swap": budget.p_swap,
+               "expected_successes": budget.expected_successes,
+               "chain_factor": chain_factor(params), "links": params.i}
+    return json.dumps(payload, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("flag, field, value", [
+    (None, None, None),
+    ("--p-bsa", "p_BSA", 0.5),
+    ("--p-pass", "p_pass", 0.7),
+    ("--p-afc", "p_AFC", 0.6),
+    ("--links", "i", 4),
+])
+def test_swap_flags_left_out_take_the_swap_params_defaults(capsys, flag, field, value):
+    # Only the flags given reach SwapParams; heralding is the CLI's own default.
+    argv = ["swap", "--pairs", "7"] + ([flag, str(value)] if flag else [])
+    assert main(argv) == 0
+    expected = SwapParams(J=7, **({field: value} if flag else {}))
+    assert capsys.readouterr().out == _swap_text(expected)
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("name, argv", [
     ("fig5c_analytic", ["analytic", "fig5c"]),
@@ -220,6 +252,18 @@ def test_stdout_matches_golden_bytes(capsysbinary, monkeypatch, name, argv, fmt)
     monkeypatch.setitem(PRESETS, "multi_series", scenario)
     assert main(argv + ["--format", fmt]) == 0
     assert capsysbinary.readouterr().out == (DATA / f"{name}.{fmt}").read_bytes()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_out_path_dash_and_stdout_write_the_same_bytes(capsysbinary, tmp_path, fmt):
+    golden = (DATA / f"fig5c_analytic.{fmt}").read_bytes()
+    argv = ["analytic", "fig5c", "--format", fmt]
+    path = tmp_path / f"rows.{fmt}"
+    assert main(argv + ["--out", str(path)]) == 0
+    assert capsysbinary.readouterr().out == b"" and path.read_bytes() == golden
+    for out in (["--out", "-"], []):
+        assert main(argv + out) == 0
+        assert capsysbinary.readouterr().out == golden
 
 
 # SHA-256 of `entdist analytic tests/data/dense_sweep.json`: AFC-MS at 400 L over

@@ -22,7 +22,6 @@ from entdist.harness import (
     ResultRow,
     _CONFIG_KEYS,
     build_scenario,
-    emit,
     preset_names,
     rows_to_csv,
     rows_to_json,
@@ -343,22 +342,10 @@ class TestEmission:
             if isinstance(obj[name], float):
                 assert float(cell) == obj[name] and cell == repr(obj[name])
 
-    def test_emit_writes_identical_bytes(self, rows, tmp_path):
-        first, second = tmp_path / "a.csv", tmp_path / "b.csv"
-        emit(rows, "csv", str(first))
-        emit(rows, "csv", str(second))
-        assert first.read_bytes() == second.read_bytes()
-
     def test_json_refuses_non_finite_values(self, rows):
         broken = [rows[0]._replace(mc_rate=float("nan"))]
         with pytest.raises(ValueError):
             rows_to_json(broken)
-
-    def test_emit_rejects_empty_rows_and_bad_format(self, rows):
-        with pytest.raises(ValueError, match="at least one row"):
-            emit([], "csv", None)
-        with pytest.raises(ConfigError, match="format"):
-            emit(rows, "yaml", None)
 
 
 def test_multimode_to_single_pair_ratio_band():
