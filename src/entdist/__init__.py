@@ -2,13 +2,35 @@
 
 Closed-form rates, a reproducible Monte Carlo simulator and a swapping
 degradation model for five arrangements: MM, SR, MS, AFC-MM and AFC-MS.
-Each module's __all__ lists the names this package binds.
+Each module's __all__ lists the names this package binds. montecarlo's
+are bound on first use (PEP 562), as it loads numpy: importing entdist
+and building a scenario do not.
 """
 
 from .analytic import *
 from .harness import *
-from .montecarlo import *
 from .params import *
 from .swapping import *
 
 __version__ = "0.1.0"
+_MODULES = ("analytic", "harness", "montecarlo", "params", "swapping")
+
+
+def __getattr__(name: str) -> object:
+    """A name of montecarlo.__all__, or __all__ itself: the union of every module's."""
+    if name.startswith("__") and name != "__all__":  # probes such as __path__ or __wrapped__ load nothing
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module  # `from . import montecarlo` would recurse through this hook
+
+    montecarlo = import_module(".montecarlo", __name__)
+    namespace = globals()
+    namespace.update({key: getattr(montecarlo, key) for key in montecarlo.__all__})
+    namespace["__all__"] = [key for module in _MODULES for key in namespace[module].__all__]
+    if name not in namespace:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return namespace[name]
+
+
+def __dir__() -> list[str]:
+    __getattr__("__all__")  # binds montecarlo's names
+    return sorted(globals())

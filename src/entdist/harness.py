@@ -30,11 +30,8 @@ from pathlib import Path
 from types import NoneType
 from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-import numpy as np
-
 from .analytic import SchemeConfig, SchemeKind, SeriesColumns, evaluate_series
-from .montecarlo import McControls, estimate_series, subseeds
-from .params import AFC_REALISTIC, LinkParams, MEMORY_PRESETS, MemorySpec, ParameterError, QUANTUM_DOT
+from .params import AFC_REALISTIC, LinkParams, MEMORY_PRESETS, McControls, MemorySpec, ParameterError, QUANTUM_DOT
 
 __all__ = [
     "ConfigError",
@@ -379,6 +376,9 @@ def run_scenario(
     points before it (and its own, when only its rate fails).
     """
     scenario = build_scenario(source, overrides=overrides, seed=seed, rounds=rounds)
+    import numpy as np  # numpy loads with the first valid scenario: a refused one never loads it
+    from .montecarlo import estimate_series, subseeds
+
     points = _point_columns(scenario.series)
     rates = points["rate"]
     n = len(rates)

@@ -25,11 +25,10 @@ import numpy as np
 from numpy.typing import ArrayLike
 
 from .analytic import PointSummary, SeriesColumns, feasibility_check
-from .params import ParameterError, _is_integer, _require_real
+from .params import _MAX_ROUNDS, McControls, ParameterError, _require_seed
 
 __all__ = [
     "FeasibilityError",
-    "McControls",
     "RateEstimate",
     "rng_for_seed",
     "subseed",
@@ -40,33 +39,18 @@ __all__ = [
     "estimate_series",
 ]
 
-_DEFAULT_SEED = 42
-
 # Largest array, in cells, one sampling step allocates: a sweep's law window
 # and simulate_rounds' histogram of a round's latched pairs. Wider ones are refused.
 _MAX_CELLS = 4_000_000
-# numpy's multinomial takes the round count as a C long.
-_MAX_ROUNDS = 2**63 - 1
+# Cells of all the law windows one estimate_series call samples: about a minute of
+# work at the 0.1-0.15 us per cell measured on a 2-core x86-64 host.
+_MAX_SAMPLED_CELLS = 500_000_000
 _LAW_BATCH_CELLS = 4096  # cells of one block of laws: small, so peak memory does not grow
 _ROW_COUNTS = np.arange(1, _LAW_BATCH_CELLS + 1)  # a block's rows if it ended at each of its rows
 
 
 class FeasibilityError(RuntimeError):
     """An AFC config whose round cannot fit its spin coherence time."""
-
-
-@dataclass(frozen=True, slots=True)
-class McControls:
-    """Simulation controls: the round count and RNG seed of every point's estimate."""
-
-    n_rounds: int
-    seed: int = _DEFAULT_SEED
-
-    def __post_init__(self) -> None:
-        if not (_is_integer(self.n_rounds) and 1 <= self.n_rounds <= _MAX_ROUNDS):
-            _require_real("n_rounds", self.n_rounds)
-            raise ParameterError(f"n_rounds must be an integer in [1, 2**63 - 1], got {self.n_rounds!r}")
-        _require_seed(self.seed)
 
 
 @dataclass(frozen=True, slots=True)
@@ -88,12 +72,6 @@ def rng_for_seed(seed: int) -> np.random.Generator:
     """
     _require_seed(seed)
     return next(_streams([seed]))
-
-
-def _require_seed(seed: int, name: str = "seed") -> None:
-    if not ((type(seed) is int or _is_integer(seed)) and 0 <= seed < 2**64):  # int first: it is fast
-        _require_real(name, seed)
-        raise ParameterError(f"{name} must be a 64-bit unsigned integer, got {seed!r}")
 
 
 def subseed(master_seed: int, index: int) -> int:
@@ -363,8 +341,9 @@ def estimate_series(columns: SeriesColumns, seeds: ArrayLike, mc: McControls) ->
     each point reads its K, p_single, capacity, t_round and feasible
     entries, and the points that are not feasible get None. seeds is a
     uint64 array (every value a valid seed) or a sequence of integers in
-    [0, 2**64), one per point; the seeds and window widths (at most
-    _MAX_CELLS cells) are checked before any draw. Points draw in order of
+    [0, 2**64), one per point; the seeds, the window widths (at most
+    _MAX_CELLS cells) and their sum over the feasible points (at most
+    _MAX_SAMPLED_CELLS) are checked before any draw. Points draw in order of
     window width, so that a block pads its rows little; each result goes
     back to its point's place. One integer product per block gives each
     window's exact S1 = sum h_i i and S2 = sum h_i i^2 over its cells
@@ -382,6 +361,10 @@ def estimate_series(columns: SeriesColumns, seeds: ArrayLike, mc: McControls) ->
         raise ParameterError(f"seeds must hold one seed per point: got {len(seeds)} for {n_points} points")
     index = np.flatnonzero(np.array(columns.feasible, dtype=bool))
     windows = _law_windows(*(np.array(column, dtype=float)[index] for column in columns[:3]))
+    if (cells := int(np.sum(windows[4] - windows[3])) + len(index)) > _MAX_SAMPLED_CELLS:
+        raise ParameterError(f"the law windows of latched pairs hold {cells} cells over the sampled points; at most "
+                             f"{_MAX_SAMPLED_CELLS} are allowed: lower memory.N, N_A or afc.N_AFC, or sweep "
+                             f"fewer L_km x p_m points")
     order = np.argsort((windows[4] - windows[3])[:, 0], kind="stable")
     windows, index = tuple(column[order] for column in windows), index[order]
     successes, rates, stderrs = [None] * n_points, [None] * n_points, [None] * n_points

@@ -1,4 +1,4 @@
-"""Physical parameters and the derived probability chain shared by all schemes.
+"""Physical parameters, the derived probability chain shared by all schemes, and Monte Carlo controls.
 
 Canonical units: kilometres for distances, seconds for times, probabilities
 as plain floats in [0, 1]. No other units appear at API boundaries.
@@ -20,6 +20,7 @@ __all__ = [
     "LinkParams",
     "MemorySpec",
     "AfcSpec",
+    "McControls",
     "DerivedProbs",
     "derive_probs",
     "t_link",
@@ -34,6 +35,8 @@ __all__ = [
 
 _MAX = sys.float_info.max
 _PLAIN = frozenset({float, int})  # passed in range by one comparison; a bool or numpy scalar takes every check
+_DEFAULT_SEED = 42
+_MAX_ROUNDS = 2**63 - 1  # numpy's multinomial takes the round count as a C long
 
 
 class ParameterError(ValueError):
@@ -155,6 +158,26 @@ class AfcSpec:
         _require_probability("p_pass", self.p_pass)
         _require_positive("t_clock_prime", self.t_clock_prime)
         _require_finite("t_clock_prime", self.t_clock_prime)
+
+
+def _require_seed(seed: int, name: str = "seed") -> None:
+    if not ((type(seed) is int or _is_integer(seed)) and 0 <= seed < 2**64):  # int first: it is fast
+        _require_real(name, seed)
+        raise ParameterError(f"{name} must be a 64-bit unsigned integer, got {seed!r}")
+
+
+@dataclass(frozen=True, slots=True)
+class McControls:
+    """Simulation controls: the round count and RNG seed of every point's estimate."""
+
+    n_rounds: int
+    seed: int = _DEFAULT_SEED
+
+    def __post_init__(self) -> None:
+        if not (_is_integer(self.n_rounds) and 1 <= self.n_rounds <= _MAX_ROUNDS):
+            _require_real("n_rounds", self.n_rounds)
+            raise ParameterError(f"n_rounds must be an integer in [1, 2**63 - 1], got {self.n_rounds!r}")
+        _require_seed(self.seed)
 
 
 class DerivedProbs(NamedTuple):

@@ -1,11 +1,14 @@
 import hashlib
 import json
 import math
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import entdist
 from entdist.cli import main
 from entdist.harness import CSV_HEADER, PRESETS
 from entdist.swapping import SwapParams, chain_factor, swap_budget
@@ -301,3 +304,47 @@ def test_seeded_run_matches_golden_bytes(capsysbinary, fmt):
     for preset in ("fig5c", "fig6b"):
         assert main(["run", preset, "--seed", "3", "--rounds", "2000", "--format", fmt]) == 0
         assert capsysbinary.readouterr().out == (DATA / f"{preset}_run.{fmt}").read_bytes()
+
+
+# Run in a fresh interpreter, with the src directory of the entdist under test first on sys.path.
+NUMPY_ON_DEMAND = """
+import sys
+sys.path.insert(0, sys.argv[1])
+
+def unloaded(step):
+    assert "numpy" not in sys.modules, f"{step} loaded numpy"
+
+import entdist
+unloaded("import entdist")
+from entdist import ParameterError, build_scenario, run_scenario
+from entdist.cli import main
+build_scenario("fig5a")
+unloaded("build_scenario")
+assert main(["list-presets"]) == 0
+unloaded("list-presets")
+assert main(["swap", "--pairs", "10"]) == 0
+unloaded("swap")
+assert main(["run", "custom", "--set", "scheme=bogus"]) == 1
+unloaded("a config error")
+try:
+    build_scenario("custom", {"scheme": "mm", "L_km": 10, "p_d": 1.4})
+except ParameterError:
+    unloaded("a parameter error")
+else:
+    raise AssertionError("p_d = 1.4 was accepted")
+run_scenario("fig5a", with_mc=False)
+assert "numpy" in sys.modules, "run_scenario did not load numpy"
+assert entdist.estimate_series is entdist.montecarlo.estimate_series
+star = {}
+exec("from entdist import *", star)
+for module in ("analytic", "harness", "montecarlo", "params", "swapping"):
+    for name in getattr(entdist, module).__all__:
+        assert star[name] is getattr(getattr(entdist, module), name), name
+"""
+
+
+def test_numpy_loads_only_when_a_run_seeds_or_samples():
+    src = str(Path(entdist.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", NUMPY_ON_DEMAND, src], capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr

@@ -13,7 +13,7 @@ import pytest
 
 import entdist
 from entdist.analytic import SchemeConfig, SchemeKind, analytic_rate
-from entdist import harness
+from entdist import harness, montecarlo
 from entdist.cli import main
 from entdist.harness import (
     CSV_HEADER,
@@ -28,7 +28,7 @@ from entdist.harness import (
     run_scenario,
 )
 from entdist.montecarlo import McControls
-from entdist.params import AFC_REALISTIC, AfcSpec, LinkParams, MemorySpec, QUANTUM_DOT
+from entdist.params import AFC_REALISTIC, AfcSpec, LinkParams, MemorySpec, ParameterError, QUANTUM_DOT
 
 SWEEP_L = [5.0, 10.0, 15.0, 20.0, 25.0, 30.0, 35.0, 40.0, 45.0, 50.0]
 SWEEP_PM = [0.02, 0.5, 1.0]
@@ -261,8 +261,10 @@ class TestConfigHandling:
         def forbidden(*args, **kwargs):
             raise AssertionError("a point was built")
 
-        for name in ("LinkParams", "SchemeConfig", "evaluate_series", "subseeds", "estimate_series"):
+        for name in ("LinkParams", "SchemeConfig", "evaluate_series"):
             monkeypatch.setattr(harness, name, forbidden)
+        for name in ("subseeds", "estimate_series"):  # run_scenario looks them up in montecarlo
+            monkeypatch.setattr(montecarlo, name, forbidden)
         overrides = {"scheme": "mm", "L_km": [float(km) for km in range(1, 1002)],
                      "p_m": [k / 1000 for k in range(1000)]}
         tracemalloc.start()
@@ -284,6 +286,39 @@ class TestConfigHandling:
             run_scenario("fig5c", {"L_km": [10, 20, 30, 40, 50, 60, 70], "p_m": 0.5}, with_mc=False)
         with pytest.raises(ConfigError, match="^L_km x p_m gives 13 points"):
             run_scenario("custom", {"scheme": "mm", "L_km": [10], "p_m": [0.5] * 13}, with_mc=False)
+
+    @staticmethod
+    def sampled_cells(monkeypatch, source, overrides):
+        """The law-window cells a 10-round run samples, read off its refusal at a limit of 0."""
+        monkeypatch.setattr(montecarlo, "_MAX_SAMPLED_CELLS", 0)
+        with pytest.raises(ParameterError, match=r"^the law windows of latched pairs hold (\d+) cells") as refused:
+            run_scenario(source, overrides, rounds=10)
+        return int(re.search(r"hold (\d+) cells", str(refused.value))[1])
+
+    def test_work_limit_counts_every_sampled_window_and_admits_the_limit(self, monkeypatch, capsys):
+        afc = {"scheme": "afc-mm", "afc.N_AFC": 1, "L_km": [10, 190], "p_m": [0.1, 0.2]}
+        mm = {"scheme": "mm", "memory.kind": "quantum-dot", "memory.N": 1, "L_km": [10, 190], "p_m": [0.1, 0.2]}
+        total = self.sampled_cells(monkeypatch, "fig5c", {"L_km": [10, 190], "p_m": [0.1, 0.2]})
+        assert total == self.sampled_cells(monkeypatch, "custom", afc) + self.sampled_cells(monkeypatch, "custom", mm)
+        # AFC-MM at 190 km cannot fit its spin coherence time: it is not sampled, so it counts nothing.
+        assert self.sampled_cells(monkeypatch, "custom", afc) == self.sampled_cells(monkeypatch, "custom",
+                                                                                    {**afc, "L_km": 10})
+        monkeypatch.setattr(montecarlo, "_MAX_SAMPLED_CELLS", total)
+        rows = run_scenario("fig5c", {"L_km": [10, 190], "p_m": [0.1, 0.2]}, rounds=10)
+        assert len(rows) == 8 and sum(row.mc_rate is not None for row in rows) == 6
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a point was sampled")
+
+        monkeypatch.setattr(montecarlo, "_MAX_SAMPLED_CELLS", total - 1)
+        monkeypatch.setattr(montecarlo, "_streams", forbidden)
+        with pytest.raises(ParameterError, match=rf"^the law windows of latched pairs hold {total} cells over the "
+                                                 rf"sampled points; at most {total - 1} are allowed: lower memory\.N, "
+                                                 r"N_A or afc\.N_AFC, or sweep fewer L_km x p_m points$"):
+            run_scenario("fig5c", {"L_km": [10, 190], "p_m": [0.1, 0.2]}, rounds=10)
+        assert main(["run", "fig5c", "--set", "L_km=[10, 190]", "--set", "p_m=[0.1, 0.2]", "--rounds", "10"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"entdist: config error: the law windows of latched pairs hold {total} ")
 
     def test_malformed_config_file(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -383,8 +418,8 @@ class TestReadme:
             if line.startswith("* "):
                 module, names = line[2:].split(":", 1)
                 listed += [(name, module) for name in re.findall(r"`([^`]+)`", names)]
-        bound = [name for name, value in vars(entdist).items()
-                 if not name.startswith("_") and not isinstance(value, types.ModuleType)]
+        bound = [name for name in dir(entdist)  # dir, not vars: montecarlo's names are bound on first use
+                 if not name.startswith("_") and not isinstance(getattr(entdist, name), types.ModuleType)]
         assert sorted(name for name, _ in listed) == sorted(bound)
         for name, module in listed:
             assert getattr(importlib.import_module(f"entdist.{module}"), name) is getattr(entdist, name)

@@ -605,6 +605,20 @@ def test_mc_stderr_is_exact_where_int64_sums_would_wrap():
     assert rate == successes / (n * point.t_round)
 
 
+def test_sampled_cell_limit_counts_the_window_of_each_feasible_point(monkeypatch):
+    # Windows of 1 cell (p = 0), 1 cell (p = 1) and 11 cells (0..10, as 11 sd + 40 > 10); the
+    # infeasible point, whose window alone would pass the limit, is not sampled and counts nothing.
+    points = [law_point(10, 0.0, 10), law_point(10, 1.0, 10), law_point(10, 0.5, 10),
+              law_point(10**6, 0.5, 10**6)._replace(feasible=False)]
+    monkeypatch.setattr(montecarlo, "_MAX_SAMPLED_CELLS", 13)
+    successes, _, _ = estimate_series(series_columns(points), [1, 2, 3, 4], McControls(10))
+    assert successes[:2] == [0, 100] and successes[3] is None
+    monkeypatch.setattr(montecarlo, "_MAX_SAMPLED_CELLS", 12)
+    with pytest.raises(ParameterError, match="^the law windows of latched pairs hold 13 cells over the sampled "
+                                             "points; at most 12 are allowed"):
+        estimate_series(series_columns(points), [1, 2, 3, 4], McControls(10))
+
+
 def test_permuted_points_and_seeds_permute_the_columns():
     # Points draw in window-width order, in blocks that depend on the whole
     # series; a point's estimate must depend on its own point and seed only.

@@ -542,11 +542,15 @@ def json_text(value):
 @st.composite
 def cli_configs(draw):
     """An override document; one time in eight an MS series either side of
-    the law-window limit, one in sixteen a sweep past the point limit."""
+    the law-window limit, one in sixteen 3,000 MS points past the sampled-cell
+    limit, one in sixteen a sweep past the point limit."""
     document = draw(override_documents())
     if draw(st.integers(0, 7)) == 0:
         document = {"scheme": "ms", "L_km": draw(key_domain("L_km")),
                     "memory.N": draw(st.sampled_from([10**9, 10**12]))}
+    if draw(st.integers(0, 15)) == 0:  # at least 234,168 cells each: a run is refused before any draw
+        document = {"scheme": "ms", "memory.N": 10**9, "L_km": [float(v) for v in range(1, 11)],
+                    "p_m": [v / 300 for v in range(1, 301)]}
     if draw(st.integers(0, 15)) == 0:  # 1,001 x 1,000 points: refused before any is built
         document.update({"L_km": [float(v) for v in range(1, 1002)], "p_m": [v / 1000 for v in range(1000)]})
     return document
