@@ -14,11 +14,14 @@ from .swapping import *
 
 __version__ = "0.1.0"
 _MODULES = ("analytic", "harness", "montecarlo", "params", "swapping")
+# The names that load montecarlo, and numpy with it: the module, its __all__ (a test keeps the two in step), __all__.
+_LAZY = frozenset({"montecarlo", "FeasibilityError", "RateEstimate", "rng_for_seed", "subseed", "subseeds",
+                   "simulate_rounds", "estimate_rate", "EstimateColumns", "estimate_series", "__all__"})
 
 
 def __getattr__(name: str) -> object:
-    """A name of montecarlo.__all__, or __all__ itself: the union of every module's."""
-    if name.startswith("__") and name != "__all__":  # probes such as __path__ or __wrapped__ load nothing
+    """A name of _LAZY; __all__ is the union of every module's. Any other name, such as cli, loads nothing."""
+    if name not in _LAZY:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     from importlib import import_module  # `from . import montecarlo` would recurse through this hook
 
@@ -26,8 +29,6 @@ def __getattr__(name: str) -> object:
     namespace = globals()
     namespace.update({key: getattr(montecarlo, key) for key in montecarlo.__all__})
     namespace["__all__"] = [key for module in _MODULES for key in namespace[module].__all__]
-    if name not in namespace:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     return namespace[name]
 
 

@@ -28,6 +28,7 @@ from .params import (
     MemorySpec,
     ParameterError,
     _is_integer,
+    _require_L,
     _require_count,
     _require_probability,
     _require_real,
@@ -67,10 +68,6 @@ class SchemeKind(str, Enum):
     def is_afc(self) -> bool:
         return self in (SchemeKind.AFC_MM, SchemeKind.AFC_MS)
 
-    @property
-    def display(self) -> str:
-        return self.value.upper()
-
 
 @dataclass(frozen=True, slots=True)
 class SchemeConfig:
@@ -99,7 +96,7 @@ class SchemeConfig:
     def __post_init__(self) -> None:
         spec = AfcSpec if self.kind.is_afc else MemorySpec
         if not isinstance(self.memory, spec):
-            raise ParameterError(f"memory must be of type {spec.__name__} for {self.kind.display}")
+            raise ParameterError(f"memory must be of type {spec.__name__} for {self.kind.value.upper()}")
         _require_probability("p_m", self.p_m)
         if not (_is_integer(self.ms_sync_factor) and self.ms_sync_factor in (1, 2)):
             _require_real("ms_sync_factor", self.ms_sync_factor)
@@ -168,7 +165,7 @@ class PointSummary(NamedTuple):
 
 
 class SeriesColumns(NamedTuple):
-    """evaluate_series' result: one entry per (link, p_m) point, links major, in PointSummary's order.
+    """evaluate_series' result: one entry per (L, p_m) point, L major, in PointSummary's order.
 
     A point that fails holds its ParameterError in rate, and None in every
     other column if it could not be evaluated at all.
@@ -193,8 +190,8 @@ def _exact_rate(k: int, p_single: float, t_round: float) -> float:
     return _finite(k * p_single / t_round)
 
 
-# Each scheme's formulas, over cfg's memory, the probability chain d of one
-# link and the source probability p_m, which need not be cfg's own:
+# Each scheme's formulas, over cfg's memory, the probability chain d at one
+# L and the source probability p_m, which need not be cfg's own:
 # evaluate_series runs one cfg over a whole series. tl is t_link, half and
 # full the fiber transmissions over L / 2 and L.
 _SINGLE_TRIAL_SUCCESS: dict[SchemeKind, Callable[..., float]] = {
@@ -231,35 +228,35 @@ def _ceil_ratio(numerator: float, denominator: float) -> int | None:
     return None if ratio == math.inf else math.ceil(ratio)
 
 
-def _unbounded_ms_budget(link: LinkParams, d: DerivedProbs, p_m: float, p_latch: float) -> ParameterError:
+def _unbounded_ms_budget(link: LinkParams, L: float, d: DerivedProbs, p_m: float, p_latch: float) -> ParameterError:
     """The refusal of an MS budget memory.N / p_latch past double range, naming the factor of p_latch that is 0."""
     factors = {"p_m": p_m, f"p_BSA = p_d**2 / 2 (p_d = {link.p_d!r})": d.p_BSA,
                "memory.emission_fraction * memory.collection_efficiency": d.p_memory,
-               f"the fiber transmission (L_km = {link.L!r}, L_att_km = {link.L_att!r})":
-                   fiber_transmission(link.L, link.L_att)}
+               f"the fiber transmission (L_km = {L!r}, L_att_km = {link.L_att!r})":
+                   fiber_transmission(L, link.L_att)}
     why = next((f"MS latch probability is 0 because {name} is 0" for name, value in factors.items() if value == 0.0),
                f"memory.N / MS latch probability {p_latch!r} exceeds double precision")
     return ParameterError(f"unbounded trial budget: {why}")
 
 
-def _waiting_budget(cfg: SchemeConfig) -> Callable[[LinkParams, DerivedProbs, float], tuple[int, bool]]:
-    """(trials per round, rephasing-capped) of MS or an AFC scheme at a link, its chain d and p_m; see evaluate_series.
+def _waiting_budget(cfg: SchemeConfig) -> Callable[[float, DerivedProbs, float], tuple[int, bool]]:
+    """(trials per round, rephasing-capped) of MS or an AFC scheme at an L, its chain d and p_m; see evaluate_series.
 
     The memory's kind and the AFC rephasing cap are settled once per memory.
     """
     mem, latch_probability = cfg.memory, _LATCH_PROBABILITY[cfg.kind]
     if isinstance(mem, MemorySpec):
-        def budget(link: LinkParams, d: DerivedProbs, p_m: float) -> tuple[int, bool]:
+        def budget(L: float, d: DerivedProbs, p_m: float) -> tuple[int, bool]:
             p_latch = latch_probability(cfg, d, p_m)
             k = _ceil_ratio(mem.N, p_latch)
             if k is None:
-                raise _unbounded_ms_budget(link, d, p_m, p_latch)
+                raise _unbounded_ms_budget(cfg.link, L, d, p_m, p_latch)
             return k, False
         return budget
     # The largest budget before the first stored photon rephases out.
     cap = _ceil_ratio(mem.t_rephase, mem.t_clock_prime)
 
-    def budget(link: LinkParams, d: DerivedProbs, p_m: float) -> tuple[int, bool]:
+    def budget(L: float, d: DerivedProbs, p_m: float) -> tuple[int, bool]:
         k = _ceil_ratio(mem.N_AFC, latch_probability(cfg, d, p_m))
         if k is None or k * mem.t_clock_prime > mem.t_rephase:
             if cap is None:
@@ -279,14 +276,13 @@ def _rate(tl: float, rate_of: Callable[..., float], *args: object) -> float | Pa
         return exc
 
 
-def evaluate_series(cfg: SchemeConfig, links: Sequence[LinkParams],
-                    p_m_values: Sequence[float]) -> SeriesColumns:
-    """Evaluate cfg's scheme and memory at every point of links x p_m_values.
+def evaluate_series(cfg: SchemeConfig, L_values: Sequence[float], p_m_values: Sequence[float]) -> SeriesColumns:
+    """Evaluate cfg's scheme and memory at every point of L_values x p_m_values.
 
-    cfg's own link and p_m are not read; each p_m must be one SchemeConfig
-    accepts. Points come links major, in the order given. The probability
-    chain, t_link, the fiber transmissions and the closed forms that read no
-    p_m are computed once per link, and an MM or SR point once per link.
+    cfg's own L and p_m are not read, and a p_m or L that SchemeConfig or
+    LinkParams refuses raises its error. Points come L major, in the order
+    given. The probability chain is derived once per series, and t_link, the
+    fiber transmissions and each MM or SR point once per L.
 
     Trials per round K: MM and SR fire each available memory once. MS sizes
     the budget so the expected latch count fills the memories. AFC budgets
@@ -298,25 +294,29 @@ def evaluate_series(cfg: SchemeConfig, links: Sequence[LinkParams],
     latch probability of 0 has no rephasing cap to fall back on); its rate
     alone fails at L = 0 and where the rate is not finite.
     """
-    kind, mem, is_afc = cfg.kind, cfg.memory, cfg.kind.is_afc
+    for p_m in p_m_values:
+        _require_probability("p_m", p_m)
+    kind, link, mem, is_afc = cfg.kind, cfg.link, cfg.memory, cfg.kind.is_afc
     single_trial_success, closed_form_rate = _SINGLE_TRIAL_SUCCESS[kind], _CLOSED_FORM_RATE[kind]
     budget = _waiting_budget(cfg) if kind in _LATCH_PROBABILITY else None
     t_clock = mem.t_clock_prime if is_afc else mem.t_clock
     # Pairs one round can latch at most: the mode count, or the (receiving) memories.
     point_capacity = mem.N_AFC if is_afc else cfg.N_A if kind is SchemeKind.SR else mem.N
     p_m_loop = p_m_values[:1] if budget is None else p_m_values
+    p_bsa, p_memory, _ = derive_probs(link, mem)
     points = []
-    for link in links:
-        d = derive_probs(link, mem)
-        tl = t_link(link)
+    for L in L_values:
+        _require_L(L)
+        tl = link.n * L / link.c  # t_link at L, in its operations
         flight = 2.0 * tl if kind is SchemeKind.SR else tl
-        half = fiber_transmission(link.L, link.L_att)
-        full = math.exp(-link.L / link.L_att)
+        half = fiber_transmission(L, link.L_att)
+        full = math.exp(-L / link.L_att)
+        d = DerivedProbs(p_bsa, p_memory, p_memory * half)  # derive_probs at L, in its operations
         fits = not is_afc or mem.t_rephase + tl <= mem.t_spin_coherence  # feasibility_check's rule
         uncapped = None if kind is SchemeKind.AFC_MM else _rate(tl, closed_form_rate, cfg, d, None, tl, half, full)
         for p_m in p_m_loop:
             try:
-                k, capped = (point_capacity, False) if budget is None else budget(link, d, p_m)
+                k, capped = (point_capacity, False) if budget is None else budget(L, d, p_m)
                 t_round = flight + k * t_clock
                 if not math.isfinite(t_round):
                     raise ParameterError(f"t_round is {t_round!r} s: the inputs exceed double precision")
@@ -334,7 +334,7 @@ def evaluate_series(cfg: SchemeConfig, links: Sequence[LinkParams],
 
 def evaluate(cfg: SchemeConfig) -> PointSummary:
     """The one-point case of evaluate_series; raises where the point fails, or from .rate."""
-    point = [column[0] for column in evaluate_series(cfg, (cfg.link,), (cfg.p_m,))]
+    point = [column[0] for column in evaluate_series(cfg, (cfg.link.L,), (cfg.p_m,))]
     if point[0] is None:
         raise point[-1]
     return PointSummary(*point, cfg=cfg)
@@ -363,6 +363,6 @@ def feasibility_check(cfg: SchemeConfig) -> FeasibilityReport:
     configs.
     """
     if not cfg.kind.is_afc:
-        raise NotApplicableError(f"feasibility_check does not apply to {cfg.kind.display}")
+        raise NotApplicableError(f"feasibility_check does not apply to {cfg.kind.value.upper()}")
     used, limit = cfg.memory.t_rephase + t_link(cfg.link), cfg.memory.t_spin_coherence
     return FeasibilityReport(ok=used <= limit, used_s=used, limit_s=limit)

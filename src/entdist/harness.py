@@ -31,7 +31,8 @@ from types import NoneType
 from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .analytic import SchemeConfig, SchemeKind, SeriesColumns, evaluate_series
-from .params import AFC_REALISTIC, LinkParams, MEMORY_PRESETS, McControls, MemorySpec, ParameterError, QUANTUM_DOT
+from .params import (AFC_REALISTIC, LinkParams, MEMORY_PRESETS, McControls, MemorySpec, ParameterError, QUANTUM_DOT,
+                     _require_L)
 
 __all__ = [
     "ConfigError",
@@ -123,18 +124,18 @@ def preset_names() -> list[str]:
 
 
 class _Series(NamedTuple):
-    """cfg's scheme and memory at links x p_m; both sorted stably, by L and by value."""
+    """cfg's scheme, memory and link fields other than L at L_km x p_m; both sorted stably."""
 
     cfg: SchemeConfig
-    links: tuple[LinkParams, ...]
+    L_km: tuple[float, ...]
     p_m: tuple[float, ...]
 
 
 def _row_order(series: Sequence[_Series]) -> Sequence[int]:
     """Row order of the series' points, concatenated: by (scheme, L, p_m), ties in input order."""
-    if len(series) == 1 and all(a.L < b.L for a, b in pairwise(series[0].links)):
-        return range(len(series[0].links) * len(series[0].p_m))  # links x p_m is sorted
-    keys = [(s.cfg.kind.value, link.L, p_m) for s in series for link in s.links for p_m in s.p_m]
+    if len(series) == 1 and all(a < b for a, b in pairwise(series[0].L_km)):
+        return range(len(series[0].L_km) * len(series[0].p_m))  # L_km x p_m is sorted
+    keys = [(s.cfg.kind.value, L, p_m) for s in series for L in s.L_km for p_m in s.p_m]
     return sorted(range(len(keys)), key=keys.__getitem__)
 
 
@@ -146,8 +147,8 @@ class Scenario:
     @property
     def points(self) -> tuple[SchemeConfig, ...]:
         """Every sweep point's config, in row order; built anew on each access."""
-        configs = [replace(s.cfg, link=link, p_m=p_m)
-                   for s in self.series for link in s.links for p_m in s.p_m]
+        configs = [replace(s.cfg, link=link, p_m=p_m) for s in self.series
+                   for L in s.L_km for link in (replace(s.cfg.link, L=L),) for p_m in s.p_m]
         return tuple(configs[j] for j in _row_order(self.series))
 
 
@@ -281,8 +282,9 @@ def _resolve_series(series: Mapping[str, Any]) -> _Series:
     # L, then every p_m with it, then the other L.
     first = LinkParams(L=L_values[0], **link_fields)
     configs = [SchemeConfig(link=first, memory=memory, p_m=p_m, **scheme) for p_m in p_m_values]
-    links = [first, *(LinkParams(L=L, **link_fields) for L in L_values[1:])]
-    return _Series(configs[0], tuple(sorted(links, key=lambda link: link.L)), tuple(sorted(p_m_values)))
+    for L in L_values[1:]:
+        _require_L(L)
+    return _Series(configs[0], tuple(sorted(L_values)), tuple(sorted(p_m_values)))
 
 
 def _load_config_file(path: str) -> dict[str, Any]:
@@ -346,10 +348,10 @@ def _point_columns(series: Sequence[_Series]) -> dict[str, list[Any]]:
     """scheme, L_km, p_m and the evaluate_series columns of every point, in row order."""
     merged = {name: [] for name in ("scheme", "L_km", "p_m", *SeriesColumns._fields)}
     for s in series:
-        merged["scheme"] += [s.cfg.kind.value] * (len(s.links) * len(s.p_m))
-        merged["L_km"] += [link.L for link in s.links for _ in s.p_m]
-        merged["p_m"] += s.p_m * len(s.links)
-        for name, column in zip(SeriesColumns._fields, evaluate_series(s.cfg, s.links, s.p_m)):
+        merged["scheme"] += [s.cfg.kind.value] * (len(s.L_km) * len(s.p_m))
+        merged["L_km"] += [L for L in s.L_km for _ in s.p_m]
+        merged["p_m"] += s.p_m * len(s.L_km)
+        for name, column in zip(SeriesColumns._fields, evaluate_series(s.cfg, s.L_km, s.p_m)):
             merged[name] += column
     order = _row_order(series)
     if isinstance(order, range):
@@ -366,31 +368,27 @@ def run_scenario(
 ) -> list[ResultRow]:
     """Run a scenario and return one row per sweep point.
 
-    Each series is evaluated as a whole (analytic.evaluate_series). Unless
-    with_mc is False, one estimate_series call then gives each feasible point
-    a Monte Carlo estimate on the stream of rng_for_seed(row.seed): the PCG64
-    states of every SeedSequence(sub-seed) are derived in one pass and set on
-    one reused generator. Infeasible AFC points are flagged (feasible=False)
-    with empty Monte Carlo fields rather than aborting the sweep. The first
-    failing point raises its ParameterError after the simulations of the
-    points before it (and its own, when only its rate fails).
+    Each series is evaluated as a whole (analytic.evaluate_series); the first
+    failing point in row order raises its ParameterError before numpy loads.
+    Unless with_mc is False, one estimate_series call then gives each feasible
+    point a Monte Carlo estimate on the stream of rng_for_seed(row.seed): the
+    PCG64 states of every SeedSequence(sub-seed) are derived in one pass and
+    set on one reused generator. Infeasible AFC points are flagged
+    (feasible=False) with empty Monte Carlo fields, not aborting the sweep.
     """
     scenario = build_scenario(source, overrides=overrides, seed=seed, rounds=rounds)
-    import numpy as np  # numpy loads with the first valid scenario: a refused one never loads it
-    from .montecarlo import estimate_series, subseeds
-
     points = _point_columns(scenario.series)
     rates = points["rate"]
-    n = len(rates)
-    seeds = subseeds(scenario.mc.seed, np.arange(n))
-    failed = next((i for i, rate in enumerate(rates) if isinstance(rate, ParameterError)), n)
-    mc_rate, mc_stderr = [None] * n, [None] * n
+    if (failed := next((rate for rate in rates if isinstance(rate, ParameterError)), None)) is not None:
+        raise failed
+    import numpy as np  # numpy loads with the first scenario that evaluates: a refused one never loads it
+    from .montecarlo import estimate_series, subseeds
+
+    seeds = subseeds(scenario.mc.seed, np.arange(len(rates)))
+    mc_rate = mc_stderr = repeat(None)
     if with_mc:
-        simulated = failed + (failed < n and points["K"][failed] is not None)
-        evaluated = SeriesColumns(*(points[name][:simulated] for name in SeriesColumns._fields))
-        _, mc_rate[:simulated], mc_stderr[:simulated] = estimate_series(evaluated, seeds[:simulated], scenario.mc)
-    if failed < n:
-        raise rates[failed]
+        evaluated = SeriesColumns(*map(points.get, SeriesColumns._fields))
+        _, mc_rate, mc_stderr = estimate_series(evaluated, seeds, scenario.mc)
     columns = (points["scheme"], points["L_km"], points["p_m"], rates, mc_rate, mc_stderr,
                points["K"], points["t_round"], points["feasible"], seeds.tolist())
     return list(map(partial(tuple.__new__, ResultRow), zip(*columns)))

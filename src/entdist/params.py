@@ -78,6 +78,13 @@ def _is_integer(value: object) -> bool:
     return type(value) is int or isinstance(value, Integral) and not isinstance(value, bool)
 
 
+def _require_L(L: float) -> None:
+    if not (type(L) in _PLAIN and 0.0 <= L <= _MAX):
+        _require_real("L", L)
+        _require(L >= 0.0, "L", "must be >= 0 km, got %r", L)
+        _require_finite("L", L)
+
+
 def _require_count(field: str, value: int) -> None:
     """An integer >= 1 that converts to a finite float, so rates and budgets stay finite."""
     if not (type(value) is int and 1 <= value <= _MAX):
@@ -102,10 +109,7 @@ class LinkParams:
     p_d: float = 0.8      # single-photon detector efficiency
 
     def __post_init__(self) -> None:
-        if not (type(self.L) in _PLAIN and 0.0 <= self.L <= _MAX):
-            _require_real("L", self.L)
-            _require(self.L >= 0.0, "L", "must be >= 0 km, got %r", self.L)
-            _require_finite("L", self.L)
+        _require_L(self.L)
         _require_positive("L_att", self.L_att)
         if not (type(self.n) in _PLAIN and 1.0 <= self.n <= _MAX):
             _require_real("n", self.n)

@@ -43,7 +43,7 @@ def latch_probability(cfg: SchemeConfig) -> float:
         return cfg.p_m * cfg.memory.p_AFC  # the local source's photon is absorbed
     if cfg.kind is SchemeKind.AFC_MS:
         return cfg.p_m * cfg.memory.p_pass * p_optical
-    raise NotApplicableError(f"{cfg.kind.display} fires each memory once per round")
+    raise NotApplicableError(f"{cfg.kind.value.upper()} fires each memory once per round")
 
 
 def _finite_rate(rate: float) -> float:
@@ -155,7 +155,7 @@ def closed_form_ratio(a: SchemeConfig, b: SchemeConfig) -> float:
         db = derive_probs(b.link, b.memory)
         return (afc.N_AFC * afc.p_AFC * afc.p_pass) / (spin.N * db.p_BSA * db.p_memory)
     raise NotApplicableError(
-        f"no specialized ratio for ({a.kind.display}, {b.kind.display})"
+        f"no specialized ratio for ({a.kind.value.upper()}, {b.kind.value.upper()})"
     )
 
 
@@ -208,7 +208,7 @@ def simulate_latches(cfg: SchemeConfig, rng: np.random.Generator, n_trials: int)
     """
     if cfg.kind not in (SchemeKind.MS, SchemeKind.AFC_MS):
         raise NotApplicableError(
-            f"{cfg.kind.display} has no left/right latch decomposition"
+            f"{cfg.kind.value.upper()} has no left/right latch decomposition"
         )
     d = derive_probs(cfg.link, cfg.memory)
     if cfg.kind.is_afc:

@@ -1,9 +1,11 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from entdist import analytic
 from entdist.analytic import (
     NotApplicableError,
     SchemeConfig,
@@ -402,12 +404,11 @@ def _same_bits(a, b):
 @pytest.mark.parametrize("name", SERIES_CONFIGS)
 def test_series_equals_point_by_point_evaluation(name):
     cfg = SERIES_CONFIGS[name]
-    links = [LinkParams(L=L) for L in SERIES_L_KM]
-    series = evaluate_series(cfg, links, SERIES_P_M)
+    series = evaluate_series(cfg, SERIES_L_KM, SERIES_P_M)
     assert None in series.K if cfg.kind is SchemeKind.MS else None not in series.K
     if cfg.kind.is_afc:  # the grid reaches the rephasing cap and the spin-coherence limit
         assert True in series.capped and False in series.feasible
-    points = [evaluate_series(cfg, [link], [p_m]) for link in links for p_m in SERIES_P_M]
+    points = [evaluate_series(cfg, [L], [p_m]) for L in SERIES_L_KM for p_m in SERIES_P_M]
     for name, column in zip(series._fields, series):
         alone = [getattr(point, name) for point in points]
         assert all(len(value) == 1 for value in alone) and len(column) == len(alone)
@@ -415,7 +416,7 @@ def test_series_equals_point_by_point_evaluation(name):
             assert _same_bits(value, expected), (name, value, expected)
     # The formulas as the scheme definitions write them, so that neither side
     # may reorder an operation: every value bit for bit, every failure by class.
-    configs = (replace(cfg, link=link, p_m=p_m) for link in links for p_m in SERIES_P_M)
+    configs = (replace(cfg, link=LinkParams(L=L), p_m=p_m) for L in SERIES_L_KM for p_m in SERIES_P_M)
     for j, point_cfg in enumerate(configs):
         try:
             expected = scheme_point(point_cfg)
@@ -430,3 +431,17 @@ def test_series_equals_point_by_point_evaluation(name):
             assert isinstance(series.rate[j], ParameterError)
         else:
             assert _same_bits(series.rate[j], rate), point_cfg
+
+
+@pytest.mark.parametrize("name", ["mm", "sr", "ms", "afc_mm", "afc_ms"])
+@pytest.mark.parametrize("field, value", [("p_m", 2.0), ("p_m", math.nan), ("p_m", -1.0),
+                                          ("L", -1.0), ("L", math.nan), ("L", math.inf)])
+def test_series_refuses_what_a_point_config_refuses(monkeypatch, name, field, value):
+    cfg = SERIES_CONFIGS[name]
+    with pytest.raises(ParameterError) as refused:
+        replace(cfg, p_m=value) if field == "p_m" else replace(cfg.link, L=value)
+    if field == "p_m":  # refused before any point is evaluated
+        monkeypatch.setattr(analytic, "derive_probs", None)
+    L_values, p_m_values = ([10.0, value], [0.5]) if field == "L" else ([10.0], [0.5, value])
+    with pytest.raises(ParameterError, match=f"^{re.escape(str(refused.value))}$"):
+        evaluate_series(cfg, L_values, p_m_values)

@@ -316,6 +316,10 @@ def unloaded(step):
 
 import entdist
 unloaded("import entdist")
+from entdist import cli
+unloaded("from entdist import cli")
+assert not hasattr(entdist, "nope")
+unloaded("an unknown name")
 from entdist import ParameterError, build_scenario, run_scenario
 from entdist.cli import main
 build_scenario("fig5a")
@@ -332,6 +336,12 @@ except ParameterError:
     unloaded("a parameter error")
 else:
     raise AssertionError("p_d = 1.4 was accepted")
+try:
+    run_scenario("custom", {"scheme": "mm", "L_km": 0})
+except ParameterError:
+    unloaded("a point that fails")
+else:
+    raise AssertionError("the rate at L = 0 was accepted")
 run_scenario("fig5a", with_mc=False)
 assert "numpy" in sys.modules, "run_scenario did not load numpy"
 assert entdist.estimate_series is entdist.montecarlo.estimate_series

@@ -13,7 +13,7 @@ import pytest
 
 import entdist
 from entdist.analytic import SchemeConfig, SchemeKind, analytic_rate
-from entdist import harness, montecarlo
+from entdist import analytic, harness, montecarlo
 from entdist.cli import main
 from entdist.harness import (
     CSV_HEADER,
@@ -140,6 +140,46 @@ class TestRunScenario:
         b = run_scenario("fig2c", rounds=200, seed=6)
         assert a != b
         assert all(r.seed != s.seed for r, s in zip(a, b))
+
+    def test_a_sweep_builds_one_link_and_one_chain_per_series(self, monkeypatch):
+        L_km = [float(km) for km in range(400, 0, -1)]
+        schemes = ("mm", "ms", "afc-ms")
+        monkeypatch.setitem(PRESETS, "wide", {"series": [{"scheme": scheme, "L_km": L_km, "p_m": SWEEP_PM}
+                                                         for scheme in schemes]})
+        counts = {"links": 0, "chains": 0}
+        post_init, derive = LinkParams.__post_init__, analytic.derive_probs
+
+        def counting_post_init(link):
+            counts["links"] += 1
+            post_init(link)
+
+        def counting_derive(*args):
+            counts["chains"] += 1
+            return derive(*args)
+
+        monkeypatch.setattr(LinkParams, "__post_init__", counting_post_init)
+        monkeypatch.setattr(analytic, "derive_probs", counting_derive)
+        scenario = build_scenario("wide")
+        assert counts == {"links": 3, "chains": 0}
+        assert [s.L_km for s in scenario.series] == [tuple(sorted(L_km))] * 3
+        assert [s.cfg.link.L for s in scenario.series] == [400.0] * 3  # the template: the first L given
+        rows = run_scenario("wide", with_mc=False)
+        assert counts == {"links": 6, "chains": 3}
+        assert len(rows) == 3 * 400 * 3 and [row.L_km for row in rows[:4]] == [1.0, 1.0, 1.0, 2.0]
+
+    def test_a_failing_sweep_samples_nothing(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a point was seeded or sampled")
+
+        for name in ("subseeds", "estimate_series"):  # run_scenario looks them up in montecarlo
+            monkeypatch.setattr(montecarlo, name, forbidden)
+        # The L = 0 point comes last in row order; the points before it are not sampled.
+        with pytest.raises(ParameterError, match="^analytic_rate needs L > 0 km"):
+            run_scenario("custom", {"scheme": "afc-ms", "L_km": [10, 20, 0], "p_m": [0.5, 1.0]})
+        # Every point is evaluated before any is sampled, so a sampling refusal comes second.
+        monkeypatch.setattr(montecarlo, "_MAX_SAMPLED_CELLS", 0)
+        with pytest.raises(ParameterError, match="^unbounded trial budget: MS latch probability is 0 because p_m"):
+            run_scenario("custom", {"scheme": "ms", "L_km": 10, "p_m": [0.5, 0.0]})
 
     def test_scheme_rate_relationship_between_presets(self):
         # The multimode arrangement beats its single-pair twin at every point.
@@ -423,6 +463,11 @@ class TestReadme:
         assert sorted(name for name, _ in listed) == sorted(bound)
         for name, module in listed:
             assert getattr(importlib.import_module(f"entdist.{module}"), name) is getattr(entdist, name)
+
+
+def test_names_bound_on_first_use_are_montecarlos():
+    # entdist/__init__ keeps its own copy of montecarlo.__all__, so that another name loads no numpy.
+    assert entdist._LAZY == {"montecarlo", "__all__", *montecarlo.__all__}
 
 
 def test_benchmark_span_names_are_library_functions():

@@ -124,7 +124,7 @@ def test_evaluate_matches_the_public_functions(cfg):
         return derive(*args, **kwargs)
 
     # evaluate is the one-point case of evaluate_series, which derives the
-    # probability chain once per link.
+    # probability chain once per series.
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(analytic, "derive_probs", counting_derive)
         evaluated = outcome(lambda: evaluate(cfg))
@@ -249,7 +249,6 @@ def refusal(compute):
 def test_series_path_equals_the_one_point_path(data, kinds):
     # Few distinct kinds and L values, so series of one scheme often interleave and tie.
     document = {"series": [data.draw(series_documents(kind)) for kind in kinds]}
-    links = sum(len(series["L_km"]) for series in document["series"])
     calls = 0
     derive = analytic.derive_probs
 
@@ -266,8 +265,8 @@ def test_series_path_equals_the_one_point_path(data, kinds):
         expected = refusal(lambda: point_by_point(document, build_scenario("drawn").mc.seed))
         points = refusal(lambda: build_scenario("drawn").points)
     if isinstance(rows, list):
-        # The chain is derived once per link, not once per point.
-        assert calls == links
+        # The chain is derived once per series, not once per L or point.
+        assert calls == len(document["series"])
     if isinstance(expected, tuple) and isinstance(expected[0], list):
         configs, expected = expected
         assert points == tuple(configs)
