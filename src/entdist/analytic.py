@@ -239,33 +239,6 @@ def _unbounded_ms_budget(link: LinkParams, L: float, d: DerivedProbs, p_m: float
     return ParameterError(f"unbounded trial budget: {why}")
 
 
-def _waiting_budget(cfg: SchemeConfig) -> Callable[[float, DerivedProbs, float], tuple[int, bool]]:
-    """(trials per round, rephasing-capped) of MS or an AFC scheme at an L, its chain d and p_m; see evaluate_series.
-
-    The memory's kind and the AFC rephasing cap are settled once per memory.
-    """
-    mem, latch_probability = cfg.memory, _LATCH_PROBABILITY[cfg.kind]
-    if isinstance(mem, MemorySpec):
-        def budget(L: float, d: DerivedProbs, p_m: float) -> tuple[int, bool]:
-            p_latch = latch_probability(cfg, d, p_m)
-            k = _ceil_ratio(mem.N, p_latch)
-            if k is None:
-                raise _unbounded_ms_budget(cfg.link, L, d, p_m, p_latch)
-            return k, False
-        return budget
-    # The largest budget before the first stored photon rephases out.
-    cap = _ceil_ratio(mem.t_rephase, mem.t_clock_prime)
-
-    def budget(L: float, d: DerivedProbs, p_m: float) -> tuple[int, bool]:
-        k = _ceil_ratio(mem.N_AFC, latch_probability(cfg, d, p_m))
-        if k is None or k * mem.t_clock_prime > mem.t_rephase:
-            if cap is None:
-                raise ParameterError(f"t_clock_prime {mem.t_clock_prime!r} s is too short for a finite budget")
-            return cap, True
-        return k, False
-    return budget
-
-
 def _rate(tl: float, rate_of: Callable[..., float], *args: object) -> float | ParameterError:
     """rate_of(*args), or the ParameterError PointSummary.rate raises for it: at L = 0 or past double range."""
     try:
@@ -284,11 +257,11 @@ def evaluate_series(cfg: SchemeConfig, L_values: Sequence[float], p_m_values: Se
     given. The probability chain is derived once per series, and t_link, the
     fiber transmissions and each MM or SR point once per L.
 
-    Trials per round K: MM and SR fire each available memory once. MS sizes
-    the budget so the expected latch count fills the memories. AFC budgets
-    fill the temporal modes but are capped once the budget would outlast
-    the rephasing period. t_round is t_link (twice for SR, whose photons
-    cross the whole link and whose reply returns) plus K trial clocks.
+    Trials per round K: MM and SR fire each available memory once. MS and AFC
+    fire ceil(capacity / p_latch), so that the expected latches fill the memories
+    or modes; an AFC budget that is unbounded or outlasts the rephasing period
+    is capped at ceil(t_rephase / t_clock_prime). t_round is t_link (twice for
+    SR, whose photons cross the link and whose reply returns) plus K clocks.
 
     A point fails where its trial budget or round time is not finite (an MS
     latch probability of 0 has no rephasing cap to fall back on); its rate
@@ -298,11 +271,13 @@ def evaluate_series(cfg: SchemeConfig, L_values: Sequence[float], p_m_values: Se
         _require_probability("p_m", p_m)
     kind, link, mem, is_afc = cfg.kind, cfg.link, cfg.memory, cfg.kind.is_afc
     single_trial_success, closed_form_rate = _SINGLE_TRIAL_SUCCESS[kind], _CLOSED_FORM_RATE[kind]
-    budget = _waiting_budget(cfg) if kind in _LATCH_PROBABILITY else None
+    latch_probability = _LATCH_PROBABILITY.get(kind)
     t_clock = mem.t_clock_prime if is_afc else mem.t_clock
     # Pairs one round can latch at most: the mode count, or the (receiving) memories.
     point_capacity = mem.N_AFC if is_afc else cfg.N_A if kind is SchemeKind.SR else mem.N
-    p_m_loop = p_m_values[:1] if budget is None else p_m_values
+    # The largest AFC budget before the first stored photon rephases out.
+    cap = _ceil_ratio(mem.t_rephase, mem.t_clock_prime) if is_afc else None
+    p_m_loop = p_m_values[:1] if latch_probability is None else p_m_values
     p_bsa, p_memory, _ = derive_probs(link, mem)
     points = []
     for L in L_values:
@@ -316,7 +291,16 @@ def evaluate_series(cfg: SchemeConfig, L_values: Sequence[float], p_m_values: Se
         uncapped = None if kind is SchemeKind.AFC_MM else _rate(tl, closed_form_rate, cfg, d, None, tl, half, full)
         for p_m in p_m_loop:
             try:
-                k, capped = (point_capacity, False) if budget is None else budget(L, d, p_m)
+                k, capped = point_capacity, False
+                if latch_probability is not None:
+                    p_latch = latch_probability(cfg, d, p_m)
+                    k = _ceil_ratio(point_capacity, p_latch)
+                    if is_afc and (k is None or k * t_clock > mem.t_rephase):
+                        if cap is None:
+                            raise ParameterError(f"t_clock_prime {t_clock!r} s is too short for a finite budget")
+                        k, capped = cap, True
+                    elif k is None:
+                        raise _unbounded_ms_budget(link, L, d, p_m, p_latch)
                 t_round = flight + k * t_clock
                 if not math.isfinite(t_round):
                     raise ParameterError(f"t_round is {t_round!r} s: the inputs exceed double precision")
@@ -327,7 +311,7 @@ def evaluate_series(cfg: SchemeConfig, L_values: Sequence[float], p_m_values: Se
             rate = (_rate(tl, _exact_rate, k, p_single, t_round) if capped else uncapped if uncapped is not None
                     else _rate(tl, closed_form_rate, cfg, d, p_m, tl, half, full))
             points.append((k, p_single, point_capacity, t_round, capped, fits, rate))
-        if budget is None:
+        if latch_probability is None:
             points += points[-1:] * (len(p_m_values) - 1)
     return SeriesColumns(*map(list, zip(*points))) if points else SeriesColumns([], [], [], [], [], [], [])
 

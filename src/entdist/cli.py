@@ -110,9 +110,7 @@ def _cmd_swap(args: argparse.Namespace) -> int:
     budget = swap_budget(params, heralding=args.heralding)
     payload = {
         "heralding": args.heralding,
-        "K_swap": budget.K_swap,
-        "p_swap": budget.p_swap,
-        "expected_successes": budget.expected_successes,
+        **budget._asdict(),
         "chain_factor": chain_factor(params),
         "links": params.i,
     }

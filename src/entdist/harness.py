@@ -266,11 +266,6 @@ def _resolve_series(series: Mapping[str, Any]) -> _Series:
         raise ConfigError("L_km is required (a distance in km, or a list of them)")
     scheme = _spec_fields(series, "scheme")
     p_m_values = scheme.pop("p_m", [1.0])
-    if scheme["kind"] is SchemeKind.SR:
-        if "N_A" not in series or "N_B" not in series:
-            raise ConfigError("N_A and N_B are required for SR")
-    elif "N_A" in series or "N_B" in series:
-        raise ConfigError("N_A / N_B are only meaningful for SR")
     if scheme["kind"].is_afc:
         memory = replace(AFC_REALISTIC, **_spec_fields(series, "afc"))
     else:

@@ -138,6 +138,12 @@ HUGE = str(10**400)  # past the largest double, 1.8e308
     # 3,986,506 cells, under the limit, whose law sums to 1 + 1.08e-12: past numpy's 1e-12.
     (["run", "custom", "--set", "scheme=ms", "--set", "L_km=65",
       "--set", "memory.N=1e12", "--rounds", "1"], "law window of latched pairs sums past 1"),
+    # SchemeConfig's memory-split rule, and the AFC budget with no finite rephasing cap.
+    (["analytic", "custom", "--set", "scheme=sr", "--set", "L_km=10"], "N_A and N_B are required for SR"),
+    (["analytic", "custom", "--set", "scheme=mm", "--set", "L_km=10", "--set", "N_B=3"],
+     "N_A / N_B are only meaningful for SR"),
+    (["analytic", "custom", "--set", "scheme=afc-mm", "--set", "L_km=10", "--set", "p_m=0",
+      "--set", "afc.t_clock_prime_s=5e-324"], "t_clock_prime 5e-324 s is too short for a finite budget"),
 ])
 def test_out_of_range_inputs_are_config_errors(capsys, tmp_path, argv, message, fmt):
     if isinstance(argv[1], dict):  # a config document, given by its file's path

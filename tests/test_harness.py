@@ -218,8 +218,11 @@ class TestConfigHandling:
         assert kinds == {SchemeKind.AFC_MM, SchemeKind.MM}
 
     def test_sr_requires_memory_split(self):
-        with pytest.raises(ConfigError, match="N_A"):
+        # SchemeConfig's rule, reached through the config like its other rules.
+        with pytest.raises(ParameterError, match="N_A"):
             run_scenario("custom", overrides={"scheme": "sr", "L_km": 10})
+        with pytest.raises(ParameterError, match="^N_A / N_B are only meaningful for SR"):
+            run_scenario("custom", overrides={"scheme": "mm", "L_km": 10, "N_A": 3})
         rows = run_scenario(
             "custom",
             overrides={"scheme": "sr", "L_km": 10, "N_A": 3, "N_B": 3,
@@ -247,7 +250,6 @@ class TestConfigHandling:
             ({"scheme": [10**5000], "L_km": 10}, "^scheme must be one of"),
             ({"scheme": "mm", "L_km": 10, "memory.kind": [10**5000]}, "^memory.kind must be one of"),
             ({10**5000: 1}, "^unknown config key a value of type int"),
-            ({"scheme": "mm", "L_km": 10, "N_A": 3}, "^N_A / N_B are only meaningful for SR"),
         ],
     )
     def test_config_validation_errors(self, overrides, match):

@@ -17,6 +17,7 @@ from entdist.analytic import (
     SchemeConfig,
     SchemeKind,
     evaluate,
+    evaluate_series,
     round_time,
     trials_per_round,
 )
@@ -553,6 +554,9 @@ def test_each_row_reproduces_from_its_seed(monkeypatch, source):
         mc = McControls(300, seed=row.seed)
         estimate = estimate_rate(evaluate(cfg), mc)
         assert (row.mc_rate, row.mc_stderr) == (estimate.rate, estimate.stderr)
+        # The recipe of README "Output schema".
+        columns = estimate_series(evaluate_series(cfg, [row.L_km], [row.p_m]), [row.seed], mc)
+        assert (row.mc_rate, row.mc_stderr) == (columns.mc_rate[0], columns.mc_stderr[0])
 
 
 def exact_moments(hist, t_round):
