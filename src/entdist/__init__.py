@@ -15,8 +15,7 @@ from .swapping import *
 __version__ = "0.1.0"
 _MODULES = ("analytic", "harness", "montecarlo", "params", "swapping")
 # The names that load montecarlo, and numpy with it: the module, its __all__ (a test keeps the two in step), __all__.
-_LAZY = frozenset({"montecarlo", "FeasibilityError", "RateEstimate", "rng_for_seed", "subseed", "subseeds",
-                   "simulate_rounds", "estimate_rate", "EstimateColumns", "estimate_series", "__all__"})
+_LAZY = frozenset({"montecarlo", "rng_for_seed", "subseeds", "EstimateColumns", "estimate_series", "__all__"})
 
 
 def __getattr__(name: str) -> object:

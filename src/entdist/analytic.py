@@ -40,21 +40,11 @@ from .params import (
 __all__ = [
     "SchemeKind",
     "SchemeConfig",
-    "FeasibilityReport",
     "PointSummary",
     "SeriesColumns",
-    "NotApplicableError",
-    "trials_per_round",
-    "round_time",
-    "analytic_rate",
     "evaluate",
     "evaluate_series",
-    "feasibility_check",
 ]
-
-
-class NotApplicableError(ValueError):
-    """An operation was asked of a scheme it is not defined for."""
 
 
 class SchemeKind(str, Enum):
@@ -112,8 +102,7 @@ class SchemeConfig:
             raise ParameterError("N_A / N_B are only meaningful for SR")
 
 
-@dataclass(frozen=True, slots=True)
-class FeasibilityReport:
+class FeasibilityReport(NamedTuple):
     """Round-time budget of an AFC config against its spin coherence time."""
 
     ok: bool
@@ -240,10 +229,11 @@ def _unbounded_ms_budget(link: LinkParams, L: float, d: DerivedProbs, p_m: float
 
 
 def _rate(tl: float, rate_of: Callable[..., float], *args: object) -> float | ParameterError:
-    """rate_of(*args), or the ParameterError PointSummary.rate raises for it: at L = 0 or past double range."""
+    """rate_of(*args), or the ParameterError PointSummary.rate raises for it: at t_link = 0 or past double range."""
     try:
         if tl == 0.0:
-            raise ParameterError("analytic_rate needs L > 0 km: the closed forms divide by t_link")
+            raise ParameterError("analytic_rate needs L > 0 km and t_link = n L / c > 0 s: the closed forms divide "
+                                 "by t_link")
         return _finite(rate_of(*args))
     except ParameterError as exc:
         return exc
@@ -265,7 +255,7 @@ def evaluate_series(cfg: SchemeConfig, L_values: Sequence[float], p_m_values: Se
 
     A point fails where its trial budget or round time is not finite (an MS
     latch probability of 0 has no rephasing cap to fall back on); its rate
-    alone fails at L = 0 and where the rate is not finite.
+    alone fails where t_link = 0 (L = 0) and where the rate is not finite.
     """
     for p_m in p_m_values:
         _require_probability("p_m", p_m)
@@ -343,10 +333,9 @@ def feasibility_check(cfg: SchemeConfig) -> FeasibilityReport:
     """Check that one AFC round fits inside the spin coherence time.
 
     The budget is t_rephase + t_link (storage until the classical confirmation
-    arrives) against t_spin_coherence. Raises NotApplicableError for non-AFC
-    configs.
+    arrives) against t_spin_coherence. Raises ParameterError for non-AFC configs.
     """
     if not cfg.kind.is_afc:
-        raise NotApplicableError(f"feasibility_check does not apply to {cfg.kind.value.upper()}")
+        raise ParameterError(f"feasibility_check does not apply to {cfg.kind.value.upper()}")
     used, limit = cfg.memory.t_rephase + t_link(cfg.link), cfg.memory.t_spin_coherence
     return FeasibilityReport(ok=used <= limit, used_s=used, limit_s=limit)

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from functools import partial
 from itertools import pairwise, repeat
 from json.encoder import encode_basestring_ascii
@@ -139,8 +139,7 @@ def _row_order(series: Sequence[_Series]) -> Sequence[int]:
     return sorted(range(len(keys)), key=keys.__getitem__)
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(NamedTuple):
     series: tuple[_Series, ...]
     mc: McControls
 

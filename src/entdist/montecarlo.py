@@ -18,7 +18,6 @@ see subseeds().
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -28,13 +27,8 @@ from .analytic import PointSummary, SeriesColumns, feasibility_check
 from .params import _MAX_ROUNDS, McControls, ParameterError, _require_seed
 
 __all__ = [
-    "FeasibilityError",
-    "RateEstimate",
     "rng_for_seed",
-    "subseed",
     "subseeds",
-    "simulate_rounds",
-    "estimate_rate",
     "EstimateColumns",
     "estimate_series",
 ]
@@ -49,12 +43,7 @@ _LAW_BATCH_CELLS = 4096  # cells of one block of laws: small, so peak memory doe
 _ROW_COUNTS = np.arange(1, _LAW_BATCH_CELLS + 1)  # a block's rows if it ended at each of its rows
 
 
-class FeasibilityError(RuntimeError):
-    """An AFC config whose round cannot fit its spin coherence time."""
-
-
-@dataclass(frozen=True, slots=True)
-class RateEstimate:
+class RateEstimate(NamedTuple):
     """Monte Carlo outcome: elapsed = n_rounds * t_round, rate = successes / elapsed."""
 
     successes: int
@@ -312,14 +301,14 @@ def estimate_rate(point: PointSummary, mc: McControls) -> RateEstimate:
     """Simulate mc.n_rounds rounds of an evaluated point and estimate its rate.
 
     The one-point case of estimate_series, on the stream of
-    rng_for_seed(mc.seed). Raises FeasibilityError before simulating when an
+    rng_for_seed(mc.seed). Raises ParameterError before simulating when an
     AFC round cannot fit the spin coherence time; its message reads
     point.cfg, which evaluate sets.
     """
     if not point.feasible:
         report = feasibility_check(point.cfg)
-        raise FeasibilityError(f"round budget {report.used_s:.6g} s exceeds spin coherence "
-                               f"{report.limit_s:.6g} s at L = {point.cfg.link.L} km")
+        raise ParameterError(f"round budget {report.used_s:.6g} s exceeds spin coherence "
+                             f"{report.limit_s:.6g} s at L = {point.cfg.link.L} km")
     (successes,), (rate,), (stderr,) = estimate_series(SeriesColumns(*([value] for value in point[:7])),
                                                        [mc.seed], mc)
     return RateEstimate(successes, mc.n_rounds * point.t_round, rate, stderr, mc.n_rounds, mc.seed)

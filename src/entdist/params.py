@@ -3,8 +3,8 @@
 Canonical units: kilometres for distances, seconds for times, probabilities
 as plain floats in [0, 1]. No other units appear at API boundaries.
 
-The inputs are frozen dataclasses, DerivedProbs a NamedTuple and all operations
-pure functions, so everything here is safe for unrestricted concurrent use.
+In every module, inputs that check themselves are frozen dataclasses, results
+are NamedTuples and operations pure functions, all safe for concurrent use.
 """
 
 from __future__ import annotations

@@ -10,8 +10,12 @@ from typing import Sequence
 
 import numpy as np
 
-from entdist.analytic import NotApplicableError, PointSummary, SchemeConfig, SchemeKind, SeriesColumns
+from entdist.analytic import PointSummary, SchemeConfig, SchemeKind, SeriesColumns
 from entdist.params import ParameterError, derive_probs, fiber_transmission
+
+
+class NotApplicableError(ValueError):
+    """An oracle was asked of a scheme it is not defined for."""
 
 
 def _chain(cfg: SchemeConfig) -> tuple[float, float, float]:

@@ -7,7 +7,6 @@ import pytest
 
 from entdist import analytic
 from entdist.analytic import (
-    NotApplicableError,
     SchemeConfig,
     SchemeKind,
     analytic_rate,
@@ -29,7 +28,7 @@ from entdist.params import (
     derive_probs,
 )
 
-from oracles import closed_form_ratio, latch_probability, scheme_point
+from oracles import NotApplicableError, closed_form_ratio, latch_probability, scheme_point
 
 # Frozen expected values (40-digit evaluation of the defining formulas,
 # rounded to nearest double).
@@ -324,7 +323,7 @@ class TestFeasibility:
         assert report.used_s == AFC_REALISTIC.t_rephase
 
     def test_not_applicable_for_spin_photon_schemes(self):
-        with pytest.raises(NotApplicableError):
+        with pytest.raises(ParameterError, match="^feasibility_check does not apply to MM$"):
             feasibility_check(mm())
 
 

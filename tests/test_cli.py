@@ -116,6 +116,8 @@ HUGE = str(10**400)  # past the largest double, 1.8e308
     (["analytic", "custom", "--set", "scheme=mm", "--set", "L_km=10",
       "--set", "L_km=1e400"], "L must be finite"),
     (["analytic", "custom", "--set", "scheme=mm", "--set", "L_km=Infinity"], "L must be finite"),
+    # L > 0 whose t_link = n L / c underflows to 0 s: the refusal names t_link, not L.
+    (["analytic", "custom", "--set", "scheme=mm", "--set", "L_km=1e-320"], "t_link = n L / c > 0 s"),
     (["analytic", "custom", "--set", "scheme=mm", "--set", "L_km=10",
       "--set", "memory.t_clock_s=1e400"], "t_clock must be finite"),
     (["analytic", "custom", "--set", "scheme=afc-mm", "--set", "L_km=10",

@@ -1,11 +1,14 @@
 import ast
 import copy
+import dataclasses
 import importlib
 import json
+import pkgutil
 import re
 import tracemalloc
 import types
 from dataclasses import replace
+from enum import Enum
 from pathlib import Path
 
 import numpy as np
@@ -466,10 +469,29 @@ class TestReadme:
         for name, module in listed:
             assert getattr(importlib.import_module(f"entdist.{module}"), name) is getattr(entdist, name)
 
+    def test_library_quick_start_runs_on_the_exported_names(self, capsys):
+        code = readme_section("Quick start (library)").split("```python\n")[1].split("```")[0]
+        exec(code, {})  # an import of a name that entdist does not export fails here
+        rate, exact_rate, mc_rate, mc_stderr = map(float, capsys.readouterr().out.split())
+        assert rate > 0.0 and abs(mc_rate - exact_rate) <= 4.0 * mc_stderr
+
 
 def test_names_bound_on_first_use_are_montecarlos():
     # entdist/__init__ keeps its own copy of montecarlo.__all__, so that another name loads no numpy.
     assert entdist._LAZY == {"montecarlo", "__all__", *montecarlo.__all__}
+
+
+def test_every_library_class_is_an_enum_a_record_a_checked_input_or_a_named_error():
+    # Inputs that check themselves are frozen dataclasses, results NamedTuples, refusals one of two errors.
+    modules = [importlib.import_module(f"entdist.{info.name}") for info in pkgutil.iter_modules(entdist.__path__)]
+    classes = [value for module in modules for value in vars(module).values()
+               if isinstance(value, type) and value.__module__ == module.__name__]
+    assert {cls for cls in classes if issubclass(cls, BaseException)} == {ConfigError, ParameterError}
+    for cls in classes:
+        named_tuple = issubclass(cls, tuple) and hasattr(cls, "_fields")
+        checked_input = (dataclasses.is_dataclass(cls) and cls.__dataclass_params__.frozen
+                         and "__post_init__" in vars(cls))
+        assert issubclass(cls, Enum) or named_tuple or checked_input or cls in (ConfigError, ParameterError), cls
 
 
 def test_benchmark_span_names_are_library_functions():

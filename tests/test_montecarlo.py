@@ -12,7 +12,6 @@ import pytest
 from scipy import stats
 
 from entdist.analytic import (
-    NotApplicableError,
     PointSummary,
     SchemeConfig,
     SchemeKind,
@@ -23,7 +22,6 @@ from entdist.analytic import (
 )
 from entdist import montecarlo
 from entdist.montecarlo import (
-    FeasibilityError,
     McControls,
     _capped_binomial_laws,
     _law_windows,
@@ -46,7 +44,7 @@ from entdist.params import (
     QUANTUM_DOT,
 )
 
-from oracles import latch_probability, per_trial_histogram, series_columns, simulate_latches
+from oracles import NotApplicableError, latch_probability, per_trial_histogram, series_columns, simulate_latches
 
 LINK10 = LinkParams(L=10.0)
 
@@ -477,7 +475,7 @@ class TestEstimateRate:
 
     def test_infeasible_afc_config_raises_before_simulating(self):
         far = SchemeConfig(SchemeKind.AFC_MM, LinkParams(L=190.0), AFC_REALISTIC, p_m=0.5)
-        with pytest.raises(FeasibilityError, match="spin coherence"):
+        with pytest.raises(ParameterError, match="spin coherence"):
             estimate_rate(evaluate(far), McControls(n_rounds=10))
 
     def test_round_count_validated(self):

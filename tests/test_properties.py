@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from entdist import analytic, harness
 from entdist.cli import main
-from entdist.analytic import NotApplicableError, SchemeConfig, SchemeKind, evaluate
+from entdist.analytic import SchemeConfig, SchemeKind, evaluate
 from entdist.harness import (
     CSV_HEADER,
     ConfigError,
@@ -44,7 +44,7 @@ from entdist.params import (
 
 from oracles import scheme_point
 
-NAMED_ERRORS = (ParameterError, NotApplicableError)
+NAMED_ERRORS = (ParameterError,)
 COLUMNS = list(ResultRow._fields)
 
 probability = st.floats(0.0, 1.0)
