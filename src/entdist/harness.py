@@ -1,8 +1,9 @@
 """Scenario presets, flat-config loading and plot-ready result encoding.
 
-A scenario is a list of sweep points (scheme configs over L and p_m)
-plus Monte Carlo controls. The built-in presets reproduce the standard
-figure parameter sets:
+A scenario is a tuple of series, each one scheme config swept over L and
+p_m, plus Monte Carlo controls; a run returns a ResultTable, one row per
+sweep point. The built-in presets reproduce the standard figure parameter
+sets:
 
 * fig2a / fig2b / fig2c: MM with trapped-ion / NV / quantum-dot memories,
   N = 3, rates swept over L = 5..50 km and p_m in {0.02, 0.5, 1}.
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import json
 import sys
+from collections.abc import Sequence
 from dataclasses import replace
 from functools import partial
 from itertools import pairwise, repeat
@@ -28,7 +30,7 @@ from json.encoder import encode_basestring_ascii
 from math import isfinite, prod
 from pathlib import Path
 from types import NoneType
-from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from .analytic import SchemeConfig, SchemeKind, SeriesColumns, evaluate_series
 from .params import (AFC_REALISTIC, LinkParams, MEMORY_PRESETS, McControls, MemorySpec, ParameterError, QUANTUM_DOT,
@@ -172,6 +174,38 @@ class ResultRow(NamedTuple):
 
 _COLUMNS = ResultRow._fields
 CSV_HEADER = ",".join(_COLUMNS)
+_new_row = partial(tuple.__new__, ResultRow)  # a row of ten values, without NamedTuple's argument parsing
+
+
+class ResultTable(Sequence):
+    """The rows of a run, held as ResultRow's ten columns in its field order.
+
+    A read-only sequence of ResultRows: len, indexing (negative too),
+    slicing (a ResultTable) and iteration, each row built when it is read.
+    Two tables are equal when their columns are; a table is unhashable.
+    rows_to_csv and rows_to_json read the columns without building rows.
+    """
+
+    __slots__ = ("_columns",)
+
+    def __init__(self, columns: Iterable[Sequence[Any]]) -> None:
+        self._columns = tuple(columns)
+
+    def __len__(self) -> int:
+        return len(self._columns[0])
+
+    def __getitem__(self, index: int | slice) -> ResultRow | ResultTable:
+        if isinstance(index, slice):
+            return ResultTable(column[index] for column in self._columns)
+        return _new_row([column[index] for column in self._columns])
+
+    def __iter__(self) -> Iterator[ResultRow]:
+        return map(_new_row, zip(*self._columns))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ResultTable):
+            return NotImplemented
+        return self._columns == other._columns
 
 
 def _shown(value: Any) -> str:
@@ -359,8 +393,8 @@ def run_scenario(
     seed: int | None = None,
     rounds: int | None = None,
     with_mc: bool = True,
-) -> list[ResultRow]:
-    """Run a scenario and return one row per sweep point.
+) -> ResultTable:
+    """Run a scenario and return its ResultTable, one row per sweep point.
 
     Each series is evaluated as a whole (analytic.evaluate_series); the first
     failing point in row order raises its ParameterError before numpy loads.
@@ -369,6 +403,7 @@ def run_scenario(
     PCG64 states of every SeedSequence(sub-seed) are derived in one pass and
     set on one reused generator. Infeasible AFC points are flagged
     (feasible=False) with empty Monte Carlo fields, not aborting the sweep.
+    The table holds the evaluated columns as they are; no row is built here.
     """
     scenario = build_scenario(source, overrides=overrides, seed=seed, rounds=rounds)
     points = _point_columns(scenario.series)
@@ -379,13 +414,12 @@ def run_scenario(
     from .montecarlo import estimate_series, subseeds
 
     seeds = subseeds(scenario.mc.seed, np.arange(len(rates)))
-    mc_rate = mc_stderr = repeat(None)
+    mc_rate = mc_stderr = [None] * len(rates)
     if with_mc:
         evaluated = SeriesColumns(*map(points.get, SeriesColumns._fields))
         _, mc_rate, mc_stderr = estimate_series(evaluated, seeds, scenario.mc)
-    columns = (points["scheme"], points["L_km"], points["p_m"], rates, mc_rate, mc_stderr,
-               points["K"], points["t_round"], points["feasible"], seeds.tolist())
-    return list(map(partial(tuple.__new__, ResultRow), zip(*columns)))
+    return ResultTable((points["scheme"], points["L_km"], points["p_m"], rates, mc_rate, mc_stderr,
+                        points["K"], points["t_round"], points["feasible"], seeds.tolist()))
 
 
 def _csv_cell(value: Any) -> str:
@@ -426,7 +460,7 @@ _ENCODE_ROWS = 1024  # rows per block: whole columns of 3,600 rows raised peak R
 _KEYED_KINDS = frozenset({bool, int, float, str})
 
 
-def _encode_column(column: tuple[Any, ...], cell: Callable[[Any], str]) -> str | Iterable[str]:
+def _encode_column(column: Sequence[Any], cell: Callable[[Any], str]) -> str | Iterable[str]:
     """Each value's text by `cell`: one str that every cell shares, or a text per cell.
 
     A column of one of _KEYED_KINDS, with or without None, is spelt by what
@@ -462,22 +496,25 @@ def _encode_column(column: tuple[Any, ...], cell: Callable[[Any], str]) -> str |
 def _encode_rows(rows: Sequence[ResultRow], cell: Callable[[Any], str], pieces: list[str]) -> Iterator[str]:
     """The text of each block of _ENCODE_ROWS rows, encoded a column at a time.
 
-    Each row is one join of the texts between its columns interleaved with
-    its cells, a column spelt once merged into the text around it (faster
-    than one join of the whole block's pieces and cells), and each block one
-    join of its rows, so only one block's cells are held at once.
+    A ResultTable's columns are read as they are; other rows are transposed
+    into columns once. Each row is one join of the texts between its columns
+    interleaved with its cells, a column spelt once merged into the text
+    around it (faster than one join of the whole block's pieces and cells),
+    and each block one join of its rows, so only one block's cells are held
+    at once.
     """
+    columns = rows._columns if isinstance(rows, ResultTable) else tuple(zip(*rows))
     for start in range(0, len(rows), _ENCODE_ROWS):
-        block = rows[start:start + _ENCODE_ROWS]
+        size = min(_ENCODE_ROWS, len(rows) - start)
         parts, text = [], pieces[0]
-        for column, piece in zip(zip(*block), pieces[1:]):
-            spelt = _encode_column(column, cell)
+        for column, piece in zip(columns, pieces[1:]):
+            spelt = _encode_column(column[start:start + _ENCODE_ROWS], cell)
             if isinstance(spelt, str):
                 text += spelt + piece
             else:
-                parts += repeat(text, len(block)), spelt
+                parts += repeat(text, size), spelt
                 text = piece
-        yield "".join(map("".join, zip(*parts, repeat(text, len(block)))))
+        yield "".join(map("".join, zip(*parts, repeat(text, size))))
 
 
 def rows_to_csv(rows: Sequence[ResultRow]) -> str:

@@ -314,6 +314,23 @@ def test_seeded_run_matches_golden_bytes(capsysbinary, fmt):
         assert capsysbinary.readouterr().out == (DATA / f"{preset}_run.{fmt}").read_bytes()
 
 
+# SHA-256 of `entdist run tests/data/dense_sweep.json --seed 3 --rounds 200`: 1,200 rows
+# whose mc_rate holds floats in both encoding blocks and None from 190 km, in the second.
+DENSE_SWEEP_RUN_SHA256 = {
+    "csv": "bda3c2955eb50261dea5c612cf070eeeaec11c007095ed4d3bc9025c3b41a589",
+    "json": "c5cd0f893eb6efa0445f2c26a457370e51d278ad623988a519eecbfed84844a6",
+}
+
+
+@pytest.mark.skipif(np.__version__ != GOLDEN_MC_NUMPY,
+                    reason=f"seeded golden bytes were written with numpy {GOLDEN_MC_NUMPY}")
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_seeded_dense_sweep_matches_pinned_hash(capsysbinary, fmt):
+    argv = ["run", str(DATA / "dense_sweep.json"), "--seed", "3", "--rounds", "200", "--format", fmt]
+    assert main(argv) == 0
+    assert hashlib.sha256(capsysbinary.readouterr().out).hexdigest() == DENSE_SWEEP_RUN_SHA256[fmt]
+
+
 # Run in a fresh interpreter, with the src directory of the entdist under test first on sys.path.
 NUMPY_ON_DEMAND = """
 import sys

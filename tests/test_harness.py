@@ -23,7 +23,9 @@ from entdist.harness import (
     ConfigError,
     PRESETS,
     ResultRow,
+    ResultTable,
     _CONFIG_KEYS,
+    _ENCODE_ROWS,
     build_scenario,
     preset_names,
     rows_to_csv,
@@ -37,6 +39,7 @@ SWEEP_L = [5.0, 10.0, 15.0, 20.0, 25.0, 30.0, 35.0, 40.0, 45.0, 50.0]
 SWEEP_PM = [0.02, 0.5, 1.0]
 README = Path(__file__).resolve().parents[1] / "README.md"
 SPANS_PY = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+DENSE_SWEEP = Path(__file__).resolve().parent / "data" / "dense_sweep.json"
 
 
 def _series_params(scenario):
@@ -428,6 +431,53 @@ class TestEmission:
             rows_to_json(broken)
 
 
+class TestResultTable:
+    @pytest.fixture(scope="class")
+    def table(self):
+        return run_scenario("fig5c", rounds=200)
+
+    def test_reads_as_a_sequence_of_rows(self, table):
+        rows = list(table)
+        assert len(table) == len(rows) == 60
+        assert type(table[0]) is ResultRow and table[0] == rows[0]
+        assert type(table[-1]) is ResultRow and table[-1] == rows[-1] == table[59]
+        with pytest.raises(IndexError):
+            table[60]
+        for cut in (slice(5, 17), slice(None, None, -7), slice(70, 80)):
+            assert isinstance(table[cut], ResultTable) and list(table[cut]) == rows[cut]
+        assert [row for row in table] == rows
+
+    def test_equal_by_columns_unhashable_and_read_only(self, table):
+        assert table == run_scenario("fig5c", rounds=200)
+        assert table != run_scenario("fig5c", rounds=200, seed=1)
+        assert table[:30] == table[:30] and table[:30] != table[30:]
+        with pytest.raises(TypeError):
+            hash(table)
+        with pytest.raises(TypeError):
+            table[0] = table[1]
+
+    @staticmethod
+    def assert_same_text(table, rows):
+        # Compared line by line ("\n" only, so the texts are equal exactly when the
+        # lists are): pytest reports the first differing line instead of diffing the texts.
+        for emit in (rows_to_csv, rows_to_json):
+            assert emit(table).split("\n") == emit(rows).split("\n")
+
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_emitters_spell_a_table_as_its_rows(self, preset):
+        table = run_scenario(preset, with_mc=False)
+        self.assert_same_text(table, list(table))
+
+    def test_emitters_spell_a_seeded_dense_table_as_its_rows(self):
+        table = run_scenario(str(DENSE_SWEEP), seed=3, rounds=200)
+        rows = list(table)
+        # mc_rate holds floats in both blocks and None (infeasible, from 190 km) in the second.
+        assert len(rows) == 1200 > _ENCODE_ROWS
+        assert {type(row.mc_rate) for row in rows[:_ENCODE_ROWS]} == {float}
+        assert {type(row.mc_rate) for row in rows[_ENCODE_ROWS:]} == {float, type(None)}
+        self.assert_same_text(table, rows)
+
+
 def test_multimode_to_single_pair_ratio_band():
     # AFC-MS with 100 modes against the quantum-dot midpoint-source scheme at
     # matching (L, p_m): about two orders of magnitude, here the closed forms.
@@ -491,7 +541,9 @@ def test_every_library_class_is_an_enum_a_record_a_checked_input_or_a_named_erro
         named_tuple = issubclass(cls, tuple) and hasattr(cls, "_fields")
         checked_input = (dataclasses.is_dataclass(cls) and cls.__dataclass_params__.frozen
                          and "__post_init__" in vars(cls))
-        assert issubclass(cls, Enum) or named_tuple or checked_input or cls in (ConfigError, ParameterError), cls
+        row_sequence = cls is harness.ResultTable  # run_scenario's rows, held as columns
+        assert (issubclass(cls, Enum) or named_tuple or checked_input or row_sequence
+                or cls in (ConfigError, ParameterError)), cls
 
 
 def test_benchmark_span_names_are_library_functions():

@@ -264,14 +264,15 @@ def test_series_path_equals_the_one_point_path(data, kinds):
         patch.setattr(analytic, "derive_probs", derive)
         expected = refusal(lambda: point_by_point(document, build_scenario("drawn").mc.seed))
         points = refusal(lambda: build_scenario("drawn").points)
-    if isinstance(rows, list):
+    ran = not isinstance(rows, tuple)  # refusal gives a (class, message) tuple
+    if ran:
         # The chain is derived once per series, not once per L or point.
         assert calls == len(document["series"])
     if isinstance(expected, tuple) and isinstance(expected[0], list):
         configs, expected = expected
         assert points == tuple(configs)
-    assert rows == expected
-    if isinstance(rows, list):
+    assert (list(rows) if ran else rows) == expected
+    if ran:
         assert rows_to_csv(rows) == rows_to_csv(expected)
 
 
