@@ -30,7 +30,7 @@ from json.encoder import encode_basestring_ascii
 from math import isfinite, prod
 from pathlib import Path
 from types import NoneType
-from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple
+from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, get_args, get_type_hints
 
 from .analytic import SchemeConfig, SchemeKind, SeriesColumns, evaluate_series
 from .params import (AFC_REALISTIC, LinkParams, MEMORY_PRESETS, McControls, MemorySpec, ParameterError, QUANTUM_DOT,
@@ -183,7 +183,8 @@ class ResultTable(Sequence):
     A read-only sequence of ResultRows: len, indexing (negative too),
     slicing (a ResultTable) and iteration, each row built when it is read.
     Two tables are equal when their columns are; a table is unhashable.
-    rows_to_csv and rows_to_json read the columns without building rows.
+    rows_to_csv and rows_to_json read the columns without building rows,
+    typed by ResultRow's annotations: run_scenario builds no other table.
     """
 
     __slots__ = ("_columns",)
@@ -458,26 +459,29 @@ _JSON_PIECES = ("  {\n" + ",\n".join(f"    {encode_basestring_ascii(c)}: %s" for
 
 _ENCODE_ROWS = 1024  # rows per block: whole columns of 3,600 rows raised peak RSS by about 1 MB
 _KEYED_KINDS = frozenset({bool, int, float, str})
+# The types that each ResultRow column may hold, in field order: float | None gives {float, NoneType}.
+_COLUMN_KINDS = tuple(frozenset(get_args(kind) or (kind,)) for kind in get_type_hints(ResultRow).values())
 
 
-def _encode_column(column: Sequence[Any], cell: Callable[[Any], str]) -> str | Iterable[str]:
+def _encode_column(column: Sequence[Any], cell: Callable[[Any], str], kinds: frozenset[type]) -> str | Iterable[str]:
     """Each value's text by `cell`: one str that every cell shares, or a text per cell.
 
-    A column of one of _KEYED_KINDS, with or without None, is spelt by what
-    it holds (a mix of types would merge True, 1 and 1.0):
+    `kinds` holds the types of the column's values, None's too. A column of
+    one of _KEYED_KINDS, with or without None, is spelt by what it holds (a
+    mix of types would merge True, 1 and 1.0):
     * every cell equal to the first, unless that is a float zero
       (-0.0 == 0.0) or not finite: its text, once;
-    * ints: one C-level list repr of the column, whose Nones become cell(None);
-    * floats, bools and strings: each distinct value once (floats by a list
-      repr, the others by `cell`), or every cell where the first value does
+    * ints: each by its repr, or, where kinds hold None, by one list repr
+      whose Nones become cell(None);
+    * floats, bools and strings: each distinct value once (floats as ints
+      are, the others by `cell`), or every cell where the first value does
       not repeat, so the others hardly would, or where floats hold a zero.
     Other columns, and float columns holding nan or +/-inf, go value by
     value through `cell`, lazily, so JSON refuses the first non-finite value
     in row order, as json.dumps does.
     """
-    kinds = set(map(type, column))
-    none = cell(None) if NoneType in kinds else "None"  # replacing "None" by itself costs nothing
-    kinds.discard(NoneType)
+    none = cell(None) if NoneType in kinds else None
+    kinds = kinds - {NoneType}
     if len(kinds) > 1 or not kinds <= _KEYED_KINDS:
         return map(cell, column)
     first = column[0]
@@ -488,27 +492,32 @@ def _encode_column(column: Sequence[Any], cell: Callable[[Any], str]) -> str | I
     if float in kinds and not all(map(isfinite, filter(None, distinct))):  # filter drops None
         return map(cell, column)
     keys = list(column if float in kinds and 0.0 in distinct else distinct)
-    texts = (repr(keys)[1:-1].replace("None", none).split(", ") if kinds <= {int, float}
-             else list(map(cell, keys)))
+    if not kinds <= {int, float}:
+        texts = list(map(cell, keys))
+    else:  # each repr is faster than splitting one list repr, which only Nones need
+        texts = list(map(repr, keys)) if none is None else repr(keys)[1:-1].replace("None", none).split(", ")
     return texts if len(keys) == len(column) else map(dict(zip(keys, texts)).__getitem__, column)
 
 
 def _encode_rows(rows: Sequence[ResultRow], cell: Callable[[Any], str], pieces: list[str]) -> Iterator[str]:
     """The text of each block of _ENCODE_ROWS rows, encoded a column at a time.
 
-    A ResultTable's columns are read as they are; other rows are transposed
-    into columns once. Each row is one join of the texts between its columns
+    A ResultTable's columns are read as they are, typed by _COLUMN_KINDS;
+    other rows are transposed into columns once, each scanned once for its
+    types. Each row is one join of the texts between its columns
     interleaved with its cells, a column spelt once merged into the text
     around it (faster than one join of the whole block's pieces and cells),
     and each block one join of its rows, so only one block's cells are held
     at once.
     """
-    columns = rows._columns if isinstance(rows, ResultTable) else tuple(zip(*rows))
+    table = isinstance(rows, ResultTable)
+    columns = rows._columns if table else tuple(zip(*rows))
+    kinds = _COLUMN_KINDS if table else [frozenset(map(type, column)) for column in columns]
     for start in range(0, len(rows), _ENCODE_ROWS):
         size = min(_ENCODE_ROWS, len(rows) - start)
         parts, text = [], pieces[0]
-        for column, piece in zip(columns, pieces[1:]):
-            spelt = _encode_column(column[start:start + _ENCODE_ROWS], cell)
+        for column, column_kinds, piece in zip(columns, kinds, pieces[1:]):
+            spelt = _encode_column(column[start:start + _ENCODE_ROWS], cell, column_kinds)
             if isinstance(spelt, str):
                 text += spelt + piece
             else:

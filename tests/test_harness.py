@@ -3,10 +3,12 @@ import copy
 import dataclasses
 import importlib
 import json
+import math
 import pkgutil
 import re
 import tracemalloc
 import types
+import typing
 from dataclasses import replace
 from enum import Enum
 from pathlib import Path
@@ -476,6 +478,23 @@ class TestResultTable:
         assert {type(row.mc_rate) for row in rows[:_ENCODE_ROWS]} == {float}
         assert {type(row.mc_rate) for row in rows[_ENCODE_ROWS:]} == {float, type(None)}
         self.assert_same_text(table, rows)
+
+    # The emitters spell a table's columns by ResultRow's annotations without
+    # reading the cells' types, so every cell must be of exactly one of its
+    # column's annotated types (a bool is no int, numpy's float64 no float),
+    # and JSON can hold every float only when each is finite.
+    @pytest.mark.parametrize("source, seed, rounds, with_mc", [
+        *((preset, None, None, False) for preset in sorted(PRESETS)),
+        ("fig5c", 3, 2000, True),
+        ("fig6b", 3, 2000, True),
+        (str(DENSE_SWEEP), 3, 200, True),  # None in mc_rate's second block
+    ])
+    def test_every_cell_is_of_an_annotated_type_and_every_float_is_finite(self, source, seed, rounds, with_mc):
+        annotated = [set(typing.get_args(kind) or (kind,)) for kind in typing.get_type_hints(ResultRow).values()]
+        table = run_scenario(source, seed=seed, rounds=rounds, with_mc=with_mc)
+        for name, kinds, column in zip(ResultRow._fields, annotated, zip(*table), strict=True):
+            assert {type(value) for value in column} <= kinds, name
+            assert all(math.isfinite(value) for value in column if type(value) is float), name
 
 
 def test_multimode_to_single_pair_ratio_band():

@@ -326,10 +326,16 @@ def test_emitters_match_the_stdlib_reference_across_row_blocks():
     row = ResultRow("mm", 10.0, 0.5, 1.0, 2.0, 0.1, 3, 1e-4, True, 7)
     rows = [row._replace(L_km=i / 7, mc_rate=None if i > 2 * block else i / 3, seed=2**64 - 1 - i)
             for i in range(2 * block + 5)]
-    objects = [dict(zip(COLUMNS, as_values(r))) for r in rows]
-    assert rows_to_json(rows) == json.dumps(objects, indent=2, allow_nan=False) + "\n"
-    lines = [",".join(map(readme_csv_cell, as_values(r))) for r in rows]
-    assert rows_to_csv(rows) == "\n".join([CSV_HEADER, *lines]) + "\n"
+    # Columns whose type changes only after the first block: L_km turns to
+    # numpy's float64, p_m to int and, in the last block, K to bool. Each
+    # column's types are read over all its blocks, not from the first.
+    retyped = [r if i < block else r._replace(L_km=np.float64(r.L_km), p_m=i % 3, K=True if i > 2 * block else 3)
+               for i, r in enumerate(rows)]
+    for emitted in (rows, retyped):
+        objects = [dict(zip(COLUMNS, as_values(r))) for r in emitted]
+        assert rows_to_json(emitted) == json.dumps(objects, indent=2, allow_nan=False) + "\n"
+        lines = [",".join(map(readme_csv_cell, as_values(r))) for r in emitted]
+        assert rows_to_csv(emitted) == "\n".join([CSV_HEADER, *lines]) + "\n"
     rows[-1] = rows[-1]._replace(t_round_s=math.inf)
     rows[block + 1] = rows[block + 1]._replace(L_km=math.nan)
     with pytest.raises(ValueError, match="compliant: nan$"):
