@@ -172,36 +172,36 @@ class ResultRow(NamedTuple):
     seed: int
 
 
-_COLUMNS = ResultRow._fields
-CSV_HEADER = ",".join(_COLUMNS)
+CSV_HEADER = ",".join(ResultRow._fields)
 _new_row = partial(tuple.__new__, ResultRow)  # a row of ten values, without NamedTuple's argument parsing
 
 
 class ResultTable(Sequence):
-    """The rows of a run, held as ResultRow's ten columns in its field order.
+    """The rows of a run, held as one column per ResultRow field name, in field order.
 
     A read-only sequence of ResultRows: len, indexing (negative too),
     slicing (a ResultTable) and iteration, each row built when it is read.
-    Two tables are equal when their columns are; a table is unhashable.
-    rows_to_csv and rows_to_json read the columns without building rows,
-    typed by ResultRow's annotations: run_scenario builds no other table.
+    A table holds no other column. Two tables are equal when their columns
+    are; a table is unhashable. rows_to_csv and rows_to_json read the
+    columns by name without building rows, typed by ResultRow's
+    annotations: run_scenario builds no other table.
     """
 
     __slots__ = ("_columns",)
 
-    def __init__(self, columns: Iterable[Sequence[Any]]) -> None:
-        self._columns = tuple(columns)
+    def __init__(self, columns: Mapping[str, Sequence[Any]]) -> None:
+        self._columns = {name: columns[name] for name in ResultRow._fields}
 
     def __len__(self) -> int:
-        return len(self._columns[0])
+        return len(self._columns["scheme"])
 
     def __getitem__(self, index: int | slice) -> ResultRow | ResultTable:
         if isinstance(index, slice):
-            return ResultTable(column[index] for column in self._columns)
-        return _new_row([column[index] for column in self._columns])
+            return ResultTable({name: column[index] for name, column in self._columns.items()})
+        return _new_row([column[index] for column in self._columns.values()])
 
     def __iter__(self) -> Iterator[ResultRow]:
-        return map(_new_row, zip(*self._columns))
+        return map(_new_row, zip(*self._columns.values()))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ResultTable):
@@ -404,7 +404,8 @@ def run_scenario(
     PCG64 states of every SeedSequence(sub-seed) are derived in one pass and
     set on one reused generator. Infeasible AFC points are flagged
     (feasible=False) with empty Monte Carlo fields, not aborting the sweep.
-    The table holds the evaluated columns as they are; no row is built here.
+    The table holds the evaluated columns as they are, by ResultRow's field
+    names (rate as analytic_rate), and no others; no row is built here.
     """
     scenario = build_scenario(source, overrides=overrides, seed=seed, rounds=rounds)
     points = _point_columns(scenario.series)
@@ -419,8 +420,8 @@ def run_scenario(
     if with_mc:
         evaluated = SeriesColumns(*map(points.get, SeriesColumns._fields))
         _, mc_rate, mc_stderr = estimate_series(evaluated, seeds, scenario.mc)
-    return ResultTable((points["scheme"], points["L_km"], points["p_m"], rates, mc_rate, mc_stderr,
-                        points["K"], points["t_round"], points["feasible"], seeds.tolist()))
+    return ResultTable({**points, "analytic_rate": rates, "mc_rate": mc_rate, "mc_stderr": mc_stderr,
+                        "t_round_s": points["t_round"], "seed": seeds.tolist()})
 
 
 def _csv_cell(value: Any) -> str:
@@ -450,17 +451,12 @@ def _json_cell(value: Any) -> str:
 
 
 _JSON_CONSTANTS = {None: "null", False: "false", True: "true"}
-# The text around a row's cells: a CSV line, and one object of json.dumps(rows,
-# indent=2), a key per line four spaces in, then ",\n" (rows_to_json trims the last).
-_CSV_PIECES = (",".join(["%s"] * len(_COLUMNS)) + "\n").split("%s")
-_JSON_PIECES = ("  {\n" + ",\n".join(f"    {encode_basestring_ascii(c)}: %s" for c in _COLUMNS)
-                + "\n  },\n").split("%s")
 
 
 _ENCODE_ROWS = 1024  # rows per block: whole columns of 3,600 rows raised peak RSS by about 1 MB
 _KEYED_KINDS = frozenset({bool, int, float, str})
-# The types that each ResultRow column may hold, in field order: float | None gives {float, NoneType}.
-_COLUMN_KINDS = tuple(frozenset(get_args(kind) or (kind,)) for kind in get_type_hints(ResultRow).values())
+# The types that each ResultRow column may hold, by name: float | None gives {float, NoneType}.
+_COLUMN_KINDS = {name: frozenset(get_args(kind) or (kind,)) for name, kind in get_type_hints(ResultRow).items()}
 
 
 def _encode_column(column: Sequence[Any], cell: Callable[[Any], str], kinds: frozenset[type]) -> str | Iterable[str]:
@@ -499,24 +495,28 @@ def _encode_column(column: Sequence[Any], cell: Callable[[Any], str], kinds: fro
     return texts if len(keys) == len(column) else map(dict(zip(keys, texts)).__getitem__, column)
 
 
-def _encode_rows(rows: Sequence[ResultRow], cell: Callable[[Any], str], pieces: list[str]) -> Iterator[str]:
+def _encode_rows(rows: Sequence[ResultRow], cell: Callable[[Any], str], key: str, sep: str,
+                 head: str = "", tail: str = "\n") -> Iterator[str]:
     """The text of each block of _ENCODE_ROWS rows, encoded a column at a time.
 
-    A ResultTable's columns are read as they are, typed by _COLUMN_KINDS;
-    other rows are transposed into columns once, each scanned once for its
-    types. Each row is one join of the texts between its columns
-    interleaved with its cells, a column spelt once merged into the text
-    around it (faster than one join of the whole block's pieces and cells),
-    and each block one join of its rows, so only one block's cells are held
-    at once.
+    A ResultTable's columns are read by the names it holds (ResultRow's
+    fields and no others), each typed by its name's _COLUMN_KINDS; other
+    rows are transposed into columns once, named by ResultRow._fields, each
+    scanned once for its types. A row is `head`, each cell after `key`
+    formatted with its column's JSON-escaped name, `sep` between the cells,
+    then `tail`: one join of the texts between its cells interleaved with
+    them, a column spelt once merged into the text around it (faster than
+    one join of the whole block's pieces and cells). Each block is one join
+    of its rows, so only one block's cells are held at once.
     """
     table = isinstance(rows, ResultTable)
-    columns = rows._columns if table else tuple(zip(*rows))
-    kinds = _COLUMN_KINDS if table else [frozenset(map(type, column)) for column in columns]
+    named = rows._columns if table else dict(zip(ResultRow._fields, zip(*rows)))
+    kinds = [_COLUMN_KINDS[name] if table else frozenset(map(type, column)) for name, column in named.items()]
+    pieces = (head + sep.join(key.format(encode_basestring_ascii(name)) + "%s" for name in named) + tail).split("%s")
     for start in range(0, len(rows), _ENCODE_ROWS):
         size = min(_ENCODE_ROWS, len(rows) - start)
         parts, text = [], pieces[0]
-        for column, column_kinds, piece in zip(columns, kinds, pieces[1:]):
+        for column, column_kinds, piece in zip(named.values(), kinds, pieces[1:]):
             spelt = _encode_column(column[start:start + _ENCODE_ROWS], cell, column_kinds)
             if isinstance(spelt, str):
                 text += spelt + piece
@@ -528,7 +528,7 @@ def _encode_rows(rows: Sequence[ResultRow], cell: Callable[[Any], str], pieces: 
 
 def rows_to_csv(rows: Sequence[ResultRow]) -> str:
     """CSV_HEADER, then one line per row, with LF endings and shortest round-trip floats."""
-    return "".join([CSV_HEADER, "\n", *_encode_rows(rows, _csv_cell, _CSV_PIECES)])
+    return "".join([CSV_HEADER, "\n", *_encode_rows(rows, _csv_cell, "", ",")])
 
 
 def rows_to_json(rows: Sequence[ResultRow]) -> str:
@@ -538,7 +538,8 @@ def rows_to_json(rows: Sequence[ResultRow]) -> str:
     as in the CSV. A non-finite value raises ValueError rather than emitting
     NaN/Infinity, which are not JSON.
     """
-    blocks = list(_encode_rows(rows, _json_cell, _JSON_PIECES))
+    # One object of json.dumps(rows, indent=2) per row, a key per line four spaces in, then ",\n".
+    blocks = list(_encode_rows(rows, _json_cell, "    {}: ", ",\n", "  {\n", "\n  },\n"))
     if not blocks:
         return "[]\n"
     blocks[-1] = blocks[-1][:-2]  # the last row takes no ","

@@ -122,14 +122,12 @@ class LinkParams:
 class MemorySpec:
     """Spin-photon entanglement type quantum memory (one node holds N of them)."""
 
-    label: str                   # memory kind, e.g. "trapped-ion" | "nv" | "quantum-dot"
     t_clock: float               # cycle time of one emission trial, s
     emission_fraction: float     # probability a cycle emits the photon
     collection_efficiency: float  # probability the photon couples into the fiber
     N: int = 1                   # memories per node
 
     def __post_init__(self) -> None:
-        _require(bool(self.label), "label", "must be a non-empty string")
         _require_positive("t_clock", self.t_clock)
         _require_finite("t_clock", self.t_clock)
         _require_probability("emission_fraction", self.emission_fraction)
@@ -224,11 +222,11 @@ def derive_probs(link: LinkParams, mem: MemorySpec | AfcSpec) -> DerivedProbs:
 
 # Memory performance presets (cycle time, emission fraction, collection
 # efficiency). N defaults to 3 memories per node for all three kinds.
-TRAPPED_ION = MemorySpec("trapped-ion", t_clock=1e-6, emission_fraction=1.00,
+TRAPPED_ION = MemorySpec(t_clock=1e-6, emission_fraction=1.00,
                          collection_efficiency=0.05, N=3)
-DIAMOND_NV = MemorySpec("nv", t_clock=100e-9, emission_fraction=0.50,
+DIAMOND_NV = MemorySpec(t_clock=100e-9, emission_fraction=0.50,
                         collection_efficiency=0.50, N=3)
-QUANTUM_DOT = MemorySpec("quantum-dot", t_clock=10e-9, emission_fraction=0.90,
+QUANTUM_DOT = MemorySpec(t_clock=10e-9, emission_fraction=0.90,
                          collection_efficiency=0.50, N=3)
 
 MEMORY_PRESETS: dict[str, MemorySpec] = {

@@ -68,10 +68,10 @@ def _report(criterion: int, message: str) -> None:
 PINNED_POINTS = [
     # (label, config builder, frozen rate, coarse anchor or None)
     ("MM trapped-ion L=10",
-     lambda: SchemeConfig(SchemeKind.MM, LINK10, MemorySpec("trapped-ion", 1e-6, 1.0, 0.05, N=3)),
+     lambda: SchemeConfig(SchemeKind.MM, LINK10, MemorySpec(1e-6, 1.0, 0.05, N=3)),
      30.44703654372744, None),
     ("MM nv L=10",
-     lambda: SchemeConfig(SchemeKind.MM, LINK10, MemorySpec("nv", 100e-9, 0.5, 0.5, N=3)),
+     lambda: SchemeConfig(SchemeKind.MM, LINK10, MemorySpec(100e-9, 0.5, 0.5, N=3)),
      761.175913593186, None),
     ("MM quantum-dot L=10",
      lambda: SchemeConfig(SchemeKind.MM, LINK10, QUANTUM_DOT),
@@ -164,8 +164,8 @@ def _sr_points(rounds):
     """SR coverage at the fig2 memory parameter sets (no figure preset has SR)."""
     out = []
     for kind in ("trapped-ion", "nv", "quantum-dot"):
-        mem = {"trapped-ion": MemorySpec("trapped-ion", 1e-6, 1.0, 0.05, N=3),
-               "nv": MemorySpec("nv", 100e-9, 0.5, 0.5, N=3),
+        mem = {"trapped-ion": MemorySpec(1e-6, 1.0, 0.05, N=3),
+               "nv": MemorySpec(100e-9, 0.5, 0.5, N=3),
                "quantum-dot": QUANTUM_DOT}[kind]
         for index, L in enumerate([5.0, 20.0, 35.0, 50.0]):
             cfg = SchemeConfig(SchemeKind.SR, LinkParams(L=L), mem, N_A=3, N_B=3)
@@ -279,7 +279,6 @@ def test_criterion_5_coherence_budget():
 
 def _random_spin_setup(rng):
     memory = MemorySpec(
-        "random",
         t_clock=10 ** rng.uniform(-9, -5),
         emission_fraction=rng.uniform(0.05, 1.0),
         collection_efficiency=rng.uniform(0.05, 1.0),

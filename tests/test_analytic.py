@@ -340,7 +340,7 @@ def _random_spin_config(rng):
     emission = rng.uniform(0.05, 1.0)
     collection = rng.uniform(0.05, 1.0)
     n_mem = int(rng.integers(1, 9))
-    memory = MemorySpec("random", t_clock=10 ** rng.uniform(-9, -5),
+    memory = MemorySpec(t_clock=10 ** rng.uniform(-9, -5),
                         emission_fraction=emission, collection_efficiency=collection,
                         N=n_mem)
     link = LinkParams(
@@ -383,7 +383,7 @@ def test_rates_monotone_in_distance_for_uncapped_schemes():
 SERIES_L_KM = [0.0, 0.5, 10.0, 37.5, 150.0, 189.5, 190.0, 200.0]
 SERIES_P_M = [0.0, 1e-3, 0.02, 0.05, 0.5, 1.0, -0.0]
 # Memories whose products round differently when regrouped, unlike the presets'.
-ODD_SPIN = MemorySpec("odd", t_clock=7.3e-9, emission_fraction=0.71, collection_efficiency=0.43, N=7)
+ODD_SPIN = MemorySpec(t_clock=7.3e-9, emission_fraction=0.71, collection_efficiency=0.43, N=7)
 ODD_AFC = AfcSpec(N_AFC=37, t_rephase=37e-6, t_spin_coherence=1e-3, p_AFC=0.37, p_pass=0.83, t_clock_prime=7.3e-9)
 SERIES_CONFIGS = {
     "mm": mm(), "sr": sr(), "ms": ms(), "afc_mm": afc_mm(), "afc_ms": afc_ms(),

@@ -114,15 +114,14 @@ def test_link_validation_names_offending_field(kwargs, field):
 @pytest.mark.parametrize(
     "kwargs, field",
     [
-        (dict(label="", t_clock=1e-8, emission_fraction=0.9, collection_efficiency=0.5), "label"),
-        (dict(label="x", t_clock=0.0, emission_fraction=0.9, collection_efficiency=0.5), "t_clock"),
-        (dict(label="x", t_clock=1e-8, emission_fraction=1.2, collection_efficiency=0.5), "emission_fraction"),
-        (dict(label="x", t_clock=1e-8, emission_fraction=0.9, collection_efficiency=-0.1), "collection_efficiency"),
-        (dict(label="x", t_clock=1e-8, emission_fraction=0.9, collection_efficiency=0.5, N=0), "N"),
-        (dict(label="x", t_clock=10**400, emission_fraction=0.9, collection_efficiency=0.5), "t_clock"),
-        (dict(label="x", t_clock=1e-8, emission_fraction=-10**5000, collection_efficiency=0.5), "emission_fraction"),
-        (dict(label="x", t_clock=1e-8, emission_fraction=0.9, collection_efficiency=10**5000), "collection_efficiency"),
-        (dict(label="x", t_clock=1e-8, emission_fraction=0.9, collection_efficiency=0.5, N=-10**5000), "N"),
+        (dict(t_clock=0.0, emission_fraction=0.9, collection_efficiency=0.5), "t_clock"),
+        (dict(t_clock=1e-8, emission_fraction=1.2, collection_efficiency=0.5), "emission_fraction"),
+        (dict(t_clock=1e-8, emission_fraction=0.9, collection_efficiency=-0.1), "collection_efficiency"),
+        (dict(t_clock=1e-8, emission_fraction=0.9, collection_efficiency=0.5, N=0), "N"),
+        (dict(t_clock=10**400, emission_fraction=0.9, collection_efficiency=0.5), "t_clock"),
+        (dict(t_clock=1e-8, emission_fraction=-10**5000, collection_efficiency=0.5), "emission_fraction"),
+        (dict(t_clock=1e-8, emission_fraction=0.9, collection_efficiency=10**5000), "collection_efficiency"),
+        (dict(t_clock=1e-8, emission_fraction=0.9, collection_efficiency=0.5, N=-10**5000), "N"),
     ],
 )
 def test_memory_validation_names_offending_field(kwargs, field):

@@ -63,7 +63,6 @@ links = st.builds(
 def spin_memories(max_n):
     return st.builds(
         MemorySpec,
-        label=st.just("drawn"),
         t_clock=duration_s,
         emission_fraction=probability,
         collection_efficiency=probability,
