@@ -24,7 +24,8 @@ import numpy as np
 from numpy.typing import ArrayLike
 
 from .analytic import PointSummary, SeriesColumns, feasibility_check
-from .params import _MAX_ROUNDS, McControls, ParameterError, _require_seed
+from .params import (_MAX_ROUNDS, _MIX_MULT_L, _MIX_MULT_R, _OUTPUT_HASH, _POOL_HASH, McControls, ParameterError,
+                     _hash_subseeds, _require_seed)
 
 __all__ = [
     "rng_for_seed",
@@ -68,30 +69,19 @@ def subseed(master_seed: int, index: int) -> int:
     return int(subseeds(master_seed, [index])[0])
 
 
-def _hash_constants(const: int, mult: int, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """Columns of the xor and multiply constants of count calls of numpy SeedSequence's hashmix.
-
-    Call i xors with the running constant, steps it (const *= mult) and
-    multiplies by the stepped value; the sequence depends on nothing else.
-    """
-    consts = [const]
-    for _ in range(count):
-        consts.append(consts[-1] * mult & 0xFFFF_FFFF)
+def _hash_columns(consts: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Columns of the xor and multiply constants of params' hashmix calls (_hash_constants)."""
     column = np.array(consts, np.uint32)[:, None]
     return column[:-1], column[1:]
 
 
-# The hashmix calls of one pool hash: 4 on the entropy words, then 3 per
-# source word, one for each other pool word in turn (the source's own row of
-# its column is 0 and unused), and at most 8 on the output halves, which
-# read pool words 0, 1, 2, 3, 0, ... in turn.
-_HASHMIX_A = _hash_constants(0x43B0D7E5, 0x931E8875, 16)
+# The pool hash of params._hash_subseeds over a (4, n) array: the source word's own row of its
+# mix column is 0 and unused, and the 8 output half-words read pool words 0, 1, 2, 3, 0, ...
+_HASHMIX_A = _hash_columns(_POOL_HASH)
 _ENTROPY_HASH = tuple(column[:4] for column in _HASHMIX_A)
 _MIX_HASH = [tuple(np.insert(column[4 + 3 * src:7 + 3 * src], src, 0, axis=0) for column in _HASHMIX_A)
              for src in range(4)]
-_OUTPUT_HASH = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)
-_OUTPUT_ROWS = [np.arange(2 * n_words) % 4 for n_words in range(5)]
-_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_HASHMIX_B = _hash_columns(_OUTPUT_HASH)
 
 
 def _hashmix(words: np.ndarray, xors: np.ndarray, mults: np.ndarray) -> np.ndarray:
@@ -102,8 +92,8 @@ def _hashmix(words: np.ndarray, xors: np.ndarray, mults: np.ndarray) -> np.ndarr
     return words
 
 
-def _seed_words(entropy: np.ndarray, n_words: int) -> np.ndarray:
-    """SeedSequence(entropy[:, j]).generate_state(n_words, np.uint64) as column j, for n_words <= 4.
+def _seed_words(entropy: np.ndarray) -> np.ndarray:
+    """SeedSequence(entropy[:, j]).generate_state(4, np.uint64) as column j.
 
     numpy's pool hash (numpy/random/bit_generator.pyx), bit for bit, on a
     (4, n) uint32 array of entropy words, zero-padded (trailing zero words
@@ -119,31 +109,27 @@ def _seed_words(entropy: np.ndarray, n_words: int) -> np.ndarray:
         mixed ^= mixed >> 16
         mixed[src] = pool[src]  # the source word does not mix into itself
         pool = mixed
-    halves = _hashmix(pool[_OUTPUT_ROWS[n_words]], *(column[:2 * n_words] for column in _OUTPUT_HASH))
-    halves = halves.astype(np.uint64)
+    halves = _hashmix(np.concatenate((pool, pool)), *_HASHMIX_B).astype(np.uint64)
     return halves[0::2] | halves[1::2] << 32  # numpy reads each pair as a little-endian uint64
 
 
 def subseeds(master_seed: int, indices: ArrayLike) -> np.ndarray:
-    """Sub-seeds of many sweep points of one master seed, as a uint64 array.
+    """Sub-seeds of many sweep points of one master seed, as a uint64 array of the indices' shape.
 
     Splitting function: the first uint64 state word of
     SeedSequence((master_seed, index)); rng_for_seed(sub-seed) reproduces the
-    point's stream. numpy's pool hash runs once over the whole index array
-    (_seed_words). master_seed must be an integer in [0, 2**64) and every
-    index an integer in [0, 2**32), so that the entropy words (master, then
-    index) fit the 4-word pool; ParameterError otherwise.
+    point's stream. It is params._hash_subseeds' value, the seed column of
+    run_scenario, which hashes all indices at once without numpy.
+    master_seed must be an integer in [0, 2**64) and every index an integer
+    in [0, 2**32), so that the entropy words (master, then index) fit the
+    4-word pool; ParameterError otherwise.
     """
     _require_seed(master_seed, "master seed")
     index = np.asarray(indices)
     if index.size and not (index.dtype.kind in "iu" and index.min() >= 0 and index.max() < 2**32):
         raise ParameterError("sub-seed indices must be integers in [0, 2**32)")
-    master = int(master_seed)  # a numpy integer would mix numpy scalar and Python int arithmetic
-    words = [master & 0xFFFF_FFFF] + ([master >> 32] if master >> 32 else [])
-    entropy = np.zeros((4, index.size), np.uint32)
-    entropy[:len(words)] = np.array(words, np.uint32)[:, None]
-    entropy[len(words)] = index.ravel()
-    return _seed_words(entropy, 1)[0].reshape(index.shape)
+    seeds = _hash_subseeds(int(master_seed), index.ravel().tolist())  # int: a numpy integer would overflow
+    return np.array(seeds, np.uint64).reshape(index.shape)
 
 
 # PCG64's 128-bit LCG multiplier (PCG_DEFAULT_MULTIPLIER_128 in numpy's pcg64.h), in 64-bit halves.
@@ -162,16 +148,18 @@ def _mul_hi(a: np.ndarray, b: np.uint64) -> np.ndarray:
 def _streams(seeds: ArrayLike) -> Iterator[np.random.Generator]:
     """One generator, set in turn to the state of PCG64(SeedSequence(seed)) of each seed.
 
-    One pool hash gives all seeds' 4 state words w (a seed is its low and
-    high 32 bits); PCG64's setseq rule (pcg_setseq_128_srandom_r) makes
-    inc = 2 * w2:w3 + 1 and state = (w0:w1 + inc) * multiplier + inc, mod
-    2**128, here on arrays of 64-bit (high, low) halves for all seeds at
-    once. numpy.random is first loaded here, so that analytic runs skip it.
+    One pool hash on a (4, n) uint32 array (_seed_words) gives all seeds' 4
+    state words w (a seed is its low and high 32 bits); PCG64's setseq rule
+    (pcg_setseq_128_srandom_r) makes inc = 2 * w2:w3 + 1 and
+    state = (w0:w1 + inc) * multiplier + inc, mod 2**128, here on arrays of
+    64-bit (high, low) halves for all seeds at once. Only a run that samples
+    gets here, so numpy is loaded already; the sub-seeds themselves come from
+    params._hash_subseeds, which needs no numpy.
     """
     seeds = np.asarray(seeds, dtype=np.uint64)
     entropy = np.zeros((4, seeds.size), np.uint32)
     entropy[0], entropy[1] = seeds & 0xFFFF_FFFF, seeds >> 32
-    w0, w1, w2, w3 = _seed_words(entropy, 4)
+    w0, w1, w2, w3 = _seed_words(entropy)
     inc_hi, inc_lo = w2 << 1 | w3 >> 63, w3 << 1 | 1
     lo = w1 + inc_lo
     hi = w0 + inc_hi + (lo < w1)  # (lo < w1): the carry out of the low half

@@ -368,7 +368,9 @@ except ParameterError:
 else:
     raise AssertionError("the rate at L = 0 was accepted")
 run_scenario("fig5a", with_mc=False)
-assert "numpy" in sys.modules, "run_scenario did not load numpy"
+unloaded("an analytic run, seed column included")
+run_scenario("fig5a", rounds=10)
+assert "numpy" in sys.modules, "a seeded run_scenario did not load numpy"
 assert entdist.estimate_series is entdist.montecarlo.estimate_series
 star = {}
 exec("from entdist import *", star)
@@ -378,7 +380,7 @@ for module in ("analytic", "harness", "montecarlo", "params", "swapping"):
 """
 
 
-def test_numpy_loads_only_when_a_run_seeds_or_samples():
+def test_numpy_loads_only_when_a_run_samples():
     src = str(Path(entdist.__file__).resolve().parents[1])
     done = subprocess.run([sys.executable, "-c", NUMPY_ON_DEMAND, src], capture_output=True, text=True,
                           timeout=120)

@@ -40,6 +40,7 @@ from entdist.params import (
     MemorySpec,
     ParameterError,
     QUANTUM_DOT,
+    _hash_subseeds,
 )
 
 from oracles import scheme_point
@@ -168,6 +169,24 @@ def test_histograms_have_one_cell_per_latch_count(cfg, n_rounds, seed):
     assert (hist >= 0).all() and hist.sum() == n_rounds
 
 
+def seed_sequence_subseed(master_seed, index):
+    """The documented splitting function, evaluated by numpy itself."""
+    return int(np.random.SeedSequence((master_seed, index)).generate_state(1, np.uint64)[0])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(master=st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**64 - 1)),
+       indices=st.lists(st.integers(0, 2**32 - 1), max_size=70))
+def test_packed_subseeds_match_seed_sequence(master, indices):
+    # Masters of one and of two 32-bit words put the index word at pool word 1 or 2.
+    expected = [seed_sequence_subseed(master, i) for i in indices]
+    assert _hash_subseeds(master, indices) == expected
+    grid = np.array(indices[:len(indices) // 2 * 2], dtype=np.int64).reshape(-1, 2)
+    got = subseeds(master, grid)
+    assert got.dtype == np.uint64 and got.shape == grid.shape
+    assert got.ravel().tolist() == expected[:grid.size]
+
+
 VALID_L_KM, EDGE_L_KM = [0.5, 5.0, 10.0, 12.5, 30.0, 190.0], [0.0, -0.0, 1e-310, 1e308, math.inf, -1.0]
 VALID_P_M, EDGE_P_M = [0.02, 0.5, 1.0], [0.0, -0.0, 1e-300, 1.5]
 
@@ -226,7 +245,7 @@ def point_by_point(document, master_seed):
         configs += [SchemeConfig(link=LinkParams(L=L, **link), memory=memory, p_m=p_m, **scheme)
                     for L in link.pop("L") for p_m in p_m_values]
     configs.sort(key=lambda cfg: (cfg.kind.value, cfg.link.L, cfg.p_m))
-    seeds = subseeds(master_seed, np.arange(len(configs))).tolist()
+    seeds = [seed_sequence_subseed(master_seed, i) for i in range(len(configs))]
     rows = []
     for cfg, seed in zip(configs, seeds):
         point = evaluate(cfg)
