@@ -3,8 +3,8 @@
 Closed-form rates, a reproducible Monte Carlo simulator and a swapping
 degradation model for five arrangements: MM, SR, MS, AFC-MM and AFC-MS.
 Each module's __all__ lists the names this package binds. montecarlo's
-are bound on first use (PEP 562), as it loads numpy: importing entdist
-and building a scenario do not.
+are bound on first use (PEP 562): importing entdist and building a
+scenario do not import it, and it loads numpy only where it samples.
 """
 
 from .analytic import *
@@ -14,7 +14,7 @@ from .swapping import *
 
 __version__ = "0.1.0"
 _MODULES = ("analytic", "harness", "montecarlo", "params", "swapping")
-# The names that load montecarlo, and numpy with it: the module, its __all__ (a test keeps the two in step), __all__.
+# The names that load montecarlo: the module, its __all__ (a test keeps the two in step), __all__.
 _LAZY = frozenset({"montecarlo", "rng_for_seed", "subseeds", "EstimateColumns", "estimate_series", "__all__"})
 
 

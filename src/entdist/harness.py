@@ -34,7 +34,7 @@ from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, get_a
 
 from .analytic import SchemeConfig, SchemeKind, SeriesColumns, evaluate_series
 from .params import (AFC_REALISTIC, LinkParams, MEMORY_PRESETS, McControls, MemorySpec, ParameterError, QUANTUM_DOT,
-                     _hash_subseeds, _require_L)
+                     _require_L)
 
 __all__ = [
     "ConfigError",
@@ -400,12 +400,13 @@ def run_scenario(
     Each series is evaluated as a whole (analytic.evaluate_series); the first
     failing point in row order raises its ParameterError before any point is
     seeded. The seed column, montecarlo.subseeds' sub-seed of each row index,
-    is hashed for all rows at once without numpy (params._hash_subseeds).
-    Unless with_mc is False, numpy loads and one estimate_series call gives
-    each feasible point a Monte Carlo estimate on the stream of
-    rng_for_seed(row.seed): the PCG64 states of every SeedSequence(sub-seed)
-    are derived in one pass and set on one reused generator; a run with
-    with_mc False never loads numpy. Infeasible AFC points are flagged
+    is hashed for all rows at once without numpy (montecarlo._hash_subseeds;
+    montecarlo imports numpy only where it samples). Unless with_mc is
+    False, numpy loads and one estimate_series call gives each feasible
+    point a Monte Carlo estimate on the stream of rng_for_seed(row.seed):
+    the PCG64 states of every SeedSequence(sub-seed) are derived in one pass
+    and set on one reused generator; a run with with_mc False never loads
+    numpy. Infeasible AFC points are flagged
     (feasible=False) with empty Monte Carlo fields, not aborting the sweep.
     The table holds the evaluated columns as they are, by ResultRow's field
     names (rate as analytic_rate), and no others; no row is built here.
@@ -415,11 +416,12 @@ def run_scenario(
     rates = points["rate"]
     if (failed := next((rate for rate in rates if isinstance(rate, ParameterError)), None)) is not None:
         raise failed
+    from .montecarlo import _hash_subseeds, estimate_series
+
     seeds = _hash_subseeds(scenario.mc.seed, range(len(rates)))
     mc_rate = mc_stderr = [None] * len(rates)
     if with_mc:
         import numpy as np  # numpy loads with the first run that samples
-        from .montecarlo import estimate_series
 
         evaluated = SeriesColumns(*map(points.get, SeriesColumns._fields))
         _, mc_rate, mc_stderr = estimate_series(evaluated, np.array(seeds, np.uint64), scenario.mc)

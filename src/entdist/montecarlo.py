@@ -12,20 +12,23 @@ SeedSequence(seed) gives it (derived by hand; see _streams()), so
 identical (config, controls) inputs give bit-identical outputs on any
 platform running the same numpy release. Sweep points draw from independent
 streams whose sub-seeds are a pure function of (master seed, point index);
-see subseeds().
+see subseeds(). Each function imports numpy where it uses it, so importing
+this module loads none: an analytic run never does.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterator, NamedTuple
-
-import numpy as np
-from numpy.typing import ArrayLike
+import struct
+from itertools import pairwise
+from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 
 from .analytic import PointSummary, SeriesColumns, feasibility_check
-from .params import (_MAX_ROUNDS, _MIX_MULT_L, _MIX_MULT_R, _OUTPUT_HASH, _POOL_HASH, McControls, ParameterError,
-                     _hash_subseeds, _require_seed)
+from .params import _MAX_ROUNDS, McControls, ParameterError, _require_seed
+
+if TYPE_CHECKING:
+    import numpy as np
+    from numpy.typing import ArrayLike
 
 __all__ = [
     "rng_for_seed",
@@ -41,7 +44,6 @@ _MAX_CELLS = 4_000_000
 # work at the 0.1-0.15 us per cell measured on a 2-core x86-64 host.
 _MAX_SAMPLED_CELLS = 500_000_000
 _LAW_BATCH_CELLS = 4096  # cells of one block of laws: small, so peak memory does not grow
-_ROW_COUNTS = np.arange(1, _LAW_BATCH_CELLS + 1)  # a block's rows if it ended at each of its rows
 
 
 class RateEstimate(NamedTuple):
@@ -69,19 +71,95 @@ def subseed(master_seed: int, index: int) -> int:
     return int(subseeds(master_seed, [index])[0])
 
 
-def _hash_columns(consts: list[int]) -> tuple[np.ndarray, np.ndarray]:
-    """Columns of the xor and multiply constants of params' hashmix calls (_hash_constants)."""
-    column = np.array(consts, np.uint32)[:, None]
-    return column[:-1], column[1:]
+def _hash_constants(const: int, mult: int, count: int) -> list[int]:
+    """The running constants of count hashmix calls of numpy SeedSequence's pool hash.
+
+    Call i xors with constant i, steps it (times mult, mod 2**32) and
+    multiplies by the stepped value, constant i + 1; the sequence depends on
+    nothing else.
+    """
+    consts = [const]
+    for _ in range(count):
+        consts.append(consts[-1] * mult & 0xFFFF_FFFF)
+    return consts
 
 
-# The pool hash of params._hash_subseeds over a (4, n) array: the source word's own row of its
-# mix column is 0 and unused, and the 8 output half-words read pool words 0, 1, 2, 3, 0, ...
-_HASHMIX_A = _hash_columns(_POOL_HASH)
-_ENTROPY_HASH = tuple(column[:4] for column in _HASHMIX_A)
-_MIX_HASH = [tuple(np.insert(column[4 + 3 * src:7 + 3 * src], src, 0, axis=0) for column in _HASHMIX_A)
-             for src in range(4)]
-_HASHMIX_B = _hash_columns(_OUTPUT_HASH)
+# numpy's pool hash (numpy/random/bit_generator.pyx) on a 4-word pool: 4 hashmix calls on the
+# entropy words, then 3 per source word, one for each other pool word in turn, each mixed into
+# that word as mix(x, y) = (L x - R y) xorshifted; at most 8 calls on the output half-words,
+# which read pool words 0, 1, 2, 3, 0, ... in turn. All arithmetic is mod 2**32.
+_POOL_HASH = _hash_constants(0x43B0D7E5, 0x931E8875, 16)
+_OUTPUT_HASH = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+
+def _hash_subseeds(master_seed: int, indices: Sequence[int]) -> list[int]:
+    """SeedSequence((master_seed, i)).generate_state(1, np.uint64)[0] of each index i, without numpy.
+
+    numpy's pool hash, bit for bit, on packed integer lanes: each of the 4
+    pool words is one int holding point j's 32-bit entropy word in its
+    64-bit lane j (the master seed's words, its high word only if nonzero,
+    then the index, zero padded; a word the same for every point is
+    repeated in every lane). A product of two 32-bit values fits a lane, so
+    each hashmix or mix step is a few int operations over every point at
+    once and no lane carries into the next. master_seed must be a valid
+    seed (_require_seed) and each index an integer in [0, 2**32); they are
+    not checked here.
+    """
+    n = len(indices)
+    ones = int.from_bytes(b"\1\0\0\0\0\0\0\0" * n, "little")  # 1 in each lane
+    low = 0xFFFF_FFFF * ones
+
+    def hashmix(word: int, calls: Iterator[tuple[int, int]]) -> int:
+        xor, mult = next(calls)
+        word = (word ^ xor * ones) * mult & low
+        return word ^ word >> 16 & low
+
+    master = [master_seed & 0xFFFF_FFFF] + ([master_seed >> 32] if master_seed >> 32 else [])
+    index = int.from_bytes(struct.pack(f"<{n}Q", *indices), "little")
+    calls = pairwise(_POOL_HASH)
+    pool = [hashmix(word, calls) for word in [word * ones for word in master] + [index] + [0] * (3 - len(master))]
+    for src in range(4):
+        for dst in range(4):
+            if dst != src:
+                word = (_MIX_MULT_L * pool[dst] & low) + (2**32 - _MIX_MULT_R) * hashmix(pool[src], calls) & low
+                pool[dst] = word ^ word >> 16 & low  # mix: L x - R y, mod 2**32
+    calls = pairwise(_OUTPUT_HASH)
+    lo, hi = (hashmix(word, calls) for word in pool[:2])  # the output word's two halves read pool words 0, 1
+    return list(struct.unpack(f"<{n}Q", (lo | hi << 32).to_bytes(8 * n, "little")))
+
+
+def subseeds(master_seed: int, indices: ArrayLike) -> np.ndarray:
+    """Sub-seeds of many sweep points of one master seed, as a uint64 array of the indices' shape.
+
+    Splitting function: the first uint64 state word of
+    SeedSequence((master_seed, index)); rng_for_seed(sub-seed) reproduces the
+    point's stream. It is _hash_subseeds' value, the seed column of
+    run_scenario, which hashes all indices at once without numpy.
+    master_seed must be an integer in [0, 2**64) and every index an integer
+    in [0, 2**32), so that the entropy words (master, then index) fit the
+    4-word pool; ParameterError otherwise.
+    """
+    import numpy as np
+
+    _require_seed(master_seed, "master seed")
+    index = np.asarray(indices)
+    if index.size and not (index.dtype.kind in "iu" and index.min() >= 0 and index.max() < 2**32):
+        raise ParameterError("sub-seed indices must be integers in [0, 2**32)")
+    seeds = _hash_subseeds(int(master_seed), index.ravel().tolist())  # int: a numpy integer would overflow
+    return np.array(seeds, np.uint64).reshape(index.shape)
+
+
+# PCG64's 128-bit LCG multiplier (PCG_DEFAULT_MULTIPLIER_128 in numpy's pcg64.h), in 64-bit halves.
+_PCG64_MULT = 0x2360ED051FC65DA4_4385DF649FCCF645
+_MULT_HI, _MULT_LO = _PCG64_MULT >> 64, _PCG64_MULT & 0xFFFF_FFFF_FFFF_FFFF
+
+
+def _mul_hi(a: np.ndarray, b: int) -> np.ndarray:
+    """The high 64 bits of each 128-bit product a * b, from products of 32-bit halves."""
+    a0, a1, b0, b1 = a & 0xFFFF_FFFF, a >> 32, b & 0xFFFF_FFFF, b >> 32
+    cross = (a0 * b0 >> 32) + (a1 * b0 & 0xFFFF_FFFF) + a0 * b1  # below 2**64
+    return a1 * b1 + (a1 * b0 >> 32) + (cross >> 32)
 
 
 def _hashmix(words: np.ndarray, xors: np.ndarray, mults: np.ndarray) -> np.ndarray:
@@ -95,54 +173,25 @@ def _hashmix(words: np.ndarray, xors: np.ndarray, mults: np.ndarray) -> np.ndarr
 def _seed_words(entropy: np.ndarray) -> np.ndarray:
     """SeedSequence(entropy[:, j]).generate_state(4, np.uint64) as column j.
 
-    numpy's pool hash (numpy/random/bit_generator.pyx), bit for bit, on a
-    (4, n) uint32 array of entropy words, zero-padded (trailing zero words
-    hash like the padding). The whole pool is one array: each hashmix or mix
-    step runs on every word and seed it applies to at once.
+    _hash_subseeds' steps on a (4, n) uint32 array of entropy words,
+    zero-padded (trailing zero words hash like the padding), for a run that
+    samples and has numpy loaded: the three mixes of each source word into
+    the other words are independent, so each is one array step over them.
+    On a 2-core x86-64 host it hashes 600 seeds in 0.1 ms against 0.27 ms
+    for the packed lanes of _hash_subseeds asked for 4 words, which cost
+    perfbench mc-short 2.5% of its points/s.
     """
-    pool = _hashmix(entropy, *_ENTROPY_HASH)
-    for src, constants in enumerate(_MIX_HASH):  # mixes into the other words are independent
-        hashed = _hashmix(pool[src], *constants)
-        hashed *= _MIX_MULT_R
-        mixed = pool * _MIX_MULT_L
-        mixed -= hashed
-        mixed ^= mixed >> 16
-        mixed[src] = pool[src]  # the source word does not mix into itself
-        pool = mixed
-    halves = _hashmix(np.concatenate((pool, pool)), *_HASHMIX_B).astype(np.uint64)
+    import numpy as np
+
+    pool_hash, output_hash = (np.array(consts, np.uint32)[:, None] for consts in (_POOL_HASH, _OUTPUT_HASH))
+    pool = _hashmix(entropy, pool_hash[:4], pool_hash[1:5])
+    for src in range(4):
+        calls, dst = 4 + 3 * src, [i for i in range(4) if i != src]
+        hashed = _hashmix(pool[src], pool_hash[calls:calls + 3], pool_hash[calls + 1:calls + 4])
+        mixed = pool[dst] * _MIX_MULT_L - hashed * _MIX_MULT_R
+        pool[dst] = mixed ^ mixed >> 16
+    halves = _hashmix(np.concatenate((pool, pool)), output_hash[:-1], output_hash[1:]).astype(np.uint64)
     return halves[0::2] | halves[1::2] << 32  # numpy reads each pair as a little-endian uint64
-
-
-def subseeds(master_seed: int, indices: ArrayLike) -> np.ndarray:
-    """Sub-seeds of many sweep points of one master seed, as a uint64 array of the indices' shape.
-
-    Splitting function: the first uint64 state word of
-    SeedSequence((master_seed, index)); rng_for_seed(sub-seed) reproduces the
-    point's stream. It is params._hash_subseeds' value, the seed column of
-    run_scenario, which hashes all indices at once without numpy.
-    master_seed must be an integer in [0, 2**64) and every index an integer
-    in [0, 2**32), so that the entropy words (master, then index) fit the
-    4-word pool; ParameterError otherwise.
-    """
-    _require_seed(master_seed, "master seed")
-    index = np.asarray(indices)
-    if index.size and not (index.dtype.kind in "iu" and index.min() >= 0 and index.max() < 2**32):
-        raise ParameterError("sub-seed indices must be integers in [0, 2**32)")
-    seeds = _hash_subseeds(int(master_seed), index.ravel().tolist())  # int: a numpy integer would overflow
-    return np.array(seeds, np.uint64).reshape(index.shape)
-
-
-# PCG64's 128-bit LCG multiplier (PCG_DEFAULT_MULTIPLIER_128 in numpy's pcg64.h), in 64-bit halves.
-_PCG64_MULT = 0x2360ED051FC65DA4_4385DF649FCCF645
-_MULT_HI, _MULT_LO = np.uint64(_PCG64_MULT >> 64), np.uint64(_PCG64_MULT & 0xFFFF_FFFF_FFFF_FFFF)
-_LOW32 = np.uint64(0xFFFF_FFFF)
-
-
-def _mul_hi(a: np.ndarray, b: np.uint64) -> np.ndarray:
-    """The high 64 bits of each 128-bit product a * b, from products of 32-bit halves."""
-    a0, a1, b0, b1 = a & _LOW32, a >> 32, b & _LOW32, b >> 32
-    cross = (a0 * b0 >> 32) + (a1 * b0 & _LOW32) + a0 * b1  # below 2**64
-    return a1 * b1 + (a1 * b0 >> 32) + (cross >> 32)
 
 
 def _streams(seeds: ArrayLike) -> Iterator[np.random.Generator]:
@@ -152,10 +201,10 @@ def _streams(seeds: ArrayLike) -> Iterator[np.random.Generator]:
     state words w (a seed is its low and high 32 bits); PCG64's setseq rule
     (pcg_setseq_128_srandom_r) makes inc = 2 * w2:w3 + 1 and
     state = (w0:w1 + inc) * multiplier + inc, mod 2**128, here on arrays of
-    64-bit (high, low) halves for all seeds at once. Only a run that samples
-    gets here, so numpy is loaded already; the sub-seeds themselves come from
-    params._hash_subseeds, which needs no numpy.
+    64-bit (high, low) halves for all seeds at once.
     """
+    import numpy as np
+
     seeds = np.asarray(seeds, dtype=np.uint64)
     entropy = np.zeros((4, seeds.size), np.uint32)
     entropy[0], entropy[1] = seeds & 0xFFFF_FFFF, seeds >> 32
@@ -184,6 +233,8 @@ def _law_windows(K: ArrayLike, p_single: ArrayLike, capacity: ArrayLike) -> tupl
     precision, as t^2 - 120 sd^2 - 40 t = sd^2 + 440 sd >= 0. One of more
     than _MAX_CELLS cells raises ParameterError.
     """
+    import numpy as np
+
     k, p, cap = (np.asarray(column, dtype=float).reshape(-1, 1) for column in (K, p_single, capacity))
     top, mean = np.minimum(k, cap), k * p
     spread = 11.0 * np.sqrt(mean * (1.0 - p)) + 40.0
@@ -210,6 +261,9 @@ def _capped_binomial_laws(k: np.ndarray, p: np.ndarray, inner: np.ndarray, lo: n
     right, so the padding adds exact zeros: a law has the same bits in any
     batch.
     """
+    import numpy as np
+
+    row_counts = np.arange(1, _LAW_BATCH_CELLS + 1)  # a block's rows if it ended at each of its rows
     span = hi - lo  # window width - 1
     spans = span[:, 0].astype(np.intp)
     los, ends, last = lo[:, 0].astype(np.intp).tolist(), (last[:, 0] + 1).tolist(), last[:, 0]
@@ -219,7 +273,7 @@ def _capped_binomial_laws(k: np.ndarray, p: np.ndarray, inner: np.ndarray, lo: n
     while start < total:
         # The block's width if it ended at each row it can reach; its cells, rows x width, never shrink.
         widest = np.maximum.accumulate(spans[start:start + max(_LAW_BATCH_CELLS // (spans[start] + 1), 1)]) + 1
-        rows = max(int(np.searchsorted(widest * _ROW_COUNTS[:len(widest)], _LAW_BATCH_CELLS, side="right")), 1)
+        rows = max(int(np.searchsorted(widest * row_counts[:len(widest)], _LAW_BATCH_CELLS, side="right")), 1)
         stop, width = start + rows, int(widest[rows - 1])
         b, cell, row = slice(start, stop), np.arange(1.0, width), np.arange(rows)
         log_w = np.zeros((rows, width))  # log pmf(lo) cancels when the window is normalised
@@ -253,6 +307,8 @@ def _window_histograms(windows: tuple[np.ndarray, ...], rngs: Iterator[np.random
     cells summing past 1 + 1e-12 in double precision (seen in a window of
     about 4 million cells), raises ParameterError.
     """
+    import numpy as np
+
     for lo, cells, laws in _capped_binomial_laws(*windows):
         hist = np.zeros(laws.shape, dtype=np.int64)
         for row, n, law, rng in zip(hist, cells, laws, rngs):  # rngs last: zip stops before it
@@ -274,6 +330,8 @@ def simulate_rounds(point: PointSummary, rng: np.random.Generator, n_rounds: int
     estimate_series does), in O(capacity) work whatever K and n_rounds are,
     and pads it with the empty cells outside.
     """
+    import numpy as np
+
     top = min(point.K, point.capacity)
     if top + 1 > _MAX_CELLS:
         raise ParameterError(f"the histogram of latched pairs holds at most {_MAX_CELLS} cells, "
@@ -329,6 +387,8 @@ def estimate_series(columns: SeriesColumns, seeds: ArrayLike, mc: McControls) ->
     stderr = sqrt((n S2 - S1^2) / (n^2 (n - 1))) / t_round, the fraction
     correctly rounded (0 for a single round).
     """
+    import numpy as np
+
     if not (isinstance(seeds, np.ndarray) and seeds.dtype == np.uint64 and seeds.ndim == 1):
         for seed in seeds:
             _require_seed(seed)

@@ -10,12 +10,10 @@ are NamedTuples and operations pure functions, all safe for concurrent use.
 from __future__ import annotations
 
 import math
-import struct
 import sys
 from dataclasses import dataclass
-from itertools import pairwise
 from numbers import Integral
-from typing import Iterator, NamedTuple, Sequence
+from typing import NamedTuple
 
 __all__ = [
     "ParameterError",
@@ -168,72 +166,6 @@ def _require_seed(seed: int, name: str = "seed") -> None:
     if not ((type(seed) is int or _is_integer(seed)) and 0 <= seed < 2**64):  # int first: it is fast
         _require_real(name, seed)
         raise ParameterError(f"{name} must be a 64-bit unsigned integer, got {seed!r}")
-
-
-def _hash_constants(const: int, mult: int, count: int) -> list[int]:
-    """The running constants of count hashmix calls of numpy SeedSequence's pool hash.
-
-    Call i xors with constant i, steps it (times mult, mod 2**32) and
-    multiplies by the stepped value, constant i + 1; the sequence depends on
-    nothing else.
-    """
-    consts = [const]
-    for _ in range(count):
-        consts.append(consts[-1] * mult & 0xFFFF_FFFF)
-    return consts
-
-
-# numpy's pool hash (numpy/random/bit_generator.pyx) on a 4-word pool: 4 hashmix calls on the
-# entropy words, then 3 per source word, one for each other pool word in turn, each mixed into
-# that word as mix(x, y) = (L x - R y) xorshifted; at most 8 calls on the output half-words,
-# which read pool words 0, 1, 2, 3, 0, ... in turn. All arithmetic is mod 2**32.
-_POOL_HASH = _hash_constants(0x43B0D7E5, 0x931E8875, 16)
-_OUTPUT_HASH = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-
-
-def _hash_subseeds(master_seed: int, indices: Sequence[int]) -> list[int]:
-    """SeedSequence((master_seed, i)).generate_state(1, np.uint64)[0] of each index i, without numpy.
-
-    numpy's pool hash, bit for bit. A pool word that varies by point is one
-    int holding point j's 32-bit value in its 64-bit lane j: a product of two
-    32-bit values fits a lane, so each hashmix or mix step is a few int
-    operations over every point at once and no lane carries into the next.
-    The words that are the same for every point (the master seed's and the
-    zero padding) stay plain ints until the index word mixes into them. The
-    last mixing round leaves out word 2: the output word reads words 0 and 1.
-    master_seed must be a valid seed (_require_seed) and each index an
-    integer in [0, 2**32); they are not checked here.
-    """
-    n = len(indices)
-    ones = int.from_bytes(b"\1\0\0\0\0\0\0\0" * n, "little")  # 1 in each lane
-    low = 0xFFFF_FFFF * ones
-
-    def hashmix(word: int, varies: bool, calls: Iterator[tuple[int, int]]) -> int:
-        xor, mult = next(calls)
-        mask = low if varies else 0xFFFF_FFFF
-        word = (word ^ xor * (ones if varies else 1)) * mult & mask
-        return word ^ word >> 16 & mask
-
-    pool = [master_seed & 0xFFFF_FFFF] + ([master_seed >> 32] if master_seed >> 32 else [])
-    k = len(pool)  # the index word's place in the pool; from mixing round k on, every word varies
-    pool += [int.from_bytes(struct.pack(f"<{n}Q", *indices), "little")] + [0] * (3 - k)
-    calls = pairwise(_POOL_HASH)
-    pool = [hashmix(word, i == k, calls) for i, word in enumerate(pool)]
-    for src in range(4):
-        varies = src >= k
-        if src == k:
-            pool = [word if i == k else word * ones for i, word in enumerate(pool)]
-        for dst in [dst for dst in range(4 if src < 3 else 2) if dst != src]:  # the output reads words 0, 1
-            hashed = hashmix(pool[src], varies, calls)
-            if dst == k > src:
-                hashed *= ones
-            mask = low if varies or dst == k else 0xFFFF_FFFF
-            word = (_MIX_MULT_L * pool[dst] & mask) + (2**32 - _MIX_MULT_R) * hashed & mask  # L x - R y
-            pool[dst] = word ^ word >> 16 & mask
-    calls = pairwise(_OUTPUT_HASH)
-    lo, hi = (hashmix(word, True, calls) for word in pool[:2])
-    return list(struct.unpack(f"<{n}Q", (lo | hi << 32).to_bytes(8 * n, "little")))
 
 
 @dataclass(frozen=True, slots=True)

@@ -369,6 +369,10 @@ else:
     raise AssertionError("the rate at L = 0 was accepted")
 run_scenario("fig5a", with_mc=False)
 unloaded("an analytic run, seed column included")
+assert "entdist.montecarlo" in sys.modules  # it seeds the rows; perfbench's tracer wraps the modules a run loaded
+for fmt in ("csv", "json"):
+    assert main(["analytic", "fig5a", "--format", fmt]) == 0
+    unloaded(f"analytic fig5a --format {fmt}")
 run_scenario("fig5a", rounds=10)
 assert "numpy" in sys.modules, "a seeded run_scenario did not load numpy"
 assert entdist.estimate_series is entdist.montecarlo.estimate_series

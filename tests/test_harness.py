@@ -179,8 +179,8 @@ class TestRunScenario:
         def forbidden(*args, **kwargs):
             raise AssertionError("a point was seeded or sampled")
 
-        monkeypatch.setattr(harness, "_hash_subseeds", forbidden)  # run_scenario's seed column
-        for name in ("subseeds", "estimate_series"):  # run_scenario looks estimate_series up in montecarlo
+        # run_scenario looks its seed column's hash and estimate_series up in montecarlo.
+        for name in ("_hash_subseeds", "subseeds", "estimate_series"):
             monkeypatch.setattr(montecarlo, name, forbidden)
         # The L = 0 point comes last in row order; the points before it are not sampled.
         with pytest.raises(ParameterError, match="^analytic_rate needs L > 0 km"):
@@ -312,9 +312,9 @@ class TestConfigHandling:
         def forbidden(*args, **kwargs):
             raise AssertionError("a point was built")
 
-        for name in ("LinkParams", "SchemeConfig", "evaluate_series", "_hash_subseeds"):
+        for name in ("LinkParams", "SchemeConfig", "evaluate_series"):
             monkeypatch.setattr(harness, name, forbidden)
-        for name in ("subseeds", "estimate_series"):  # run_scenario looks estimate_series up in montecarlo
+        for name in ("_hash_subseeds", "subseeds", "estimate_series"):  # run_scenario looks them up in montecarlo
             monkeypatch.setattr(montecarlo, name, forbidden)
         overrides = {"scheme": "mm", "L_km": [float(km) for km in range(1, 1002)],
                      "p_m": [k / 1000 for k in range(1000)]}

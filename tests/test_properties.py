@@ -32,7 +32,7 @@ from entdist.harness import (
     rows_to_json,
     run_scenario,
 )
-from entdist.montecarlo import _MAX_CELLS, rng_for_seed, simulate_rounds, subseeds
+from entdist.montecarlo import _MAX_CELLS, _hash_subseeds, rng_for_seed, simulate_rounds, subseeds
 from entdist.params import (
     AFC_REALISTIC,
     AfcSpec,
@@ -40,7 +40,6 @@ from entdist.params import (
     MemorySpec,
     ParameterError,
     QUANTUM_DOT,
-    _hash_subseeds,
 )
 
 from oracles import scheme_point
