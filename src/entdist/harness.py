@@ -404,9 +404,9 @@ def run_scenario(
     montecarlo imports numpy only where it samples). Unless with_mc is
     False, numpy loads and one estimate_series call gives each feasible
     point a Monte Carlo estimate on the stream of rng_for_seed(row.seed):
-    the PCG64 states of every SeedSequence(sub-seed) are derived in one pass
-    and set on one reused generator; a run with with_mc False never loads
-    numpy. Infeasible AFC points are flagged
+    the same pool hash gives every SeedSequence(sub-seed)'s PCG64 state,
+    set in turn on one reused generator; a run with with_mc False never
+    loads numpy. Infeasible AFC points are flagged
     (feasible=False) with empty Monte Carlo fields, not aborting the sweep.
     The table holds the evaluated columns as they are, by ResultRow's field
     names (rate as analytic_rate), and no others; no row is built here.

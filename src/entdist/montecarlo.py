@@ -8,12 +8,13 @@ unconsumed memories do not carry over.
 Reproducibility contract
 ------------------------
 All randomness comes from numpy's PCG64 (128-bit state) in the state that
-SeedSequence(seed) gives it (derived by hand; see _streams()), so
-identical (config, controls) inputs give bit-identical outputs on any
-platform running the same numpy release. Sweep points draw from independent
-streams whose sub-seeds are a pure function of (master seed, point index);
-see subseeds(). Each function imports numpy where it uses it, so importing
-this module loads none: an analytic run never does.
+SeedSequence(seed) gives it, derived by the pool hash that also gives the
+seed column (_pool_hash; see _streams()), so identical (config, controls)
+inputs give bit-identical outputs on any platform running the same numpy
+release. Sweep points draw from independent streams whose sub-seeds are a
+pure function of (master seed, point index); see subseeds(). Each function
+imports numpy where it uses it, so importing this module loads none: an
+analytic run never does.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ class RateEstimate(NamedTuple):
 
 
 def rng_for_seed(seed: int) -> np.random.Generator:
-    """PCG64(SeedSequence(seed))'s generator, from the derivation sweeps use (_streams).
+    """PCG64(SeedSequence(seed))'s generator, set by _streams as in a sweep.
 
     So rng_for_seed(row.seed) reproduces a row's stream. seed must be an integer in [0, 2**64).
     """
@@ -93,20 +94,17 @@ _OUTPUT_HASH = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 
 
-def _hash_subseeds(master_seed: int, indices: Sequence[int]) -> list[int]:
-    """SeedSequence((master_seed, i)).generate_state(1, np.uint64)[0] of each index i, without numpy.
+def _pool_hash(entropy: list[int], n: int, n_words: int) -> list[list[int]]:
+    """SeedSequence(lane j's entropy words).generate_state(n_words, np.uint64) of each lane j < n, without numpy.
 
-    numpy's pool hash, bit for bit, on packed integer lanes: each of the 4
-    pool words is one int holding point j's 32-bit entropy word in its
-    64-bit lane j (the master seed's words, its high word only if nonzero,
-    then the index, zero padded; a word the same for every point is
-    repeated in every lane). A product of two 32-bit values fits a lane, so
-    each hashmix or mix step is a few int operations over every point at
-    once and no lane carries into the next. master_seed must be a valid
-    seed (_require_seed) and each index an integer in [0, 2**32); they are
-    not checked here.
+    numpy's pool hash, bit for bit, on packed integer lanes: each entropy
+    word is one int holding point j's 32-bit word in its 64-bit lane j, at
+    most 4 of them; missing words are zero, as numpy pads (so trailing zero
+    words hash like the padding). A product of two 32-bit values fits a
+    lane, so each hashmix or mix step is a few int operations over every
+    lane at once and no lane carries into the next. Returns n_words lists
+    of n uint64 ints; n_words is at most 4.
     """
-    n = len(indices)
     ones = int.from_bytes(b"\1\0\0\0\0\0\0\0" * n, "little")  # 1 in each lane
     low = 0xFFFF_FFFF * ones
 
@@ -115,18 +113,33 @@ def _hash_subseeds(master_seed: int, indices: Sequence[int]) -> list[int]:
         word = (word ^ xor * ones) * mult & low
         return word ^ word >> 16 & low
 
-    master = [master_seed & 0xFFFF_FFFF] + ([master_seed >> 32] if master_seed >> 32 else [])
-    index = int.from_bytes(struct.pack(f"<{n}Q", *indices), "little")
     calls = pairwise(_POOL_HASH)
-    pool = [hashmix(word, calls) for word in [word * ones for word in master] + [index] + [0] * (3 - len(master))]
+    pool = [hashmix(word, calls) for word in entropy + [0] * (4 - len(entropy))]
     for src in range(4):
         for dst in range(4):
             if dst != src:
                 word = (_MIX_MULT_L * pool[dst] & low) + (2**32 - _MIX_MULT_R) * hashmix(pool[src], calls) & low
                 pool[dst] = word ^ word >> 16 & low  # mix: L x - R y, mod 2**32
     calls = pairwise(_OUTPUT_HASH)
-    lo, hi = (hashmix(word, calls) for word in pool[:2])  # the output word's two halves read pool words 0, 1
-    return list(struct.unpack(f"<{n}Q", (lo | hi << 32).to_bytes(8 * n, "little")))
+    halves = [hashmix(pool[i % 4], calls) for i in range(2 * n_words)]  # they read pool words 0, 1, 2, 3, 0, ...
+    return [list(struct.unpack(f"<{n}Q", (lo | hi << 32).to_bytes(8 * n, "little")))
+            for lo, hi in zip(halves[0::2], halves[1::2])]
+
+
+def _hash_subseeds(master_seed: int, indices: Sequence[int]) -> list[int]:
+    """SeedSequence((master_seed, i)).generate_state(1, np.uint64)[0] of each index i, without numpy.
+
+    _pool_hash's 1-word case over the entropy words (the master seed's
+    words, its high word only if nonzero, then the index), a master word
+    repeated in every lane. master_seed must be a valid seed (_require_seed)
+    and each index an integer in [0, 2**32); they are not checked here.
+    """
+    n = len(indices)
+    ones = int.from_bytes(b"\1\0\0\0\0\0\0\0" * n, "little")  # 1 in each lane
+    master = [master_seed & 0xFFFF_FFFF] + ([master_seed >> 32] if master_seed >> 32 else [])
+    index = int.from_bytes(struct.pack(f"<{n}Q", *indices), "little")
+    (seeds,) = _pool_hash([word * ones for word in master] + [index], n, 1)
+    return seeds
 
 
 def subseeds(master_seed: int, indices: ArrayLike) -> np.ndarray:
@@ -135,7 +148,7 @@ def subseeds(master_seed: int, indices: ArrayLike) -> np.ndarray:
     Splitting function: the first uint64 state word of
     SeedSequence((master_seed, index)); rng_for_seed(sub-seed) reproduces the
     point's stream. It is _hash_subseeds' value, the seed column of
-    run_scenario, which hashes all indices at once without numpy.
+    run_scenario: _pool_hash's 1-word case over all indices at once.
     master_seed must be an integer in [0, 2**64) and every index an integer
     in [0, 2**32), so that the entropy words (master, then index) fit the
     4-word pool; ParameterError otherwise.
@@ -150,76 +163,30 @@ def subseeds(master_seed: int, indices: ArrayLike) -> np.ndarray:
     return np.array(seeds, np.uint64).reshape(index.shape)
 
 
-# PCG64's 128-bit LCG multiplier (PCG_DEFAULT_MULTIPLIER_128 in numpy's pcg64.h), in 64-bit halves.
+# PCG64's 128-bit LCG multiplier (PCG_DEFAULT_MULTIPLIER_128 in numpy's pcg64.h).
 _PCG64_MULT = 0x2360ED051FC65DA4_4385DF649FCCF645
-_MULT_HI, _MULT_LO = _PCG64_MULT >> 64, _PCG64_MULT & 0xFFFF_FFFF_FFFF_FFFF
-
-
-def _mul_hi(a: np.ndarray, b: int) -> np.ndarray:
-    """The high 64 bits of each 128-bit product a * b, from products of 32-bit halves."""
-    a0, a1, b0, b1 = a & 0xFFFF_FFFF, a >> 32, b & 0xFFFF_FFFF, b >> 32
-    cross = (a0 * b0 >> 32) + (a1 * b0 & 0xFFFF_FFFF) + a0 * b1  # below 2**64
-    return a1 * b1 + (a1 * b0 >> 32) + (cross >> 32)
-
-
-def _hashmix(words: np.ndarray, xors: np.ndarray, mults: np.ndarray) -> np.ndarray:
-    """numpy SeedSequence's hashmix of each row of words, with that row's constants."""
-    words = words ^ xors
-    words *= mults
-    words ^= words >> 16
-    return words
-
-
-def _seed_words(entropy: np.ndarray) -> np.ndarray:
-    """SeedSequence(entropy[:, j]).generate_state(4, np.uint64) as column j.
-
-    _hash_subseeds' steps on a (4, n) uint32 array of entropy words,
-    zero-padded (trailing zero words hash like the padding), for a run that
-    samples and has numpy loaded: the three mixes of each source word into
-    the other words are independent, so each is one array step over them.
-    On a 2-core x86-64 host it hashes 600 seeds in 0.1 ms against 0.27 ms
-    for the packed lanes of _hash_subseeds asked for 4 words, which cost
-    perfbench mc-short 2.5% of its points/s.
-    """
-    import numpy as np
-
-    pool_hash, output_hash = (np.array(consts, np.uint32)[:, None] for consts in (_POOL_HASH, _OUTPUT_HASH))
-    pool = _hashmix(entropy, pool_hash[:4], pool_hash[1:5])
-    for src in range(4):
-        calls, dst = 4 + 3 * src, [i for i in range(4) if i != src]
-        hashed = _hashmix(pool[src], pool_hash[calls:calls + 3], pool_hash[calls + 1:calls + 4])
-        mixed = pool[dst] * _MIX_MULT_L - hashed * _MIX_MULT_R
-        pool[dst] = mixed ^ mixed >> 16
-    halves = _hashmix(np.concatenate((pool, pool)), output_hash[:-1], output_hash[1:]).astype(np.uint64)
-    return halves[0::2] | halves[1::2] << 32  # numpy reads each pair as a little-endian uint64
 
 
 def _streams(seeds: ArrayLike) -> Iterator[np.random.Generator]:
     """One generator, set in turn to the state of PCG64(SeedSequence(seed)) of each seed.
 
-    One pool hash on a (4, n) uint32 array (_seed_words) gives all seeds' 4
-    state words w (a seed is its low and high 32 bits); PCG64's setseq rule
-    (pcg_setseq_128_srandom_r) makes inc = 2 * w2:w3 + 1 and
-    state = (w0:w1 + inc) * multiplier + inc, mod 2**128, here on arrays of
-    64-bit (high, low) halves for all seeds at once.
+    _pool_hash's 4-word case over each seed's low and high 32 bits gives all
+    seeds' state words w at once; PCG64's setseq rule
+    (pcg_setseq_128_srandom_r) then makes inc = 2 * w2:w3 + 1 and
+    state = (w0:w1 + inc) * multiplier + inc, mod 2**128, for each seed.
     """
     import numpy as np
 
-    seeds = np.asarray(seeds, dtype=np.uint64)
-    entropy = np.zeros((4, seeds.size), np.uint32)
-    entropy[0], entropy[1] = seeds & 0xFFFF_FFFF, seeds >> 32
-    w0, w1, w2, w3 = _seed_words(entropy)
-    inc_hi, inc_lo = w2 << 1 | w3 >> 63, w3 << 1 | 1
-    lo = w1 + inc_lo
-    hi = w0 + inc_hi + (lo < w1)  # (lo < w1): the carry out of the low half
-    hi = hi * _MULT_LO + lo * _MULT_HI + _mul_hi(lo, _MULT_LO)
-    lo = lo * _MULT_LO + inc_lo
-    hi += inc_hi + (lo < inc_lo)
+    seeds = np.asarray(seeds, dtype="<u8")
+    packed = int.from_bytes(seeds.tobytes(), "little")  # seed j in 64-bit lane j
+    low = int.from_bytes(b"\xff\xff\xff\xff\0\0\0\0" * seeds.size, "little")
     rng = np.random.Generator(np.random.PCG64(0))  # its state is set below
-    bit_generator = rng.bit_generator
-    for s_hi, s_lo, i_hi, i_lo in zip(hi.tolist(), lo.tolist(), inc_hi.tolist(), inc_lo.tolist()):
+    bit_generator, mask = rng.bit_generator, 2**128 - 1  # bound once: Python does not constant-fold 2**128
+    for w0, w1, w2, w3 in zip(*_pool_hash([packed & low, packed >> 32 & low], seeds.size, 4)):
+        inc = ((w2 << 64 | w3) << 1 | 1) & mask
+        state = ((w0 << 64 | w1) + inc) * _PCG64_MULT + inc & mask
         bit_generator.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
-                               "state": {"state": s_hi << 64 | s_lo, "inc": i_hi << 64 | i_lo}}
+                               "state": {"state": state, "inc": inc}}
         yield rng
 
 
@@ -372,13 +339,13 @@ def estimate_series(columns: SeriesColumns, seeds: ArrayLike, mc: McControls) ->
     """Monte Carlo successes, rates and standard errors of the points of evaluate_series columns.
 
     Point i draws on the stream of rng_for_seed(seeds[i]), one reused
-    generator (_streams), over its law window only (_window_histograms);
-    each point reads its K, p_single, capacity, t_round and feasible
-    entries, and the points that are not feasible get None. seeds is a
-    uint64 array (every value a valid seed) or a sequence of integers in
-    [0, 2**64), one per point; the seeds, the window widths (at most
-    _MAX_CELLS cells) and their sum over the feasible points (at most
-    _MAX_SAMPLED_CELLS) are checked before any draw. Points draw in order of
+    generator set to each point's state in turn (_streams), over its law
+    window only (_window_histograms); each point reads its K, p_single,
+    capacity, t_round and feasible entries, and the points that are not
+    feasible get None. seeds is a uint64 array (every value a valid seed)
+    or a sequence of integers in [0, 2**64), one per point; the seeds, the
+    window widths (at most _MAX_CELLS cells) and their sum over the feasible
+    points (at most _MAX_SAMPLED_CELLS) are checked before any draw. Points draw in order of
     window width, so that a block pads its rows little; each result goes
     back to its point's place. One integer product per block gives each
     window's exact S1 = sum h_i i and S2 = sum h_i i^2 over its cells

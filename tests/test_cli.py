@@ -314,21 +314,25 @@ def test_seeded_run_matches_golden_bytes(capsysbinary, fmt):
         assert capsysbinary.readouterr().out == (DATA / f"{preset}_run.{fmt}").read_bytes()
 
 
-# SHA-256 of `entdist run tests/data/dense_sweep.json --seed 3 --rounds 200`: 1,200 rows
+# SHA-256 of `entdist run tests/data/dense_sweep.json --seed S --rounds 200`: 1,200 rows
 # whose mc_rate holds floats in both encoding blocks and None from 190 km, in the second.
+# Master seed 2**64 - 1 has two 32-bit words, so each row's index is the third pool word.
 DENSE_SWEEP_RUN_SHA256 = {
-    "csv": "bda3c2955eb50261dea5c612cf070eeeaec11c007095ed4d3bc9025c3b41a589",
-    "json": "c5cd0f893eb6efa0445f2c26a457370e51d278ad623988a519eecbfed84844a6",
+    (3, "csv"): "bda3c2955eb50261dea5c612cf070eeeaec11c007095ed4d3bc9025c3b41a589",
+    (3, "json"): "c5cd0f893eb6efa0445f2c26a457370e51d278ad623988a519eecbfed84844a6",
+    (2**64 - 1, "csv"): "c71ce2340268e082ad0738db57aaec15e4d207cb32e7f77f7e6c0c8d5bfd0647",
+    (2**64 - 1, "json"): "179647b6c9e20b539d8741b10af73fb34e9c95a608cdc369829d5dab575bebf0",
 }
 
 
 @pytest.mark.skipif(np.__version__ != GOLDEN_MC_NUMPY,
                     reason=f"seeded golden bytes were written with numpy {GOLDEN_MC_NUMPY}")
-@pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_seeded_dense_sweep_matches_pinned_hash(capsysbinary, fmt):
-    argv = ["run", str(DATA / "dense_sweep.json"), "--seed", "3", "--rounds", "200", "--format", fmt]
+@pytest.mark.parametrize("seed, fmt", list(DENSE_SWEEP_RUN_SHA256),
+                         ids=[fmt if seed == 3 else f"{seed}-{fmt}" for seed, fmt in DENSE_SWEEP_RUN_SHA256])
+def test_seeded_dense_sweep_matches_pinned_hash(capsysbinary, seed, fmt):
+    argv = ["run", str(DATA / "dense_sweep.json"), "--seed", str(seed), "--rounds", "200", "--format", fmt]
     assert main(argv) == 0
-    assert hashlib.sha256(capsysbinary.readouterr().out).hexdigest() == DENSE_SWEEP_RUN_SHA256[fmt]
+    assert hashlib.sha256(capsysbinary.readouterr().out).hexdigest() == DENSE_SWEEP_RUN_SHA256[seed, fmt]
 
 
 # Run in a fresh interpreter, with the src directory of the entdist under test first on sys.path.

@@ -32,7 +32,7 @@ from entdist.harness import (
     rows_to_json,
     run_scenario,
 )
-from entdist.montecarlo import _MAX_CELLS, _hash_subseeds, rng_for_seed, simulate_rounds, subseeds
+from entdist.montecarlo import _MAX_CELLS, _hash_subseeds, _streams, rng_for_seed, simulate_rounds, subseeds
 from entdist.params import (
     AFC_REALISTIC,
     AfcSpec,
@@ -180,6 +180,9 @@ def test_packed_subseeds_match_seed_sequence(master, indices):
     # Masters of one and of two 32-bit words put the index word at pool word 1 or 2.
     expected = [seed_sequence_subseed(master, i) for i in indices]
     assert _hash_subseeds(master, indices) == expected
+    # The 4-word hash and the 128-bit setseq step of _streams, on the drawn sub-seeds.
+    assert [rng.bit_generator.state for rng in _streams(expected)] == [
+        np.random.PCG64(np.random.SeedSequence(seed)).state for seed in expected]
     grid = np.array(indices[:len(indices) // 2 * 2], dtype=np.int64).reshape(-1, 2)
     got = subseeds(master, grid)
     assert got.dtype == np.uint64 and got.shape == grid.shape
