@@ -19,11 +19,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .params import (
     AfcSpec,
-    DerivedProbs,
     LinkParams,
     MemorySpec,
     ParameterError,
@@ -133,7 +132,10 @@ class PointSummary(NamedTuple):
         No approximation, before the capacity cap (negligible whenever
         K * p_single is well below the memory count).
         """
-        return _exact_rate(self.K, self.p_single, self.t_round)
+        rate = self.K * self.p_single / self.t_round
+        if not math.isfinite(rate):
+            raise _refusal(rate)
+        return rate
 
     @property
     def rate(self) -> float:
@@ -146,11 +148,13 @@ class PointSummary(NamedTuple):
         returned instead.
 
         Raises ParameterError when t_link is 0 (L = 0): the closed forms
-        divide by it. exact_rate, t_round and Monte Carlo work there.
+        divide by it. exact_rate, t_round and Monte Carlo work there. Each
+        read raises a fresh copy of the stored error, so that no traceback
+        grows with the reads or keeps their frames alive.
         """
-        if isinstance(self.rate_or_error, ParameterError):
-            raise self.rate_or_error
-        return self.rate_or_error
+        if isinstance(error := self.rate_or_error, ParameterError):
+            raise type(error)(*error.args)
+        return error
 
 
 class SeriesColumns(NamedTuple):
@@ -169,74 +173,39 @@ class SeriesColumns(NamedTuple):
     rate: list[float | ParameterError]
 
 
-def _finite(rate: float) -> float:
-    if not math.isfinite(rate):
-        raise ParameterError(f"rate is {rate!r}: the inputs exceed double precision")
-    return rate
+def _refusal(rate: float, t_link_is_zero: bool = False) -> ParameterError:
+    """What PointSummary.rate raises for a rate that is not finite, or for any rate where t_link is 0."""
+    if t_link_is_zero:
+        return ParameterError("analytic_rate needs L > 0 km and t_link = n L / c > 0 s: the closed forms divide "
+                              "by t_link")
+    return ParameterError(f"rate is {rate!r}: the inputs exceed double precision")
 
 
-def _exact_rate(k: int, p_single: float, t_round: float) -> float:
-    return _finite(k * p_single / t_round)
+def _rates(t_links: list[float], numerators: list[float], denominators: list[float]) -> list[float | ParameterError]:
+    """Each numerator / denominator, or the ParameterError PointSummary.rate raises for it.
+
+    The closed forms divide by t_link, so where it is 0 (L = 0, or n L / c
+    underflows) that refusal wins; elsewhere a rate that is not finite fails.
+    """
+    return [rate if math.isfinite(rate := n / d if tl else math.inf) else _refusal(rate, not tl)
+            for tl, n, d in zip(t_links, numerators, denominators)]
 
 
-# Each scheme's formulas, over cfg's memory, the probability chain d at one
-# L and the source probability p_m, which need not be cfg's own:
-# evaluate_series runs one cfg over a whole series. tl is t_link, half and
-# full the fiber transmissions over L / 2 and L.
-_SINGLE_TRIAL_SUCCESS: dict[SchemeKind, Callable[..., float]] = {
-    SchemeKind.MM: lambda cfg, d, p_m: d.p_BSA * d.p_optical**2,
-    SchemeKind.SR: lambda cfg, d, p_m: d.p_BSA * d.p_optical**2,
-    SchemeKind.MS: lambda cfg, d, p_m: p_m * (d.p_BSA * d.p_optical) ** 2,
-    SchemeKind.AFC_MM: lambda cfg, d, p_m: d.p_BSA * (p_m * d.p_optical) ** 2,
-    # Both halves must pass the non-destructive detectors and latch.
-    SchemeKind.AFC_MS: lambda cfg, d, p_m: p_m * (cfg.memory.p_pass * d.p_optical) ** 2,
-}
-# Per-trial latch probability of one side, for the schemes that wait for it.
-_LATCH_PROBABILITY: dict[SchemeKind, Callable[..., float]] = {
-    SchemeKind.MS: lambda cfg, d, p_m: p_m * d.p_BSA * d.p_optical,
-    # The source sits next to the memory, so only emission and absorption count.
-    SchemeKind.AFC_MM: lambda cfg, d, p_m: p_m * cfg.memory.p_AFC,
-    SchemeKind.AFC_MS: lambda cfg, d, p_m: p_m * cfg.memory.p_pass * d.p_optical,
-}
-_CLOSED_FORM_RATE: dict[SchemeKind, Callable[..., float]] = {
-    SchemeKind.MM: lambda cfg, d, p_m, tl, half, full: cfg.memory.N * d.p_BSA * d.p_optical**2 / tl,
-    SchemeKind.SR: lambda cfg, d, p_m, tl, half, full: (
-        cfg.N_A * d.p_BSA * d.p_optical**2 / (2.0 * tl)),
-    SchemeKind.MS: lambda cfg, d, p_m, tl, half, full: (
-        cfg.memory.N * d.p_BSA * d.p_optical / (cfg.ms_sync_factor * tl)),
-    SchemeKind.AFC_MM: lambda cfg, d, p_m, tl, half, full: (
-        cfg.memory.N_AFC * d.p_BSA * p_m * cfg.memory.p_AFC * full / tl),
-    SchemeKind.AFC_MS: lambda cfg, d, p_m, tl, half, full: (
-        cfg.memory.N_AFC * cfg.memory.p_pass * cfg.memory.p_AFC * half / (cfg.ms_sync_factor * tl)),
-}
+def _ceil_ratios(numerator: float, denominators: list[float]) -> list[int | float]:
+    """ceil(numerator / denominator) for each denominator, or inf where that is unbounded in double precision."""
+    return [ratio if (ratio := numerator / d if d > 0.0 else math.inf) == math.inf else math.ceil(ratio)
+            for d in denominators]
 
 
-def _ceil_ratio(numerator: float, denominator: float) -> int | None:
-    """ceil(numerator / denominator), or None when that is unbounded in double precision."""
-    ratio = numerator / denominator if denominator > 0.0 else math.inf
-    return None if ratio == math.inf else math.ceil(ratio)
-
-
-def _unbounded_ms_budget(link: LinkParams, L: float, d: DerivedProbs, p_m: float, p_latch: float) -> ParameterError:
+def _unbounded_ms_budget(link: LinkParams, L: float, p_m: float, p_bsa: float, p_memory: float) -> ParameterError:
     """The refusal of an MS budget memory.N / p_latch past double range, naming the factor of p_latch that is 0."""
-    factors = {"p_m": p_m, f"p_BSA = p_d**2 / 2 (p_d = {link.p_d!r})": d.p_BSA,
-               "memory.emission_fraction * memory.collection_efficiency": d.p_memory,
-               f"the fiber transmission (L_km = {L!r}, L_att_km = {link.L_att!r})":
-                   fiber_transmission(L, link.L_att)}
+    half = fiber_transmission(L, link.L_att)
+    factors = {"p_m": p_m, f"p_BSA = p_d**2 / 2 (p_d = {link.p_d!r})": p_bsa,
+               "memory.emission_fraction * memory.collection_efficiency": p_memory,
+               f"the fiber transmission (L_km = {L!r}, L_att_km = {link.L_att!r})": half}
     why = next((f"MS latch probability is 0 because {name} is 0" for name, value in factors.items() if value == 0.0),
-               f"memory.N / MS latch probability {p_latch!r} exceeds double precision")
+               f"memory.N / MS latch probability {p_m * p_bsa * (p_memory * half)!r} exceeds double precision")
     return ParameterError(f"unbounded trial budget: {why}")
-
-
-def _rate(tl: float, rate_of: Callable[..., float], *args: object) -> float | ParameterError:
-    """rate_of(*args), or the ParameterError PointSummary.rate raises for it: at t_link = 0 or past double range."""
-    try:
-        if tl == 0.0:
-            raise ParameterError("analytic_rate needs L > 0 km and t_link = n L / c > 0 s: the closed forms divide "
-                                 "by t_link")
-        return _finite(rate_of(*args))
-    except ParameterError as exc:
-        return exc
 
 
 def evaluate_series(cfg: SchemeConfig, L_values: Sequence[float], p_m_values: Sequence[float]) -> SeriesColumns:
@@ -244,8 +213,13 @@ def evaluate_series(cfg: SchemeConfig, L_values: Sequence[float], p_m_values: Se
 
     cfg's own L and p_m are not read, and a p_m or L that SchemeConfig or
     LinkParams refuses raises its error. Points come L major, in the order
-    given. The probability chain is derived once per series, and t_link, the
-    fiber transmissions and each MM or SR point once per L.
+    given. Each column is built whole, each factor at the level it depends on
+    and in the operations of the one-point formulas: the probability chain
+    once per series; t_link, the fiber transmissions, p_optical, feasibility,
+    the closed forms that read no p_m and all of an MM or SR point once per L;
+    AFC-MM's budget, whose latch probability p_m p_AFC reads no L, once per
+    p_m; p_single, t_round, the MS and AFC-MS budgets, AFC-MM's rate and the
+    capped exact rates once per point.
 
     Trials per round K: MM and SR fire each available memory once. MS and AFC
     fire ceil(capacity / p_latch), so that the expected latches fill the memories
@@ -255,55 +229,75 @@ def evaluate_series(cfg: SchemeConfig, L_values: Sequence[float], p_m_values: Se
 
     A point fails where its trial budget or round time is not finite (an MS
     latch probability of 0 has no rephasing cap to fall back on); its rate
-    alone fails where t_link = 0 (L = 0) and where the rate is not finite.
+    alone fails where t_link = 0 (L = 0, or n L / c underflows) and where the
+    rate is not finite.
     """
     for p_m in p_m_values:
         _require_probability("p_m", p_m)
     kind, link, mem, is_afc = cfg.kind, cfg.link, cfg.memory, cfg.kind.is_afc
-    single_trial_success, closed_form_rate = _SINGLE_TRIAL_SUCCESS[kind], _CLOSED_FORM_RATE[kind]
-    latch_probability = _LATCH_PROBABILITY.get(kind)
-    t_clock = mem.t_clock_prime if is_afc else mem.t_clock
-    # Pairs one round can latch at most: the mode count, or the (receiving) memories.
-    point_capacity = mem.N_AFC if is_afc else cfg.N_A if kind is SchemeKind.SR else mem.N
-    # The largest AFC budget before the first stored photon rephases out.
-    cap = _ceil_ratio(mem.t_rephase, mem.t_clock_prime) if is_afc else None
-    p_m_loop = p_m_values[:1] if latch_probability is None else p_m_values
     p_bsa, p_memory, _ = derive_probs(link, mem)
-    points = []
     for L in L_values:
         _require_L(L)
-        tl = link.n * L / link.c  # t_link at L, in its operations
-        flight = 2.0 * tl if kind is SchemeKind.SR else tl
-        half = fiber_transmission(L, link.L_att)
-        full = math.exp(-L / link.L_att)
-        d = DerivedProbs(p_bsa, p_memory, p_memory * half)  # derive_probs at L, in its operations
-        fits = not is_afc or mem.t_rephase + tl <= mem.t_spin_coherence  # feasibility_check's rule
-        uncapped = None if kind is SchemeKind.AFC_MM else _rate(tl, closed_form_rate, cfg, d, None, tl, half, full)
-        for p_m in p_m_loop:
-            try:
-                k, capped = point_capacity, False
-                if latch_probability is not None:
-                    p_latch = latch_probability(cfg, d, p_m)
-                    k = _ceil_ratio(point_capacity, p_latch)
-                    if is_afc and (k is None or k * t_clock > mem.t_rephase):
-                        if cap is None:
-                            raise ParameterError(f"t_clock_prime {t_clock!r} s is too short for a finite budget")
-                        k, capped = cap, True
-                    elif k is None:
-                        raise _unbounded_ms_budget(link, L, d, p_m, p_latch)
-                t_round = flight + k * t_clock
-                if not math.isfinite(t_round):
-                    raise ParameterError(f"t_round is {t_round!r} s: the inputs exceed double precision")
-            except ParameterError as exc:
-                points.append((None,) * 6 + (exc,))
-                continue
-            p_single = single_trial_success(cfg, d, p_m)
-            rate = (_rate(tl, _exact_rate, k, p_single, t_round) if capped else uncapped if uncapped is not None
-                    else _rate(tl, closed_form_rate, cfg, d, p_m, tl, half, full))
-            points.append((k, p_single, point_capacity, t_round, capped, fits, rate))
-        if latch_probability is None:
-            points += points[-1:] * (len(p_m_values) - 1)
-    return SeriesColumns(*map(list, zip(*points))) if points else SeriesColumns([], [], [], [], [], [], [])
+    t_clock = mem.t_clock_prime if is_afc else mem.t_clock
+    # Pairs one round can latch at most: the mode count, or the (receiving) memories.
+    capacity = mem.N_AFC if is_afc else cfg.N_A if kind is SchemeKind.SR else mem.N
+    n = len(L_values) * len(p_m_values)
+    capacities = [capacity] * n
+
+    def each_p_m(column: list) -> list:
+        """A column of one entry per L, repeated over p_m: one entry per point, L major."""
+        return [value for value in column for _ in p_m_values]
+
+    # t_link, and derive_probs at L from the fiber transmission over L / 2, in their operations.
+    tls = [link.n * L / link.c for L in L_values]
+    halves = [fiber_transmission(L, link.L_att) for L in L_values]
+    p_opts = [p_memory * half for half in halves]
+    feasible = each_p_m([mem.t_rephase + tl <= mem.t_spin_coherence for tl in tls]) if is_afc else [True] * n
+    if kind is SchemeKind.MM or kind is SchemeKind.SR:
+        flights = [2.0 * tl for tl in tls] if kind is SchemeKind.SR else tls
+        K, capped = [capacity] * n, [False] * n
+        t_round = each_p_m([flight + capacity * t_clock for flight in flights])
+        p_single = each_p_m([p_bsa * p**2 for p in p_opts])
+        rate = each_p_m(_rates(tls, [capacity * p_bsa * p**2 for p in p_opts], flights))
+    else:  # MS and AFC, whose flight is t_link
+        point_tls = each_p_m(tls)
+        if kind is SchemeKind.AFC_MM:
+            # The source sits next to the memory, so only emission and absorption count.
+            K = _ceil_ratios(capacity, [p_m * mem.p_AFC for p_m in p_m_values])
+            p_single = [p_bsa * (p_m * p) ** 2 for p in p_opts for p_m in p_m_values]
+            factors = [capacity * p_bsa * p_m * mem.p_AFC for p_m in p_m_values]
+            fulls = [math.exp(-L / link.L_att) for L in L_values]
+            rate = _rates(point_tls, [x * full for full in fulls for x in factors], point_tls)
+        else:
+            # MS latches at p_m p_BSA p_optical; AFC-MS, whose halves must pass
+            # the non-destructive detectors, at p_m p_pass p_optical.
+            a = p_bsa if kind is SchemeKind.MS else mem.p_pass
+            factors = [p_m * a for p_m in p_m_values]
+            K = _ceil_ratios(capacity, [x * p for p in p_opts for x in factors])
+            p_single = [p_m * q for q in [(a * p) ** 2 for p in p_opts] for p_m in p_m_values]
+            numerators = ([capacity * p_bsa * p for p in p_opts] if kind is SchemeKind.MS
+                          else [capacity * mem.p_pass * mem.p_AFC * half for half in halves])
+            rate = each_p_m(_rates(tls, numerators, [cfg.ms_sync_factor * tl for tl in tls]))
+        capped = [False] * n
+        if is_afc:
+            capped = [k * t_clock > mem.t_rephase for k in K]
+            (cap,) = _ceil_ratios(mem.t_rephase, [mem.t_clock_prime])
+            K = [cap if c else k for k, c in zip(K, capped)]
+        if kind is SchemeKind.AFC_MM:
+            K, capped = K * len(L_values), capped * len(L_values)
+        t_round = [tl + k * t_clock for tl, k in zip(point_tls, K)]
+        if True in capped:  # a capped budget's rate is exact_rate's K p_single / t_round
+            rate = [r if not c else exact if math.isfinite(exact := cap * p / t if tl else math.inf)
+                    else _refusal(exact, not tl) for p, t, tl, c, r in zip(p_single, t_round, point_tls, capped, rate)]
+    if math.inf in t_round:  # a budget or round time past double range: the refusal in rate, None elsewhere
+        for j in [j for j, t in enumerate(t_round) if t == math.inf]:
+            L, p_m = L_values[j // len(p_m_values)], p_m_values[j % len(p_m_values)]
+            rate[j] = (ParameterError(f"t_round is {t_round[j]!r} s: the inputs exceed double precision")
+                       if K[j] != math.inf else _unbounded_ms_budget(link, L, p_m, p_bsa, p_memory) if not is_afc
+                       else ParameterError(f"t_clock_prime {t_clock!r} s is too short for a finite budget"))
+            for column in (K, p_single, capacities, t_round, capped, feasible):
+                column[j] = None
+    return SeriesColumns(K, p_single, capacities, t_round, capped, feasible, rate)
 
 
 def evaluate(cfg: SchemeConfig) -> PointSummary:

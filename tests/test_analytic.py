@@ -444,3 +444,62 @@ def test_series_refuses_what_a_point_config_refuses(monkeypatch, name, field, va
     L_values, p_m_values = ([10.0, value], [0.5]) if field == "L" else ([10.0], [0.5, value])
     with pytest.raises(ParameterError, match=f"^{re.escape(str(refused.value))}$"):
         evaluate_series(cfg, L_values, p_m_values)
+
+
+@pytest.mark.parametrize("name", ["mm", "sr", "ms", "afc_mm", "afc_ms"])
+def test_series_over_no_points_gives_empty_columns(name):
+    cfg = SERIES_CONFIGS[name]
+    for L_values, p_m_values in (([], SERIES_P_M), (SERIES_L_KM, []), ([], []), ((), tuple(SERIES_P_M))):
+        assert evaluate_series(cfg, L_values, p_m_values) == ([],) * 7
+
+
+@pytest.mark.parametrize("name", SERIES_CONFIGS)
+def test_tuple_and_list_inputs_give_the_same_columns(name):
+    # The evaluator walks its inputs more than once, column by column.
+    cfg = SERIES_CONFIGS[name]
+    as_lists = evaluate_series(cfg, SERIES_L_KM, SERIES_P_M)
+    as_tuples = evaluate_series(cfg, tuple(SERIES_L_KM), tuple(SERIES_P_M))
+    for column, other in zip(as_lists, as_tuples):
+        assert type(column) is list and all(map(_same_bits, column, other))
+
+
+# t_link = n L / c underflows to 0 at 5e-324 and 1e-320 km; at 1e-310 km it is
+# subnormal, and the closed forms overflow where no rephasing cap applies.
+TINY_L_KM = [10.0, 5e-324, 0.5, 1e-320, 1e-310, 150.0, 1e-320]
+
+
+@pytest.mark.parametrize("name", SERIES_CONFIGS)
+def test_series_through_underflow_and_overflow_equals_point_by_point_evaluation(name):
+    cfg = SERIES_CONFIGS[name]
+    series = evaluate_series(cfg, TINY_L_KM, SERIES_P_M)
+    points = [evaluate_series(cfg, [L], [p_m]) for L in TINY_L_KM for p_m in SERIES_P_M]
+    for name, column in zip(series._fields, series):
+        assert len(column) == len(points)
+        for value, point in zip(column, points):
+            (expected,) = getattr(point, name)
+            assert _same_bits(value, expected), (name, value, expected)
+    point_L = [L for L in TINY_L_KM for _ in SERIES_P_M]
+    for L, K, rate in zip(point_L, series.K, series.rate):
+        if L < 1e-310 and K is not None:  # capped or not, no rate where t_link is 0
+            assert str(rate).startswith("analytic_rate needs L > 0 km and t_link = n L / c > 0 s"), (L, rate)
+    assert any(str(rate).startswith("rate is inf") for rate in series.rate)
+    if cfg.kind.is_afc:  # the rephasing cap gives an exact, finite rate where t_link is subnormal
+        assert any(c and type(r) is float for L, c, r in zip(point_L, series.capped, series.rate) if L == 1e-310)
+
+
+def test_a_stored_rate_error_is_raised_with_a_fresh_traceback_on_every_read():
+    point = evaluate(mm(link=LinkParams(L=0.0)))
+
+    def read():
+        with pytest.raises(ParameterError) as refused:
+            point.rate
+        error = refused.value
+        assert type(error) is type(point.rate_or_error) and str(error) == str(point.rate_or_error)
+        depth, tb = 0, error.__traceback__
+        while tb is not None:
+            depth, tb = depth + 1, tb.tb_next
+        return depth
+
+    first = read()
+    assert [read() for _ in range(4)] == [first] * 4
+    assert point.rate_or_error.__traceback__ is None
