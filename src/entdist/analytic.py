@@ -224,8 +224,9 @@ def evaluate_series(cfg: SchemeConfig, L_values: Sequence[float], p_m_values: Se
     Trials per round K: MM and SR fire each available memory once. MS and AFC
     fire ceil(capacity / p_latch), so that the expected latches fill the memories
     or modes; an AFC budget that is unbounded or outlasts the rephasing period
-    is capped at ceil(t_rephase / t_clock_prime). t_round is t_link (twice for
-    SR, whose photons cross the link and whose reply returns) plus K clocks.
+    is capped at ceil(t_rephase / t_clock_prime), unless t_rephase is inf.
+    t_round is t_link (twice for SR, whose photons cross the link and whose
+    reply returns) plus K clocks.
 
     A point fails where its trial budget or round time is not finite (an MS
     latch probability of 0 has no rephasing cap to fall back on); its rate
@@ -294,7 +295,9 @@ def evaluate_series(cfg: SchemeConfig, L_values: Sequence[float], p_m_values: Se
             L, p_m = L_values[j // len(p_m_values)], p_m_values[j % len(p_m_values)]
             rate[j] = (ParameterError(f"t_round is {t_round[j]!r} s: the inputs exceed double precision")
                        if K[j] != math.inf else _unbounded_ms_budget(link, L, p_m, p_bsa, p_memory) if not is_afc
-                       else ParameterError(f"t_clock_prime {t_clock!r} s is too short for a finite budget"))
+                       else ParameterError(f"t_clock_prime {t_clock!r} s is too short for a finite budget"
+                                           if mem.t_rephase < math.inf
+                                           else "unbounded trial budget: t_rephase inf s sets no rephasing cap"))
             for column in (K, p_single, capacities, t_round, capped, feasible):
                 column[j] = None
     return SeriesColumns(K, p_single, capacities, t_round, capped, feasible, rate)

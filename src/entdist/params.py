@@ -114,6 +114,7 @@ class LinkParams:
         if not (type(self.n) in _PLAIN and 1.0 <= self.n <= _MAX):
             _require_real("n", self.n)
             _require(self.n >= 1.0, "n", "must be >= 1, got %r", self.n)
+            _require_finite("n", self.n)
         _require_positive("c", self.c)
         _require_probability("p_d", self.p_d)
 

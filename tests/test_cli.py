@@ -146,6 +146,12 @@ HUGE = str(10**400)  # past the largest double, 1.8e308
      "N_A / N_B are only meaningful for SR"),
     (["analytic", "custom", "--set", "scheme=afc-mm", "--set", "L_km=10", "--set", "p_m=0",
       "--set", "afc.t_clock_prime_s=5e-324"], "t_clock_prime 5e-324 s is too short for a finite budget"),
+    (["analytic", "custom", "--set", "scheme=mm", "--set", "L_km=10", "--set", "n=Infinity"],
+     "n must be finite, got inf"),
+    # With no rephasing period, nothing caps the budget that p_m = 0 leaves unbounded.
+    (["analytic", "custom", "--set", "scheme=afc-mm", "--set", "L_km=10", "--set", "p_m=0",
+      "--set", "afc.t_rephase_s=Infinity", "--set", "afc.t_spin_coherence_s=Infinity"],
+     "unbounded trial budget: t_rephase inf s sets no rephasing cap"),
 ])
 def test_out_of_range_inputs_are_config_errors(capsys, tmp_path, argv, message, fmt):
     if isinstance(argv[1], dict):  # a config document, given by its file's path
@@ -165,6 +171,18 @@ def test_infinite_attenuation_length_and_spin_coherence_run(capsys, scheme, key)
                  "--set", f"{key}=Infinity", "--format", "json"]) == 0
     (row,) = json.loads(capsys.readouterr().out)
     assert math.isfinite(row["analytic_rate"]) and math.isfinite(row["t_round_s"])
+
+
+@pytest.mark.parametrize("scheme", ["afc-mm", "afc-ms"])
+def test_infinite_rephasing_period_runs_where_p_m_bounds_the_budget(capsys, scheme):
+    # A memory that never re-emits needs no rephasing cap while the latch probability is above 0.
+    assert main(["analytic", "custom", "--set", f"scheme={scheme}", "--set", "L_km=10", "--set", "p_m=[0.5, 1.0]",
+                 "--set", "afc.t_rephase_s=Infinity", "--set", "afc.t_spin_coherence_s=Infinity",
+                 "--format", "json"]) == 0
+    rows = json.loads(capsys.readouterr().out)
+    assert len(rows) == 2
+    for row in rows:
+        assert math.isfinite(row["analytic_rate"]) and math.isfinite(row["t_round_s"]) and row["feasible"]
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -340,8 +358,9 @@ NUMPY_ON_DEMAND = """
 import sys
 sys.path.insert(0, sys.argv[1])
 
-def unloaded(step):
-    assert "numpy" not in sys.modules, f"{step} loaded numpy"
+def unloaded(step, modules=("numpy", "entdist.montecarlo")):
+    for module in modules:
+        assert module not in sys.modules, f"{step} loaded {module}"
 
 import entdist
 unloaded("import entdist")
@@ -372,19 +391,22 @@ except ParameterError:
 else:
     raise AssertionError("the rate at L = 0 was accepted")
 run_scenario("fig5a", with_mc=False)
-unloaded("an analytic run, seed column included")
+unloaded("an analytic run, seed column included", ["numpy"])
 assert "entdist.montecarlo" in sys.modules  # it seeds the rows; perfbench's tracer wraps the modules a run loaded
 for fmt in ("csv", "json"):
     assert main(["analytic", "fig5a", "--format", fmt]) == 0
-    unloaded(f"analytic fig5a --format {fmt}")
+    unloaded(f"analytic fig5a --format {fmt}", ["numpy"])
 run_scenario("fig5a", rounds=10)
 assert "numpy" in sys.modules, "a seeded run_scenario did not load numpy"
-assert entdist.estimate_series is entdist.montecarlo.estimate_series
+assert not hasattr(entdist, "estimate_series")  # montecarlo's names are montecarlo's alone
+from entdist.montecarlo import estimate_series
 star = {}
 exec("from entdist import *", star)
-for module in ("analytic", "harness", "montecarlo", "params", "swapping"):
-    for name in getattr(entdist, module).__all__:
-        assert star[name] is getattr(getattr(entdist, module), name), name
+modules = [entdist.analytic, entdist.harness, entdist.params, entdist.swapping]
+assert sorted(star) == sorted(["__builtins__", *(name for module in modules for name in module.__all__)])
+for module in modules:
+    for name in module.__all__:
+        assert star[name] is getattr(module, name), name
 """
 
 

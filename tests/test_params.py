@@ -263,6 +263,7 @@ HUGE = "must be at most 1.7976931348623157e+308 in magnitude, got a larger integ
     (lambda: LinkParams(L=1.0, n=math.nan), "n must be >= 1, got nan"),
     (lambda: dataclasses.replace(QUANTUM_DOT, t_clock=math.inf), "t_clock must be finite, got inf"),
     (lambda: dataclasses.replace(AFC_REALISTIC, t_clock_prime=math.inf), "t_clock_prime must be finite, got inf"),
+    (lambda: LinkParams(L=1.0, n=math.inf), "n must be finite, got inf"),
 ])
 def test_edge_inputs_are_refused_with_the_checks_text(build, message):
     with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
