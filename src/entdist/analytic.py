@@ -26,11 +26,9 @@ from .params import (
     LinkParams,
     MemorySpec,
     ParameterError,
-    _is_integer,
     _require_L,
     _require_count,
     _require_probability,
-    _require_real,
     derive_probs,
     fiber_transmission,
     t_link,
@@ -67,11 +65,6 @@ class SchemeConfig:
 
     N_A / N_B split the 2N memories between sender and receiver and are only
     meaningful (and required) for SR.
-
-    ms_sync_factor selects the classical-synchronization convention for the
-    midpoint-source rate denominators: 2 reproduces the published closed
-    forms, 1 the naive trials-times-probability-per-round derivation. The two
-    rates differ by exactly that factor.
     """
 
     kind: SchemeKind
@@ -80,16 +73,12 @@ class SchemeConfig:
     p_m: float = 1.0
     N_A: int | None = None
     N_B: int | None = None
-    ms_sync_factor: int = 2
 
     def __post_init__(self) -> None:
         spec = AfcSpec if self.kind.is_afc else MemorySpec
         if not isinstance(self.memory, spec):
             raise ParameterError(f"memory must be of type {spec.__name__} for {self.kind.value.upper()}")
         _require_probability("p_m", self.p_m)
-        if not (_is_integer(self.ms_sync_factor) and self.ms_sync_factor in (1, 2)):
-            _require_real("ms_sync_factor", self.ms_sync_factor)
-            raise ParameterError(f"ms_sync_factor must be 1 or 2, got {self.ms_sync_factor!r}")
         if self.kind is SchemeKind.SR:
             if self.N_A is None or self.N_B is None:
                 raise ParameterError("N_A and N_B are required for SR")
@@ -270,15 +259,15 @@ def evaluate_series(cfg: SchemeConfig, L_values: Sequence[float], p_m_values: Se
             fulls = [math.exp(-L / link.L_att) for L in L_values]
             rate = _rates(point_tls, [x * full for full in fulls for x in factors], point_tls)
         else:
-            # MS latches at p_m p_BSA p_optical; AFC-MS, whose halves must pass
-            # the non-destructive detectors, at p_m p_pass p_optical.
+            # MS latches at p_m p_BSA p_optical; AFC-MS, whose halves must pass the non-destructive
+            # detectors, at p_m p_pass p_optical. Both rates keep the published denominator 2 t_link.
             a = p_bsa if kind is SchemeKind.MS else mem.p_pass
             factors = [p_m * a for p_m in p_m_values]
             K = _ceil_ratios(capacity, [x * p for p in p_opts for x in factors])
             p_single = [p_m * q for q in [(a * p) ** 2 for p in p_opts] for p_m in p_m_values]
             numerators = ([capacity * p_bsa * p for p in p_opts] if kind is SchemeKind.MS
                           else [capacity * mem.p_pass * mem.p_AFC * half for half in halves])
-            rate = each_p_m(_rates(tls, numerators, [cfg.ms_sync_factor * tl for tl in tls]))
+            rate = each_p_m(_rates(tls, numerators, [2 * tl for tl in tls]))
         capped = [False] * n
         if is_afc:
             capped = [k * t_clock > mem.t_rephase for k in K]

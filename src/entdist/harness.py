@@ -27,14 +27,15 @@ from dataclasses import replace
 from functools import partial
 from itertools import pairwise, repeat
 from json.encoder import encode_basestring_ascii
-from math import isfinite, prod
+from math import inf, isfinite, prod
+from numbers import Real
 from pathlib import Path
 from types import NoneType
 from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, get_args, get_type_hints
 
 from .analytic import SchemeConfig, SchemeKind, SeriesColumns, evaluate_series
 from .params import (AFC_REALISTIC, LinkParams, MEMORY_PRESETS, McControls, MemorySpec, ParameterError, QUANTUM_DOT,
-                     _require_L)
+                     _is_integer, _require_L)
 
 __all__ = [
     "ConfigError",
@@ -215,19 +216,23 @@ def _shown(value: Any) -> str:
 
 
 def _as_number(key: str, value: Any) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    """A real Python or numpy number but a bool (numpy's bool is no Real), as a float."""
+    if not (type(value) in (float, int) or isinstance(value, Real) and not isinstance(value, bool)):
         raise ConfigError(f"{key} must be a number, got {_shown(value)}")
-    if isinstance(value, int) and abs(value) > sys.float_info.max:  # float() would raise OverflowError
-        raise ConfigError(f"{key} must be at most {sys.float_info.max!r} in magnitude, got a larger integer")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer or fraction past double range
+        number = inf
+    if number in (inf, -inf) and value not in (inf, -inf):  # numpy's long double rounds to inf
+        kind = "integer" if _is_integer(value) else "number"
+        raise ConfigError(f"{key} must be at most {sys.float_info.max!r} in magnitude, got a larger {kind}")
+    return number
 
 
 def _as_int(key: str, value: Any) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        if isinstance(value, float) and value.is_integer():
-            return int(value)
-        raise ConfigError(f"{key} must be an integer, got {_shown(value)}")
-    return int(value)
+    if _is_integer(value) or isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ConfigError(f"{key} must be an integer, got {_shown(value)}")
 
 
 def _as_number_list(key: str, value: Any) -> list[float]:
@@ -260,7 +265,6 @@ def _as_memory_preset(key: str, value: Any) -> MemorySpec:
 _CONFIG_KEYS: dict[str, tuple[str, str, Callable[[str, Any], Any]]] = {
     "scheme": ("scheme", "kind", _as_scheme),
     "p_m": ("scheme", "p_m", _as_number_list),
-    "ms_sync_factor": ("scheme", "ms_sync_factor", _as_int),
     "N_A": ("scheme", "N_A", _as_int),
     "N_B": ("scheme", "N_B", _as_int),
     "L_km": ("link", "L", _as_number_list),

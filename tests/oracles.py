@@ -85,13 +85,13 @@ class SchemePoint:
         elif cfg.kind is SchemeKind.SR:
             rate = cfg.N_A * p_bsa * p_optical**2 / (2.0 * t_link)
         elif cfg.kind is SchemeKind.MS:
-            rate = mem.N * p_bsa * p_optical / (cfg.ms_sync_factor * t_link)
+            rate = mem.N * p_bsa * p_optical / (2.0 * t_link)
         elif cfg.kind is SchemeKind.AFC_MM:
             whole_link = math.exp(-cfg.link.L / cfg.link.L_att)
             rate = mem.N_AFC * p_bsa * cfg.p_m * mem.p_AFC * whole_link / t_link
         else:
             half_link = math.exp(-cfg.link.L / (2.0 * cfg.link.L_att))
-            rate = mem.N_AFC * mem.p_pass * mem.p_AFC * half_link / (cfg.ms_sync_factor * t_link)
+            rate = mem.N_AFC * mem.p_pass * mem.p_AFC * half_link / (2.0 * t_link)
         return _finite_rate(rate)
 
 

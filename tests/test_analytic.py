@@ -92,16 +92,11 @@ class TestConfigValidation:
         with pytest.raises(ParameterError, match="N_A"):
             SchemeConfig(SchemeKind.MM, LINK10, QUANTUM_DOT, N_A=3, N_B=3)
 
-    def test_sync_factor_must_be_one_or_two(self):
-        with pytest.raises(ParameterError, match="ms_sync_factor"):
-            ms(ms_sync_factor=3)
-
-    @pytest.mark.parametrize("factor", [True, 1.0, 2.0])
-    def test_sync_factor_must_be_an_integer(self, factor):
-        with pytest.raises(ParameterError, match="ms_sync_factor"):
-            ms(ms_sync_factor=factor)
-        with pytest.raises(ParameterError, match="ms_sync_factor"):
-            afc_ms(ms_sync_factor=factor)
+    def test_sync_factor_is_no_longer_a_field(self):
+        # MS and AFC-MS keep the published factor-2 denominator; there is no other convention to pick.
+        for build in (ms, afc_ms):
+            with pytest.raises(TypeError, match="ms_sync_factor"):
+                build(ms_sync_factor=2)
 
 
 class TestSingleTrialSuccess:
@@ -213,14 +208,6 @@ class TestRates:
         point = evaluate(afc_mm(p_m=0.02))
         assert point.capped
         assert point.rate == point.exact_rate
-
-    def test_sync_factor_scales_midpoint_source_rates(self):
-        assert analytic_rate(ms(ms_sync_factor=1)) == pytest.approx(
-            2.0 * analytic_rate(ms(ms_sync_factor=2)), rel=1e-15
-        )
-        assert analytic_rate(afc_ms(ms_sync_factor=1)) == pytest.approx(
-            2.0 * analytic_rate(afc_ms(ms_sync_factor=2)), rel=1e-15
-        )
 
     def test_uncapped_afc_mm_budget_times_probability_matches_closed_form(self):
         # Without the ceiling, K p_single collapses to the closed-form numerator.

@@ -144,6 +144,11 @@ HUGE = str(10**400)  # past the largest double, 1.8e308
     (["analytic", "custom", "--set", "scheme=sr", "--set", "L_km=10"], "N_A and N_B are required for SR"),
     (["analytic", "custom", "--set", "scheme=mm", "--set", "L_km=10", "--set", "N_B=3"],
      "N_A / N_B are only meaningful for SR"),
+    # A memory split on a preset without SR is refused, not ignored like other keys it does not use.
+    (["analytic", "fig2a", "--set", "N_A=3", "--set", "N_B=3"], "N_A / N_B are only meaningful for SR"),
+    # The removed midpoint-source convention key: MS and AFC-MS keep the published factor 2.
+    (["analytic", "custom", "--set", "scheme=ms", "--set", "L_km=10", "--set", "ms_sync_factor=2"],
+     "unknown config key 'ms_sync_factor'"),
     (["analytic", "custom", "--set", "scheme=afc-mm", "--set", "L_km=10", "--set", "p_m=0",
       "--set", "afc.t_clock_prime_s=5e-324"], "t_clock_prime 5e-324 s is too short for a finite budget"),
     (["analytic", "custom", "--set", "scheme=mm", "--set", "L_km=10", "--set", "n=Infinity"],

@@ -6,11 +6,13 @@ import json
 import math
 import pkgutil
 import re
+import shlex
 import tracemalloc
 import types
 import typing
 from dataclasses import replace
 from enum import Enum
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -251,6 +253,7 @@ class TestConfigHandling:
             ({"scheme": "mm", "L_km": "far"}, "must be a number"),
             ({"scheme": "mm", "L_km": 10, "mc.trial_granularity": "per-trial"}, "unknown config key"),
             ({"scheme": "mm", "L_km": 10, "memory.label": "my-memory"}, "unknown config key"),
+            ({"scheme": "ms", "L_km": 10, "ms_sync_factor": 2}, "unknown config key"),
             # A refused value holding an integer past the int-to-string digit limit.
             ({"scheme": "mm", "L_km": 10, "memory.N": [10**5000]}, "^memory.N must be an integer, got a value"),
             ({"scheme": "mm", "L_km": 10, "L_att_km": [10**5000]}, "^L_att_km must be a number, got a value"),
@@ -259,6 +262,14 @@ class TestConfigHandling:
             ({"scheme": [10**5000], "L_km": 10}, "^scheme must be one of"),
             ({"scheme": "mm", "L_km": 10, "memory.kind": [10**5000]}, "^memory.kind must be one of"),
             ({10**5000: 1}, "^unknown config key a value of type int"),
+            # numpy's bools are refused as Python's are; a value past double range by its magnitude.
+            ({"scheme": "mm", "L_km": 10, "memory.N": np.True_}, "^memory.N must be an integer, got a value of type bool$"),
+            ({"scheme": "mm", "L_km": 10, "p_m": np.False_}, "^p_m must be a number, got a value of type bool$"),
+            ({"scheme": "mm", "L_km": 10, "L_att_km": Fraction(10**400)}, "^L_att_km must be at most .* a larger number$"),
+            pytest.param({"scheme": "mm", "L_km": 10, "L_att_km": np.longdouble(10) ** 400},
+                         "^L_att_km must be at most .* a larger number$",
+                         marks=pytest.mark.skipif(np.finfo(np.longdouble).max <= np.finfo(np.float64).max,
+                                                  reason="numpy's long double is a double on this platform")),
         ],
     )
     def test_config_validation_errors(self, overrides, match):
@@ -268,6 +279,16 @@ class TestConfigHandling:
     def test_unknown_preset(self):
         with pytest.raises(ConfigError, match="unknown preset"):
             run_scenario("fig99")
+
+    def test_numpy_scalars_give_the_rows_of_python_numbers(self):
+        numpy_overrides = {"scheme": "mm", "L_km": [np.float32(5.0), np.float64(10.0)], "p_m": np.float32(0.5),
+                           "memory.N": np.int64(3)}
+        overrides = {"scheme": "mm", "L_km": [5.0, 10.0], "p_m": 0.5, "memory.N": 3}
+        assert (run_scenario("custom", numpy_overrides, seed=np.uint64(3), rounds=np.int32(200))
+                == run_scenario("custom", overrides, seed=3, rounds=200))
+        assert (run_scenario("fig5a", seed=np.uint64(3), rounds=np.int64(200))
+                == run_scenario("fig5a", seed=3, rounds=200))
+        assert build_scenario("fig5a", seed=np.uint64(2**64 - 1)).mc.seed == 2**64 - 1
 
     @pytest.mark.parametrize("document, match", [
         (None, "^cannot read config file"),  # the path is a directory
@@ -548,6 +569,18 @@ class TestReadme:
         exec(code, {})  # an import of a name that entdist does not export fails here
         rate, exact_rate, mc_rate, mc_stderr = map(float, capsys.readouterr().out.split())
         assert rate > 0.0 and abs(mc_rate - exact_rate) <= 4.0 * mc_stderr
+
+    def test_cli_quick_start_runs(self, tmp_path, monkeypatch, capsys):
+        block = readme_section("Quick start (CLI)").split("```sh\n")[1].split("```")[0]
+        commands = [shlex.split(line) for line in block.splitlines() if line.startswith("entdist ")]
+        assert len(commands) == 6
+        monkeypatch.chdir(tmp_path)  # --out writes here, and scan.json is read from here
+        (tmp_path / "scan.json").write_text(json.dumps({"scheme": "afc-ms", "L_km": [10, 20], "p_m": 0.5,
+                                                        "mc.n_rounds": 2000}))
+        for argv in commands:
+            assert main(argv[1:]) == 0, argv
+            assert capsys.readouterr().err == "", argv
+        assert (tmp_path / "fig5b.csv").read_text().startswith(CSV_HEADER)
 
 
 def test_every_library_class_is_an_enum_a_record_a_checked_input_or_a_named_error():

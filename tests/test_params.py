@@ -160,7 +160,6 @@ def test_pair_source_probability_validated():
 @pytest.mark.parametrize("build, field", [
     (lambda: SchemeConfig(SchemeKind.MS, LinkParams(L=10.0), QUANTUM_DOT, p_m=10**5000), "p_m"),
     (lambda: SchemeConfig(SchemeKind.MS, LinkParams(L=10.0), QUANTUM_DOT, p_m=-10**400), "p_m"),
-    (lambda: SchemeConfig(SchemeKind.MS, LinkParams(L=10.0), QUANTUM_DOT, ms_sync_factor=10**5000), "ms_sync_factor"),
     (lambda: SwapParams(J=-10**5000), "J"),
     (lambda: SwapParams(J=10, i=10**400), "i"),
     (lambda: SwapParams(J=10, p_emit=10**5000), "p_emit"),

@@ -92,8 +92,7 @@ def configs(draw, max_memories=10**6):
     if kind is SchemeKind.SR:
         n_a = draw(st.integers(1, 2 * memory.N - 1))
         extra = {"N_A": n_a, "N_B": 2 * memory.N - n_a}
-    return SchemeConfig(kind, draw(links), memory, p_m=draw(probability),
-                        ms_sync_factor=draw(st.sampled_from((1, 2))), **extra)
+    return SchemeConfig(kind, draw(links), memory, p_m=draw(probability), **extra)
 
 
 def outcome(compute):
@@ -216,7 +215,6 @@ def series_documents(draw, kind):
         "L_km": draw(axis(VALID_L_KM, EDGE_L_KM)),
         "p_m": draw(axis(VALID_P_M, EDGE_P_M)),
         "p_d": draw(rarely([0.8], [0.0, 1.5])),
-        "ms_sync_factor": draw(st.sampled_from([1, 2])),
     }
     if kind.is_afc:
         series.update({
@@ -498,7 +496,6 @@ KEY_DOMAINS = {
     "L_att_km": st.floats(1.0, 100.0),
     "n": st.floats(1.0, 2.0),
     "c_km_per_s": st.floats(1e5, 3e5),
-    "ms_sync_factor": st.sampled_from([1, 2]),
     "mc.seed": st.integers(0, 2**64 - 1),
 }
 
