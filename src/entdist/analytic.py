@@ -26,6 +26,7 @@ from .params import (
     LinkParams,
     MemorySpec,
     ParameterError,
+    _C_KM_PER_S,
     _require_L,
     _require_count,
     _require_probability,
@@ -239,7 +240,7 @@ def evaluate_series(cfg: SchemeConfig, L_values: Sequence[float], p_m_values: Se
         return [value for value in column for _ in p_m_values]
 
     # t_link, and derive_probs at L from the fiber transmission over L / 2, in their operations.
-    tls = [link.n * L / link.c for L in L_values]
+    tls = [link.n * L / _C_KM_PER_S for L in L_values]
     halves = [fiber_transmission(L, link.L_att) for L in L_values]
     p_opts = [p_memory * half for half in halves]
     feasible = each_p_m([mem.t_rephase + tl <= mem.t_spin_coherence for tl in tls]) if is_afc else [True] * n

@@ -230,8 +230,11 @@ def _as_number(key: str, value: Any) -> float:
 
 
 def _as_int(key: str, value: Any) -> int:
-    if _is_integer(value) or isinstance(value, float) and value.is_integer():
+    """An integer, exactly, or an integral real but a bool (numpy's float32 too), as an int."""
+    if _is_integer(value):
         return int(value)
+    if isinstance(value, Real) and not isinstance(value, bool) and (number := _as_number(key, value)).is_integer():
+        return int(number)
     raise ConfigError(f"{key} must be an integer, got {_shown(value)}")
 
 
@@ -270,7 +273,6 @@ _CONFIG_KEYS: dict[str, tuple[str, str, Callable[[str, Any], Any]]] = {
     "L_km": ("link", "L", _as_number_list),
     "L_att_km": ("link", "L_att", _as_number),
     "n": ("link", "n", _as_number),
-    "c_km_per_s": ("link", "c", _as_number),
     "p_d": ("link", "p_d", _as_number),
     "memory.kind": ("memory", "kind", _as_memory_preset),
     "memory.t_clock_s": ("memory", "t_clock", _as_number),

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 import struct
-from itertools import pairwise
 from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 
 from .analytic import PointSummary, SeriesColumns, feasibility_check
@@ -72,25 +71,10 @@ def subseed(master_seed: int, index: int) -> int:
     return int(subseeds(master_seed, [index])[0])
 
 
-def _hash_constants(const: int, mult: int, count: int) -> list[int]:
-    """The running constants of count hashmix calls of numpy SeedSequence's pool hash.
-
-    Call i xors with constant i, steps it (times mult, mod 2**32) and
-    multiplies by the stepped value, constant i + 1; the sequence depends on
-    nothing else.
-    """
-    consts = [const]
-    for _ in range(count):
-        consts.append(consts[-1] * mult & 0xFFFF_FFFF)
-    return consts
-
-
 # numpy's pool hash (numpy/random/bit_generator.pyx) on a 4-word pool: 4 hashmix calls on the
 # entropy words, then 3 per source word, one for each other pool word in turn, each mixed into
 # that word as mix(x, y) = (L x - R y) xorshifted; at most 8 calls on the output half-words,
 # which read pool words 0, 1, 2, 3, 0, ... in turn. All arithmetic is mod 2**32.
-_POOL_HASH = _hash_constants(0x43B0D7E5, 0x931E8875, 16)
-_OUTPUT_HASH = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 
 
@@ -108,20 +92,22 @@ def _pool_hash(entropy: list[int], n: int, n_words: int) -> list[list[int]]:
     ones = int.from_bytes(b"\1\0\0\0\0\0\0\0" * n, "little")  # 1 in each lane
     low = 0xFFFF_FFFF * ones
 
-    def hashmix(word: int, calls: Iterator[tuple[int, int]]) -> int:
-        xor, mult = next(calls)
-        word = (word ^ xor * ones) * mult & low
+    def hashmix(word: int) -> int:
+        nonlocal const  # xor with it, step it (times mult) and multiply by the new value
+        word ^= const * ones
+        const = const * mult & 0xFFFF_FFFF
+        word = word * const & low
         return word ^ word >> 16 & low
 
-    calls = pairwise(_POOL_HASH)
-    pool = [hashmix(word, calls) for word in entropy + [0] * (4 - len(entropy))]
+    const, mult = 0x43B0D7E5, 0x931E8875  # numpy's INIT_A and MULT_A: the pool phase
+    pool = [hashmix(word) for word in entropy + [0] * (4 - len(entropy))]
     for src in range(4):
         for dst in range(4):
             if dst != src:
-                word = (_MIX_MULT_L * pool[dst] & low) + (2**32 - _MIX_MULT_R) * hashmix(pool[src], calls) & low
+                word = (_MIX_MULT_L * pool[dst] & low) + (2**32 - _MIX_MULT_R) * hashmix(pool[src]) & low
                 pool[dst] = word ^ word >> 16 & low  # mix: L x - R y, mod 2**32
-    calls = pairwise(_OUTPUT_HASH)
-    halves = [hashmix(pool[i % 4], calls) for i in range(2 * n_words)]  # they read pool words 0, 1, 2, 3, 0, ...
+    const, mult = 0x8B51F9DD, 0x58F38DED  # INIT_B and MULT_B: the output phase
+    halves = [hashmix(pool[i % 4]) for i in range(2 * n_words)]  # they read pool words 0, 1, 2, 3, 0, ...
     return [list(struct.unpack(f"<{n}Q", (lo | hi << 32).to_bytes(8 * n, "little")))
             for lo, hi in zip(halves[0::2], halves[1::2])]
 

@@ -37,6 +37,7 @@ _MAX = sys.float_info.max
 _PLAIN = frozenset({float, int})  # passed in range by one comparison; a bool or numpy scalar takes every check
 _DEFAULT_SEED = 42
 _MAX_ROUNDS = 2**63 - 1  # numpy's multinomial takes the round count as a C long
+_C_KM_PER_S = 2.998e5  # vacuum light speed, km/s; the fiber enters through n
 
 
 class ParameterError(ValueError):
@@ -105,7 +106,6 @@ class LinkParams:
     L: float              # node separation, km
     L_att: float = 22.0   # attenuation length of standard fiber, km
     n: float = 1.5        # refractive index of the fiber core
-    c: float = 2.998e5    # vacuum light speed, km/s
     p_d: float = 0.8      # single-photon detector efficiency
 
     def __post_init__(self) -> None:
@@ -115,7 +115,6 @@ class LinkParams:
             _require_real("n", self.n)
             _require(self.n >= 1.0, "n", "must be >= 1, got %r", self.n)
             _require_finite("n", self.n)
-        _require_positive("c", self.c)
         _require_probability("p_d", self.p_d)
 
 
@@ -203,8 +202,8 @@ def fiber_transmission(L: float, L_att: float) -> float:
 
 
 def t_link(link: LinkParams) -> float:
-    """One-way fiber traversal time n L / c in seconds."""
-    return link.n * link.L / link.c
+    """One-way fiber traversal time n L / c in seconds, c the vacuum light speed."""
+    return link.n * link.L / _C_KM_PER_S
 
 
 def derive_probs(link: LinkParams, mem: MemorySpec | AfcSpec) -> DerivedProbs:

@@ -23,7 +23,7 @@ def _chain(cfg: SchemeConfig) -> tuple[float, float, float]:
     link, mem = cfg.link, cfg.memory
     transmission = math.exp(-link.L / (2.0 * link.L_att))
     base = mem.p_AFC if cfg.kind.is_afc else mem.emission_fraction * mem.collection_efficiency
-    return link.p_d**2 / 2.0, base * transmission, link.n * link.L / link.c
+    return link.p_d**2 / 2.0, base * transmission, link.n * link.L / 2.998e5
 
 
 def single_trial_success(cfg: SchemeConfig) -> float:

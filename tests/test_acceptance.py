@@ -217,7 +217,7 @@ def _check_mc_agreement(rounds=None):
     for cfg, estimate in _sr_points(rounds or 50_000):
         point = evaluate(cfg)
         exact = (_capped_binomial_mean(point.K, point.p_single, point.capacity)
-                 / (2 * cfg.link.n * cfg.link.L / cfg.link.c + cfg.N_A * cfg.memory.t_clock))
+                 / (2 * cfg.link.n * cfg.link.L / 2.998e5 + cfg.N_A * cfg.memory.t_clock))
         reference = point.rate
         tolerance = max(3.0 * estimate.stderr, 0.005 * reference)
         checked += 1
@@ -299,7 +299,6 @@ def _random_spin_setup(rng):
         L=rng.uniform(0.5, 120.0),
         L_att=rng.uniform(5.0, 50.0),
         n=rng.uniform(1.0, 2.0),
-        c=2.998e5,
         p_d=rng.uniform(0.05, 1.0),
     )
     return link, memory

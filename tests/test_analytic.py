@@ -214,7 +214,7 @@ class TestRates:
         cfg = afc_mm()
         k_real = cfg.memory.N_AFC / latch_probability(cfg)
         per_round = k_real * evaluate(cfg).p_single
-        closed_numerator = analytic_rate(cfg) * (cfg.link.n * cfg.link.L / cfg.link.c)
+        closed_numerator = analytic_rate(cfg) * (cfg.link.n * cfg.link.L / 2.998e5)
         assert per_round == pytest.approx(closed_numerator, rel=1e-12)
 
     def test_exact_rate_tracks_budget_and_round_time(self):
@@ -334,7 +334,6 @@ def _random_spin_config(rng):
         L=rng.uniform(0.5, 120.0),
         L_att=rng.uniform(5.0, 50.0),
         n=rng.uniform(1.0, 2.0),
-        c=2.998e5,
         p_d=rng.uniform(0.05, 1.0),
     )
     return link, memory

@@ -149,6 +149,9 @@ HUGE = str(10**400)  # past the largest double, 1.8e308
     # The removed midpoint-source convention key: MS and AFC-MS keep the published factor 2.
     (["analytic", "custom", "--set", "scheme=ms", "--set", "L_km=10", "--set", "ms_sync_factor=2"],
      "unknown config key 'ms_sync_factor'"),
+    # The removed light-speed key: c is the vacuum value, and the fiber enters through n.
+    (["analytic", "custom", "--set", "scheme=mm", "--set", "L_km=10", "--set", "c_km_per_s=3e5"],
+     "unknown config key 'c_km_per_s'"),
     (["analytic", "custom", "--set", "scheme=afc-mm", "--set", "L_km=10", "--set", "p_m=0",
       "--set", "afc.t_clock_prime_s=5e-324"], "t_clock_prime 5e-324 s is too short for a finite budget"),
     (["analytic", "custom", "--set", "scheme=mm", "--set", "L_km=10", "--set", "n=Infinity"],

@@ -72,7 +72,7 @@ class TestPresetTable:
             assert cfg.memory.t_clock == t_clock
             assert cfg.memory.emission_fraction * cfg.memory.collection_efficiency == p_memory
             assert cfg.memory.N == n
-            assert (cfg.link.L_att, cfg.link.n, cfg.link.c, cfg.link.p_d) == (22.0, 1.5, 2.998e5, 0.8)
+            assert (cfg.link.L_att, cfg.link.n, cfg.link.p_d) == (22.0, 1.5, 0.8)
         assert sorted({cfg.link.L for cfg in scenario.points}) == SWEEP_L
         assert sorted({cfg.p_m for cfg in scenario.points}) == SWEEP_PM
 
@@ -254,6 +254,7 @@ class TestConfigHandling:
             ({"scheme": "mm", "L_km": 10, "mc.trial_granularity": "per-trial"}, "unknown config key"),
             ({"scheme": "mm", "L_km": 10, "memory.label": "my-memory"}, "unknown config key"),
             ({"scheme": "ms", "L_km": 10, "ms_sync_factor": 2}, "unknown config key"),
+            ({"scheme": "mm", "L_km": 10, "c_km_per_s": 3e5}, "unknown config key"),
             # A refused value holding an integer past the int-to-string digit limit.
             ({"scheme": "mm", "L_km": 10, "memory.N": [10**5000]}, "^memory.N must be an integer, got a value"),
             ({"scheme": "mm", "L_km": 10, "L_att_km": [10**5000]}, "^L_att_km must be a number, got a value"),
@@ -265,6 +266,8 @@ class TestConfigHandling:
             # numpy's bools are refused as Python's are; a value past double range by its magnitude.
             ({"scheme": "mm", "L_km": 10, "memory.N": np.True_}, "^memory.N must be an integer, got a value of type bool$"),
             ({"scheme": "mm", "L_km": 10, "p_m": np.False_}, "^p_m must be a number, got a value of type bool$"),
+            ({"scheme": "mm", "L_km": 10, "memory.N": np.float32(2.5)},
+             "^memory.N must be an integer, got a value of type float32$"),
             ({"scheme": "mm", "L_km": 10, "L_att_km": Fraction(10**400)}, "^L_att_km must be at most .* a larger number$"),
             pytest.param({"scheme": "mm", "L_km": 10, "L_att_km": np.longdouble(10) ** 400},
                          "^L_att_km must be at most .* a larger number$",
@@ -289,6 +292,11 @@ class TestConfigHandling:
         assert (run_scenario("fig5a", seed=np.uint64(3), rounds=np.int64(200))
                 == run_scenario("fig5a", seed=3, rounds=200))
         assert build_scenario("fig5a", seed=np.uint64(2**64 - 1)).mc.seed == 2**64 - 1
+        # An integral numpy real is read as its integer, as 3.0 and np.float64(3.0) are.
+        for integral in (np.float16(3.0), np.float32(3.0), np.float64(3.0), np.longdouble(3.0)):
+            assert (run_scenario("custom", {**numpy_overrides, "memory.N": integral}, seed=integral, rounds=200)
+                    == run_scenario("custom", overrides, seed=3, rounds=200))
+            assert build_scenario("fig5a", seed=integral).mc.seed == 3
 
     @pytest.mark.parametrize("document, match", [
         (None, "^cannot read config file"),  # the path is a directory

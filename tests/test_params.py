@@ -95,20 +95,24 @@ def test_travel_time_is_half_millisecond_scale_at_50km():
         (dict(L=-1.0), "L"),
         (dict(L=10.0, L_att=0.0), "L_att"),
         (dict(L=10.0, n=0.8), "n"),
-        (dict(L=10.0, c=0.0), "c"),
         (dict(L=10.0, p_d=1.5), "p_d"),
         # Integers past double range: float() overflows, and repr() fails past 4,300 digits.
         (dict(L=10**400), "L"),
         (dict(L=-10**5000), "L"),
         (dict(L=10.0, L_att=10**400), "L_att"),
         (dict(L=10.0, n=-10**5000), "n"),
-        (dict(L=10.0, c=10**400), "c"),
         (dict(L=1, p_d=10**5000), "p_d"),
     ],
 )
 def test_link_validation_names_offending_field(kwargs, field):
     with pytest.raises(ParameterError, match=field):
         LinkParams(**kwargs)
+
+
+def test_light_speed_is_no_longer_a_field():
+    # c is the vacuum light speed; the fiber enters only through n.
+    with pytest.raises(TypeError, match="'c'"):
+        LinkParams(L=10.0, c=3e5)
 
 
 @pytest.mark.parametrize(
@@ -246,7 +250,6 @@ HUGE = "must be at most 1.7976931348623157e+308 in magnitude, got a larger integ
     (lambda: SwapParams(J=2**1024), f"J {HUGE}"),
     (lambda: dataclasses.replace(AFC_REALISTIC, N_AFC=-(10**400)), f"N_AFC {HUGE}"),
     (lambda: LinkParams(L=1.0, L_att=2**1024), f"L_att {HUGE}"),
-    (lambda: LinkParams(L=1.0, c=-(10**400)), f"c {HUGE}"),
     (lambda: dataclasses.replace(QUANTUM_DOT, t_clock=2**1024), f"t_clock {HUGE}"),
     (lambda: LinkParams(L=2**1024), f"L {HUGE}"),
     (lambda: LinkParams(L=1.0, n=2**1024), f"n {HUGE}"),
@@ -254,7 +257,6 @@ HUGE = "must be at most 1.7976931348623157e+308 in magnitude, got a larger integ
     (lambda: SwapParams(J=1, p_pass=-(10**400)), f"p_pass {HUGE}"),
     (lambda: LinkParams(L=1.0, L_att=math.nan), "L_att must be > 0, got nan"),
     (lambda: LinkParams(L=1.0, L_att=-0.0), "L_att must be > 0, got -0.0"),
-    (lambda: LinkParams(L=1.0, c=math.nan), "c must be > 0, got nan"),
     (lambda: dataclasses.replace(QUANTUM_DOT, t_clock=-0.0), "t_clock must be > 0, got -0.0"),
     (lambda: dataclasses.replace(AFC_REALISTIC, t_rephase=math.nan), "t_rephase must be > 0, got nan"),
     (lambda: LinkParams(L=math.nan), "L must be >= 0 km, got nan"),
@@ -273,7 +275,7 @@ def test_edge_inputs_are_refused_with_the_checks_text(build, message):
     (lambda: LinkParams(L=np.float64(0.5), L_att=np.float64(0.5), p_d=np.float64(0.5)), "p_d", 0.5),
     (lambda: dataclasses.replace(QUANTUM_DOT, N=np.int64(3)), "N", 3),
     (lambda: SwapParams(J=np.int64(3), i=np.int64(3), p_BSA=np.float64(0.5)), "J", 3),
-    (lambda: LinkParams(L=1.0, L_att=5e-324, c=5e-324), "c", 5e-324),
+    (lambda: LinkParams(L=1.0, L_att=5e-324), "L_att", 5e-324),
     (lambda: dataclasses.replace(QUANTUM_DOT, t_clock=5e-324), "t_clock", 5e-324),
     (lambda: dataclasses.replace(AFC_REALISTIC, t_rephase=5e-324, t_clock_prime=5e-324), "t_rephase", 5e-324),
     (lambda: LinkParams(L=1.0, L_att=math.inf), "L_att", math.inf),

@@ -11,6 +11,7 @@ import json
 import math
 import random
 import re
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 
@@ -32,7 +33,8 @@ from entdist.harness import (
     rows_to_json,
     run_scenario,
 )
-from entdist.montecarlo import _MAX_CELLS, _hash_subseeds, _streams, rng_for_seed, simulate_rounds, subseeds
+from entdist.montecarlo import (
+    _MAX_CELLS, _hash_subseeds, _pool_hash, _streams, rng_for_seed, simulate_rounds, subseeds)
 from entdist.params import (
     AFC_REALISTIC,
     AfcSpec,
@@ -54,8 +56,8 @@ links = st.builds(
     LinkParams,
     L=st.floats(0.0, 1e5),
     L_att=st.floats(0.0, 1e5, exclude_min=True),
-    n=st.floats(1.0, 1e3),
-    c=st.floats(0.0, 1e9, exclude_min=True),
+    # Up to double range, so that n L / c reaches the huge and overflowing flight times.
+    n=st.floats(1.0, 1e3) | st.floats(1.0, sys.float_info.max),
     p_d=probability,
 )
 
@@ -174,8 +176,11 @@ def seed_sequence_subseed(master_seed, index):
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(master=st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**64 - 1)),
-       indices=st.lists(st.integers(0, 2**32 - 1), max_size=70))
-def test_packed_subseeds_match_seed_sequence(master, indices):
+       indices=st.lists(st.integers(0, 2**32 - 1), max_size=70),
+       lanes=st.integers(1, 4).flatmap(lambda k: st.lists(
+           st.lists(st.integers(0, 2**32 - 1), min_size=k, max_size=k), min_size=1, max_size=40)),
+       n_words=st.integers(1, 4))
+def test_packed_subseeds_match_seed_sequence(master, indices, lanes, n_words):
     # Masters of one and of two 32-bit words put the index word at pool word 1 or 2.
     expected = [seed_sequence_subseed(master, i) for i in indices]
     assert _hash_subseeds(master, indices) == expected
@@ -186,6 +191,10 @@ def test_packed_subseeds_match_seed_sequence(master, indices):
     got = subseeds(master, grid)
     assert got.dtype == np.uint64 and got.shape == grid.shape
     assert got.ravel().tolist() == expected[:grid.size]
+    # Those hash 2 or 3 entropy words to 1 output word, and 2 to 4; here every size 1-4 to 1-4.
+    entropy = [sum(word << 64 * j for j, word in enumerate(column)) for column in zip(*lanes)]
+    assert [list(state) for state in zip(*_pool_hash(entropy, len(lanes), n_words))] == [
+        np.random.SeedSequence(words).generate_state(n_words, np.uint64).tolist() for words in lanes]
 
 
 VALID_L_KM, EDGE_L_KM = [0.5, 5.0, 10.0, 12.5, 30.0, 190.0], [0.0, -0.0, 1e-310, 1e308, math.inf, -1.0]
@@ -494,8 +503,7 @@ KEY_DOMAINS = {
     "L_km": sweeps(st.floats(0.0, 250.0)),
     "p_m": sweeps(probability),
     "L_att_km": st.floats(1.0, 100.0),
-    "n": st.floats(1.0, 2.0),
-    "c_km_per_s": st.floats(1e5, 3e5),
+    "n": st.floats(1.0, 6.0),  # the flight times of n in [1, 2] at c down to 1e5 km/s
     "mc.seed": st.integers(0, 2**64 - 1),
 }
 
